@@ -7,6 +7,19 @@ are independent of execution order and chunk size, bit for bit.  Replicates
 whose studentizer degenerates (zero bootstrap variance for some contrast)
 are redrawn from the next attempt substream and counted.
 
+One bootstrap run re-keys a single Philox generator to each replicate's
+substream just before that replicate's row of the chunk is drawn (see
+``ReplicateStream``), instead of building a generator per replicate.  Wild
+signs are read from the raw 64-bit words of the stream: bit 31 of each word
+gives one sign and bit 63 the next.  That is the value numpy's
+``integers(0, 2)`` returns for the low and then the high 32-bit half of the
+word, so the signs equal ``integers(0, 2, size=n) * 2 - 1`` on a fresh
+stream.  Parametric normals for a chunk are drawn into one buffer and each
+group's covariance root is applied once per chunk.  One bootstrap run
+allocates its chunk-sized response buffer once and draws every chunk into
+it, and the refit forms the squared residuals in place, so the large
+per-chunk arrays are not freed and faulted back in chunk after chunk.
+
 All reductions in the refit path use np.einsum with the default
 (non-optimized) contraction, whose per-replicate summation order does not
 depend on the batch size; this keeps single-replicate recomputation
@@ -20,10 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrasts import ContrastMatrix
-from .covariance import CovarianceEstimate, groupwise_cov, hc4_weights, psd_sqrt
+from .covariance import (
+    CovarianceEstimate,
+    check_group_divisors,
+    hc4_weights,
+    psd_sqrt,
+)
 from .design import DesignMatrices, FitResult
 from .exceptions import EstimationError
-from ._rng import substream
+from ._rng import ReplicateStream
 
 CHUNK = 256
 MAX_ATTEMPTS = 64
@@ -77,6 +95,22 @@ class BootstrapDraws:
         return self.A_star.shape[1]
 
 
+def _wild_signs(rngs, n: int) -> np.ndarray:
+    """Rademacher signs, one row of n per stream in the sized iterable `rngs`.
+
+    Row j is ``rng.integers(0, 2, size=n) * 2.0 - 1.0`` for a fresh stream,
+    read from ``random_raw(ceil(n/2))``: numpy maps each 32-bit draw to
+    {0, 1} by its top bit and splits each 64-bit word low half first, so
+    bits 31 and 63 of each word give two consecutive signs.
+    """
+    m, words_per_row = len(rngs), (n + 1) // 2
+    words = np.empty((m, words_per_row), dtype=np.uint64)
+    for j, rng in enumerate(rngs):
+        words[j] = rng.bit_generator.random_raw(words_per_row)
+    bits = np.stack([(words >> 31) & 1, words >> 63], axis=2)
+    return bits.reshape(m, 2 * words_per_row)[:, :n] * 2.0 - 1.0
+
+
 class _Engine:
     """Precomputed refit state shared by all replicates of one bootstrap."""
 
@@ -99,23 +133,29 @@ class _Engine:
         if sigmas is not None:
             self.roots = [psd_sqrt(S) for S in sigmas]
 
-    def draw_wild(self, rngs) -> np.ndarray:
-        """Stack wild-multiplier responses for one replicate chunk."""
-        m = len(rngs)
-        Y = np.empty((m, self.n, self.d))
-        for j, rng in enumerate(rngs):
-            t = rng.integers(0, 2, size=self.n) * 2.0 - 1.0
-            Y[j] = (t * self.wild_scale)[:, None] * self.residuals
-        return Y
+    def draw_wild(self, rngs, out: np.ndarray | None = None) -> np.ndarray:
+        """Stack wild-multiplier responses for one replicate chunk.
 
-    def draw_parametric(self, rngs) -> np.ndarray:
-        """Stack group-wise zero-mean normal responses for one chunk."""
-        m = len(rngs)
-        Y = np.empty((m, self.n, self.d))
+        `rngs` is a sized iterable of fresh streams, one per row, consumed
+        in order (see :func:`_wild_signs`).  The m x n x d responses are
+        written to `out` when it is given.
+        """
+        t = _wild_signs(rngs, self.n)
+        t *= self.wild_scale
+        return np.multiply(t[:, :, None], self.residuals, out=out)
+
+    def draw_parametric(self, rngs, out: np.ndarray | None = None) -> np.ndarray:
+        """Stack group-wise zero-mean normal responses for one chunk.
+
+        `rngs` is a sized iterable of streams, one per row, consumed in
+        order; each fills its row's n x d standard normals.  The m x n x d
+        responses are written to `out` when it is given.
+        """
+        Y = np.empty((len(rngs), self.n, self.d)) if out is None else out
         for j, rng in enumerate(rngs):
-            u = rng.standard_normal((self.n, self.d))
-            for sl, L in zip(self.group_slices, self.roots):
-                Y[j, sl] = u[sl] @ L
+            rng.standard_normal(out=Y[j])
+        for sl, L in zip(self.group_slices, self.roots):
+            Y[:, sl] = Y[:, sl] @ L
         return Y
 
     def statistics(self, Ystar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +164,11 @@ class _Engine:
         m = Ystar.shape[0]
         beta = np.einsum("pn,mnd->mpd", self.GXt, Ystar)
         mu_flat = np.ascontiguousarray(beta[:, :k, :]).reshape(m, k * d)
-        resid = Ystar - np.einsum("np,mpd->mnd", self.X, beta)
-        D_flat = n * np.einsum("na,mnl->mal", self.wU1sq, resid**2).reshape(m, k * d)
+        # Fitted values, turned into squared residuals in the same array.
+        resid_sq = np.einsum("np,mpd->mnd", self.X, beta)
+        np.subtract(Ystar, resid_sq, out=resid_sq)
+        np.square(resid_sq, out=resid_sq)
+        D_flat = n * np.einsum("na,mnl->mal", self.wU1sq, resid_sq).reshape(m, k * d)
         denom = np.einsum("mc,rc->mr", D_flat, self.H_sq)
         numer = np.einsum("mc,rc->mr", mu_flat, self.H)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -140,20 +183,32 @@ def _wild_engine(dm: DesignMatrices, fit: FitResult, H: np.ndarray) -> _Engine:
 
 def _parametric_engine(dm: DesignMatrices, cov: CovarianceEstimate,
                        H: np.ndarray) -> _Engine:
-    sigmas = cov.group_sigmas
-    if sigmas is None:
-        # Recompute to raise the precise nonpositive-divisor error.
-        sigmas = groupwise_cov(
-            FitResult(
-                mu_hat=np.zeros((dm.k, dm.d)),
-                nu_hat=np.zeros((dm.c, dm.d)),
-                residuals=np.zeros((dm.n, dm.d)),
-                leverages=dm.leverages.copy(),
-            ),
-            dm.n_i,
-            dm.c,
+    if cov.group_sigmas is None:
+        check_group_divisors(dm.n_i, dm.c)
+        raise EstimationError(
+            "parametric bootstrap needs the group covariances, "
+            "which the covariance estimate does not carry"
         )
-    return _Engine(dm, H, residuals=None, sigmas=sigmas)
+    return _Engine(dm, H, residuals=None, sigmas=cov.group_sigmas)
+
+
+class _Rekeyed:
+    """The streams of one chunk's (replicate, attempt) pairs, made lazily.
+
+    Iterating re-keys the shared generator to each pair's substream just
+    before it is handed out, so each stream is valid only until the next
+    one is taken.
+    """
+
+    def __init__(self, stream: ReplicateStream, batch):
+        self.stream = stream
+        self.batch = batch
+
+    def __len__(self) -> int:
+        return len(self.batch)
+
+    def __iter__(self):
+        return (self.stream.reset(b, attempt) for b, attempt in self.batch)
 
 
 def wild_replicate(dm: DesignMatrices, fit: FitResult, contrasts: ContrastMatrix,
@@ -162,7 +217,9 @@ def wild_replicate(dm: DesignMatrices, fit: FitResult, contrasts: ContrastMatrix
 
     Each subject's residual vector is multiplied by one random sign shared
     across all outcome components, rescaled by 1/sqrt(1-p); the model is
-    refit and the studentized contrast statistics recomputed.
+    refit and the studentized contrast statistics recomputed.  The signs
+    are ``rng.integers(0, 2, size=n) * 2 - 1`` of a fresh stream, such as
+    ``_rng.substream`` returns.
 
     Returns the r-vector of statistics and a validity flag (False when some
     contrast's bootstrap variance is not positive).
@@ -217,11 +274,13 @@ def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
     A_star = np.empty((B, r))
     abort_count = INVALID_ABORT_FRACTION * B
     invalid_total = 0
+    stream = ReplicateStream(cfg.seed)
+    Y = np.empty((min(B, CHUNK), dm.n, dm.d))
     pending = [(b, 0) for b in range(B)]
     while pending:
         batch, pending = pending[:CHUNK], pending[CHUNK:]
-        rngs = [substream(cfg.seed, b, attempt) for b, attempt in batch]
-        A, valid = engine.statistics(draw(rngs))
+        Ystar = draw(_Rekeyed(stream, batch), out=Y[: len(batch)])
+        A, valid = engine.statistics(Ystar)
         for j, (b, attempt) in enumerate(batch):
             if valid[j]:
                 A_star[b] = A[j]

@@ -101,12 +101,7 @@ def groupwise_cov(
         If some group has n_i <= c + 1 (nonpositive divisor).
     """
     n_i = tuple(int(m) for m in n_i)
-    for i, m in enumerate(n_i):
-        if m <= c + 1:
-            raise EstimationError(
-                f"parametric bootstrap divisor nonpositive in group {i + 1}: "
-                f"n_i={m}, c={c}"
-            )
+    check_group_divisors(n_i, c)
     if group_slices is None:
         offsets = np.concatenate([[0], np.cumsum(n_i)])
         group_slices = [slice(int(a), int(b)) for a, b in zip(offsets, offsets[1:])]
@@ -116,6 +111,20 @@ def groupwise_cov(
         S = (E.T @ E) / (m - c - 1)
         out.append((S + S.T) / 2.0)
     return tuple(out)
+
+
+def check_group_divisors(n_i, c: int) -> None:
+    """Raise EstimationError unless every group has n_i > c + 1.
+
+    The group-wise covariances used by the parametric bootstrap divide by
+    n_i - c - 1.
+    """
+    for i, m in enumerate(n_i):
+        if m <= c + 1:
+            raise EstimationError(
+                f"parametric bootstrap divisor nonpositive in group {i + 1}: "
+                f"n_i={m}, c={c}"
+            )
 
 
 def psd_sqrt(S: np.ndarray, rel_tol: float = PSD_REL_TOL) -> np.ndarray:

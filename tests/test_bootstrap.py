@@ -16,10 +16,11 @@ from bootmctp import (
     two_sample,
     wild_replicate,
 )
-from bootmctp.bootstrap import _parametric_engine, _wild_engine
+from bootmctp import bootstrap
+from bootmctp.bootstrap import _parametric_engine, _Rekeyed, _wild_engine, _wild_signs
 from bootmctp.covariance import CovarianceEstimate
 from bootmctp.design import DesignMatrices, FitResult
-from bootmctp._rng import substream
+from bootmctp._rng import ReplicateStream, substream
 
 from conftest import random_dataset
 
@@ -64,6 +65,32 @@ class TestDeterminism:
                 assert valid
                 assert np.array_equal(a, draws.A_star[b]), (kind, b)
 
+    @pytest.mark.parametrize("kind", ["wild", "parametric"])
+    def test_chunk_size_does_not_change_results(self, fitted_small, monkeypatch, kind):
+        ds, dm, fit, cov = fitted_small
+        cm = two_sample(2, 2)
+        cfg = BootstrapConfig(kind, 300, 19)
+        results = []
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(bootstrap, "CHUNK", chunk)
+            results.append(run_bootstrap(cfg, dm, fit, cov, cm).A_star)
+        assert np.array_equal(results[0], results[1])
+        assert np.array_equal(results[0], results[2])
+
+    def test_draw_into_reused_buffer_equals_fresh_draw(self, fitted_small):
+        ds, dm, fit, cov = fitted_small
+        H = two_sample(2, 2).H
+        for engine in (_wild_engine(dm, fit, H), _parametric_engine(dm, cov, H)):
+            draw = (engine.draw_wild if engine.residuals is not None
+                    else engine.draw_parametric)
+            buf = np.full((9, dm.n, dm.d), np.nan)
+            for lo in (0, 9):
+                rngs = [substream(4, b, 0) for b in range(lo, lo + 9)]
+                fresh = draw(rngs)
+                rngs = [substream(4, b, 0) for b in range(lo, lo + 9)]
+                assert draw(rngs, out=buf) is buf
+                assert np.array_equal(buf, fresh)
+
     def test_single_row_for_b_equals_one(self, fitted_small):
         ds, dm, fit, cov = fitted_small
         draws = run_bootstrap(BootstrapConfig("wild", 1, 5), dm, fit, cov, two_sample(2, 2))
@@ -90,6 +117,24 @@ class TestWild:
         A_plus, _ = engine.statistics(Y[None])
         A_minus, _ = engine.statistics(-Y[None])
         assert np.array_equal(np.abs(A_plus), np.abs(A_minus))
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
+    def test_raw_bit_signs_equal_integers(self, seed):
+        """The signs read from raw Philox words equal integers(0, 2).
+
+        The wild bootstrap reads its signs from bits 31 and 63 of the raw
+        64-bit words instead of calling ``integers(0, 2, size=n)``.  The
+        two agree only because of how numpy's bounded-integer (Lemire)
+        path maps 32-bit draws to {0, 1}; this test fails if a numpy
+        release changes that path.
+        """
+        batch = [(0, 0), (1, 0), (2**32 - 1, 0), (3, 5)]
+        stream = ReplicateStream(seed)
+        for n in range(1, 71):
+            t = _wild_signs(_Rekeyed(stream, batch), n)
+            want = [substream(seed, b, a).integers(0, 2, size=n) * 2.0 - 1.0
+                    for b, a in batch]
+            assert np.array_equal(t, np.array(want)), n
 
     def test_zero_residuals_replicate_invalid(self):
         ds = random_dataset(30, k=2, d=1, c=0, n_i=(5, 5))
@@ -227,6 +272,12 @@ class TestParametric:
         assert cov.group_sigmas is None
         with pytest.raises(EstimationError, match="divisor nonpositive"):
             run_bootstrap(BootstrapConfig("parametric", 10, 1), dm, fit, cov, two_sample(2, 1))
+
+    def test_missing_group_covariances_raise(self, fitted_small):
+        ds, dm, fit, cov = fitted_small
+        bare = CovarianceEstimate(lambda11=cov.lambda11, D=cov.D, group_sigmas=None)
+        with pytest.raises(EstimationError, match="group covariances"):
+            run_bootstrap(BootstrapConfig("parametric", 10, 1), dm, fit, bare, two_sample(2, 2))
 
 
 class TestConfigAndDump:
