@@ -36,7 +36,6 @@ from .dataset import CsvSchema, Dataset, ValidationReport, load_csv, validate
 from .design import (
     DesignMatrices,
     FitResult,
-    adjusted_means_via_group_means,
     build_design,
     fit_ols,
 )
@@ -52,10 +51,8 @@ from .mctp import (
     ContrastOutcome,
     MctpResult,
     adjust_level,
-    bootstrap_quantile,
     confidence_intervals,
     contrast_quantiles,
-    estimated_fwer,
     format_result_table,
     local_p_values,
     run_mctp,
@@ -95,15 +92,12 @@ __all__ = [
     "StudyResult",
     "ValidationReport",
     "adjust_level",
-    "adjusted_means_via_group_means",
-    "bootstrap_quantile",
     "build_design",
     "build_family",
     "confidence_intervals",
     "contrast_quantiles",
     "custom",
     "dunnett",
-    "estimated_fwer",
     "fit_ols",
     "format_result_table",
     "gen_covariates",

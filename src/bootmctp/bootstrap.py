@@ -39,6 +39,7 @@ from .covariance import (
     hc4_weights,
     psd_sqrt,
 )
+from .dataset import _group_slices
 from .design import DesignMatrices, FitResult
 from .exceptions import EstimationError
 from ._rng import ReplicateStream
@@ -53,16 +54,11 @@ KINDS = ("wild", "parametric")
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Replicate count, scheme and seed for one bootstrap run.
-
-    ``workers`` is an advisory hint; the implementation is free to ignore it
-    and results never depend on it.
-    """
+    """Replicate count, scheme and seed for one bootstrap run."""
 
     kind: str
     B: int
     seed: int
-    workers: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -128,7 +124,7 @@ class _Engine:
         self.wild_scale = None
         if residuals is not None:
             self.wild_scale = 1.0 / np.sqrt(1.0 - dm.leverages)
-        self.group_slices = dm.group_slices()
+        self.group_slices = _group_slices(dm.n_i)
         self.roots = None
         if sigmas is not None:
             self.roots = [psd_sqrt(S) for S in sigmas]

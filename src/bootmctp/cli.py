@@ -21,6 +21,7 @@ from .exceptions import (
     ContrastError,
     DataError,
     EstimationError,
+    SimulationError,
 )
 from .mctp import format_result_table, run_mctp
 from .simgen import SimScenario, run_study, write_study_csv
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.subcommand](args)
-    except ConfigError as exc:
+    except (ConfigError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, ContrastError, EstimationError) as exc:

@@ -24,7 +24,6 @@ class ContrastMatrix:
 
     H: np.ndarray
     labels: tuple[str, ...]
-    family: str = "custom"
 
     def __post_init__(self):
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
@@ -71,7 +70,7 @@ def two_sample(k: int, d: int, group_names=None, outcome_names=None) -> Contrast
     o = _names("outcome", d, outcome_names)
     H = _kron_with_identity(np.array([[1.0, -1.0]]), d)
     labels = tuple(f"{g[0]} - {g[1]}, {o[ell]}" for ell in range(d))
-    return ContrastMatrix(H=H, labels=labels, family="two_sample")
+    return ContrastMatrix(H=H, labels=labels)
 
 
 def dunnett(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
@@ -86,9 +85,7 @@ def dunnett(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMat
         H_u[i - 1, 0] = -1.0
         H_u[i - 1, i] = 1.0
         labels.extend(f"{g[i]} - {g[0]}, {o[ell]}" for ell in range(d))
-    return ContrastMatrix(
-        H=_kron_with_identity(H_u, d), labels=tuple(labels), family="dunnett"
-    )
+    return ContrastMatrix(H=_kron_with_identity(H_u, d), labels=tuple(labels))
 
 
 def tukey(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
@@ -107,9 +104,7 @@ def tukey(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatri
             rows.append(row)
             labels.extend(f"{g[i2]} - {g[i1]}, {o[ell]}" for ell in range(d))
     return ContrastMatrix(
-        H=_kron_with_identity(np.asarray(rows), d),
-        labels=tuple(labels),
-        family="tukey",
+        H=_kron_with_identity(np.asarray(rows), d), labels=tuple(labels)
     )
 
 
@@ -123,9 +118,7 @@ def grand_mean(k: int, d: int, group_names=None, outcome_names=None) -> Contrast
     labels = tuple(
         f"{g[i]} - grand mean, {o[ell]}" for i in range(k) for ell in range(d)
     )
-    return ContrastMatrix(
-        H=_kron_with_identity(H_u, d), labels=labels, family="grand_mean"
-    )
+    return ContrastMatrix(H=_kron_with_identity(H_u, d), labels=labels)
 
 
 def custom(H_raw, labels=None) -> ContrastMatrix:
@@ -133,7 +126,7 @@ def custom(H_raw, labels=None) -> ContrastMatrix:
     H = np.atleast_2d(np.asarray(H_raw, dtype=float))
     if labels is None:
         labels = tuple(f"contrast {s + 1}" for s in range(H.shape[0]))
-    return ContrastMatrix(H=H, labels=tuple(labels), family="custom")
+    return ContrastMatrix(H=H, labels=tuple(labels))
 
 
 def from_csv(path, k: int, d: int) -> ContrastMatrix:
@@ -178,7 +171,7 @@ def from_csv(path, k: int, d: int) -> ContrastMatrix:
             )
     if not rows:
         raise ContrastError(f"no contrast rows in {path}")
-    return ContrastMatrix(H=np.asarray(rows), labels=tuple(labels), family="custom")
+    return ContrastMatrix(H=np.asarray(rows), labels=tuple(labels))
 
 
 def build_family(

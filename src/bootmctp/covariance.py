@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _group_slices
 from .design import DesignMatrices, FitResult
 from .exceptions import EstimationError
 
@@ -81,18 +82,13 @@ def sandwich(dm: DesignMatrices, fit: FitResult, weights: np.ndarray) -> Covaria
 
     sigmas: tuple[np.ndarray, ...] | None
     if all(m > dm.c + 1 for m in dm.n_i):
-        sigmas = groupwise_cov(fit, dm.n_i, dm.c, group_slices=dm.group_slices())
+        sigmas = groupwise_cov(fit, dm.n_i, dm.c)
     else:
         sigmas = None
     return CovarianceEstimate(lambda11=lam, D=D, group_sigmas=sigmas)
 
 
-def groupwise_cov(
-    fit: FitResult,
-    n_i,
-    c: int,
-    group_slices: list[slice] | None = None,
-) -> tuple[np.ndarray, ...]:
+def groupwise_cov(fit: FitResult, n_i, c: int) -> tuple[np.ndarray, ...]:
     """Group-wise residual covariances with divisor n_i - c - 1.
 
     Raises
@@ -102,11 +98,8 @@ def groupwise_cov(
     """
     n_i = tuple(int(m) for m in n_i)
     check_group_divisors(n_i, c)
-    if group_slices is None:
-        offsets = np.concatenate([[0], np.cumsum(n_i)])
-        group_slices = [slice(int(a), int(b)) for a, b in zip(offsets, offsets[1:])]
     out = []
-    for m, sl in zip(n_i, group_slices):
+    for m, sl in zip(n_i, _group_slices(n_i)):
         E = fit.residuals[sl]
         S = (E.T @ E) / (m - c - 1)
         out.append((S + S.T) / 2.0)
@@ -127,15 +120,15 @@ def check_group_divisors(n_i, c: int) -> None:
             )
 
 
-def psd_sqrt(S: np.ndarray, rel_tol: float = PSD_REL_TOL) -> np.ndarray:
+def psd_sqrt(S: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in [-rel_tol * scale, 0) are clamped to zero; anything more
-    negative raises, since the matrix is then not a covariance.
+    Eigenvalues in [-PSD_REL_TOL * scale, 0) are clamped to zero; anything
+    more negative raises, since the matrix is then not a covariance.
     """
     w, V = np.linalg.eigh(S)
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] < -rel_tol * scale:
+    if w[0] < -PSD_REL_TOL * scale:
         raise EstimationError(
             f"group covariance not PSD: eigenvalue {w[0]:.6g} below -tol*scale"
         )

@@ -138,8 +138,7 @@ class Dataset:
 
     def group_slices(self) -> list[slice]:
         """Row slice of each group, in group order."""
-        offsets = np.concatenate([[0], np.cumsum(self.n_i)])
-        return [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(self.k)]
+        return _group_slices(self.n_i)
 
     @classmethod
     def from_group_blocks(
@@ -173,11 +172,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of :func:`validate`: fatal errors, advisory warnings, details."""
+    """Outcome of :func:`validate`: fatal errors and advisory warnings."""
 
     errors: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
-    checks: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -283,16 +281,12 @@ def validate(ds: Dataset) -> ValidationReport:
     """
     errors: list[str] = []
     warnings: list[str] = []
-    checks: list[str] = []
 
     X = np.hstack([_group_indicators(ds), ds.Z])
     sv = np.linalg.svd(X, compute_uv=False)
     tol = sv[0] * max(ds.n, ds.k + ds.c) * np.finfo(float).eps if sv.size else 0.0
     rank = int(np.sum(sv > tol))
     full = ds.k + ds.c
-    checks.append(
-        f"design rank: {rank}/{full} (singular value tolerance {tol:.3e})"
-    )
     if rank < full:
         errors.append(
             f"rank deficiency: design [group indicators | covariates] has rank "
@@ -309,7 +303,6 @@ def validate(ds: Dataset) -> ValidationReport:
                     f"('{ds.outcome_names[ell]}') of group {i + 1} "
                     f"('{ds.groups[i]}')"
                 )
-    checks.append("within-group outcome variances checked")
 
     for i, m in enumerate(ds.n_i):
         if m <= ds.c + 1:
@@ -317,14 +310,17 @@ def validate(ds: Dataset) -> ValidationReport:
                 f"n_i <= c+1 in group {i + 1} ('{ds.groups[i]}'): "
                 f"n_i={m}, c={ds.c}; parametric bootstrap divisor n_i-c-1 <= 0"
             )
-    checks.append("group sizes vs covariate count checked")
 
-    return ValidationReport(
-        errors=tuple(errors), warnings=tuple(warnings), checks=tuple(checks)
-    )
+    return ValidationReport(errors=tuple(errors), warnings=tuple(warnings))
 
 
 def _group_indicators(ds: Dataset) -> np.ndarray:
     M = np.zeros((ds.n, ds.k))
     M[np.arange(ds.n), ds.row_group] = 1.0
     return M
+
+
+def _group_slices(n_i) -> list[slice]:
+    """Row slice of each group for contiguous groups of sizes n_i."""
+    offsets = np.cumsum([0, *n_i]).tolist()
+    return [slice(a, b) for a, b in zip(offsets, offsets[1:])]

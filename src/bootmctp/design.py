@@ -22,9 +22,8 @@ class DesignMatrices:
     """Compact design for a dataset.
 
     ``X`` is the n x (k+c) univariate design; its first k columns are the
-    group indicators, the rest the covariates.  ``gram_inv`` is (X'X)^-1.
-    The stacked-model Gram inverse is ``gram_inv kron I_d`` and is available
-    densely via :meth:`xtx_inv_stacked` (for cross-checks only).
+    group indicators, the rest the covariates.  ``gram_inv`` is (X'X)^-1;
+    the stacked-model Gram inverse is ``gram_inv kron I_d``.
     """
 
     X: np.ndarray
@@ -43,24 +42,6 @@ class DesignMatrices:
     def n(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def M(self) -> np.ndarray:
-        """Group-indicator block of the design."""
-        return self.X[:, : self.k]
-
-    @property
-    def Z(self) -> np.ndarray:
-        """Covariate block of the design."""
-        return self.X[:, self.k :]
-
-    def group_slices(self) -> list[slice]:
-        offsets = np.concatenate([[0], np.cumsum(self.n_i)])
-        return [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(self.k)]
-
-    def xtx_inv_stacked(self) -> np.ndarray:
-        """Dense (k+c)d x (k+c)d Gram inverse of the stacked design."""
-        return np.kron(self.gram_inv, np.eye(self.d))
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -74,10 +55,9 @@ class FitResult:
     mu_hat: np.ndarray
     nu_hat: np.ndarray
     residuals: np.ndarray
-    leverages: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.mu_hat, self.nu_hat, self.residuals, self.leverages):
+        for arr in (self.mu_hat, self.nu_hat, self.residuals):
             arr.setflags(write=False)
 
     @property
@@ -130,19 +110,4 @@ def fit_ols(dm: DesignMatrices, ds: Dataset) -> FitResult:
         mu_hat=np.ascontiguousarray(beta[: dm.k]),
         nu_hat=np.ascontiguousarray(beta[dm.k :]),
         residuals=residuals,
-        leverages=dm.leverages.copy(),
     )
-
-
-def adjusted_means_via_group_means(ds: Dataset, fit: FitResult) -> np.ndarray:
-    """Adjusted means recomputed as group means minus the covariate correction.
-
-    Cross-check identity: group mean of Y minus (group mean of z applied to
-    the regression coefficients) must reproduce ``fit.mu_hat``.
-    """
-    out = np.empty_like(fit.mu_hat)
-    for i, sl in enumerate(ds.group_slices()):
-        ybar = ds.Y[sl].mean(axis=0)
-        correction = fit.nu_hat.T @ ds.Z[sl].mean(axis=0) if ds.c else 0.0
-        out[i] = ybar - correction
-    return out

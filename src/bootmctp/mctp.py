@@ -7,6 +7,10 @@ order-statistic convention: the (1-gamma)-quantile of B absolute bootstrap
 values is the (gamma*B + 1)-th largest.  With this convention the p-value /
 critical-value duality holds exactly for finite B, ties included:
 p_s <= gamma  iff  |A_n(h_s)| exceeds the contrast's quantile.
+
+:func:`run_mctp` and each simulated run in ``simgen`` share one core:
+:func:`_fit` (fit, sandwich studentizer, observed statistics) and
+:func:`_calibrate` (bootstrap, gamma, quantiles, decisions).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .bootstrap import BootstrapConfig, BootstrapDraws, run_bootstrap
 from .contrasts import ContrastMatrix
 from .covariance import CovarianceEstimate, sandwich, hc4_weights
 from .dataset import Dataset, validate
-from .design import FitResult, build_design, fit_ols
+from .design import DesignMatrices, FitResult, build_design, fit_ols
 from .exceptions import ConfigError, DataError, EstimationError
 
 COARSE_GRID_B = 100
@@ -64,22 +68,6 @@ def gamma_index(gamma: float, B: int) -> int:
     return g
 
 
-def bootstrap_quantile(values: np.ndarray, gamma: float) -> float:
-    """(1-gamma)-quantile of |values|: their (gamma*B + 1)-th largest."""
-    a = np.abs(np.asarray(values, dtype=float))
-    g = gamma_index(gamma, a.size)
-    return float(np.sort(a)[a.size - 1 - g])
-
-
-def estimated_fwer(draws, gamma: float) -> float:
-    """Share of replicates where some |statistic| strictly exceeds its quantile."""
-    A = np.abs(_draw_matrix(draws))
-    B = A.shape[0]
-    g = gamma_index(gamma, B)
-    q = np.sort(A, axis=0)[B - 1 - g, :]
-    return float(np.count_nonzero((A > q).any(axis=1)) / B)
-
-
 def _min_tail_counts(absA: np.ndarray) -> np.ndarray:
     """Per replicate: min over contrasts of #{b': |A_b's| >= |A_bs|}."""
     B = absA.shape[0]
@@ -97,7 +85,7 @@ def adjust_level(draws, alpha: float) -> float:
     index g exactly when fewer than g+1 replicates are >= it in that column,
     so the error-rate curve is the cumulative distribution of the minimum
     per-column tail count.  This agrees with the definitional grid scan of
-    :func:`estimated_fwer` for every input, ties included.
+    the estimated error rate for every input, ties included.
     """
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
@@ -240,6 +228,24 @@ def format_result_table(result: MctpResult) -> str:
     return "\n".join(lines)
 
 
+def _fit(ds: Dataset, contrasts: ContrastMatrix):
+    """Fit, sandwich studentizer and observed statistics: (dm, fit, cov, A_n)."""
+    dm = build_design(ds)
+    fit = fit_ols(dm, ds)
+    cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+    return dm, fit, cov, test_statistics(fit, cov, contrasts)
+
+
+def _calibrate(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
+               cov: CovarianceEstimate, contrasts: ContrastMatrix,
+               A_n: np.ndarray, alpha: float):
+    """Bootstrap, adjust gamma, decide: (draws, gamma, q, reject = |A_n| > q)."""
+    draws = run_bootstrap(cfg, dm, fit, cov, contrasts)
+    gamma = adjust_level(draws, alpha)
+    q = contrast_quantiles(draws, gamma)
+    return draws, gamma, q, np.abs(A_n) > q
+
+
 def run_mctp(ds: Dataset, contrasts: ContrastMatrix, cfg: BootstrapConfig,
              alpha: float, keep_draws: bool = False) -> MctpResult:
     """Full procedure: fit, bootstrap, adjusted level, decisions, intervals.
@@ -268,18 +274,10 @@ def run_mctp(ds: Dataset, contrasts: ContrastMatrix, cfg: BootstrapConfig,
             f"expected k*d = {ds.k * ds.d}"
         )
 
-    dm = build_design(ds)
-    fit = fit_ols(dm, ds)
-    weights = hc4_weights(dm.leverages, dm.n)
-    cov = sandwich(dm, fit, weights)
-    A_n = test_statistics(fit, cov, contrasts)
-    draws = run_bootstrap(cfg, dm, fit, cov, contrasts)
-
-    gamma = adjust_level(draws, alpha)
-    q = contrast_quantiles(draws, gamma)
+    dm, fit, cov, A_n = _fit(ds, contrasts)
+    draws, gamma, q, reject = _calibrate(cfg, dm, fit, cov, contrasts, A_n, alpha)
     p = local_p_values(draws, A_n)
     ci = confidence_intervals(fit, cov, draws, gamma, contrasts)
-    reject = np.abs(A_n) > q
     est = contrasts.H @ fit.mu_vec
 
     warnings = list(report.warnings) + list(draws.warnings)

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .bootstrap import BootstrapConfig, run_bootstrap
+from .bootstrap import BootstrapConfig
 from .contrasts import build_family
-from .covariance import hc4_weights, psd_sqrt, sandwich
+from .covariance import psd_sqrt
 from .dataset import Dataset
-from .design import build_design, fit_ols
-from .exceptions import SimulationError
-from .mctp import adjust_level, contrast_quantiles, test_statistics
+from .exceptions import EstimationError, SimulationError
+from .mctp import _calibrate, _fit
 from ._rng import derive_seed, substream
 
 DISTRIBUTIONS = ("normal", "t3", "chi2_3", "lognormal", "dexp")
@@ -257,24 +256,29 @@ def gen_dataset(scenario: SimScenario, rng: np.random.Generator) -> Dataset:
 
 def _global_rejections(scenario: SimScenario, run_indices, B: int, alpha: float,
                        seed: int, scenario_index: int) -> np.ndarray:
-    """Global decisions (wild, parametric) for a block of simulation runs."""
+    """Global decisions (wild, parametric) for a block of simulation runs.
+
+    An EstimationError in one run is re-raised, chained, as a SimulationError
+    that names the scenario index, the run index and the dataset seed.
+    """
     out = np.zeros((len(run_indices), 2), dtype=bool)
     H = build_family(scenario.contrast_family, scenario.k, scenario.d)
     for j, ri in enumerate(run_indices):
-        rng = substream(derive_seed(seed, scenario_index, ri, 0), 0)
-        ds = gen_dataset(scenario, rng)
-        dm = build_design(ds)
-        fit = fit_ols(dm, ds)
-        cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
-        A_n = np.abs(test_statistics(fit, cov, H))
-        for col, kind in enumerate(("wild", "parametric")):
-            cfg = BootstrapConfig(
-                kind=kind, B=B, seed=derive_seed(seed, scenario_index, ri, 1 + col)
-            )
-            draws = run_bootstrap(cfg, dm, fit, cov, H)
-            gamma = adjust_level(draws, alpha)
-            q = contrast_quantiles(draws, gamma)
-            out[j, col] = bool((A_n > q).any())
+        data_seed = derive_seed(seed, scenario_index, ri, 0)
+        try:
+            ds = gen_dataset(scenario, substream(data_seed, 0))
+            dm, fit, cov, A_n = _fit(ds, H)
+            for col, kind in enumerate(("wild", "parametric")):
+                cfg = BootstrapConfig(
+                    kind=kind, B=B, seed=derive_seed(seed, scenario_index, ri, 1 + col)
+                )
+                *_, reject = _calibrate(cfg, dm, fit, cov, H, A_n, alpha)
+                out[j, col] = bool(reject.any())
+        except EstimationError as exc:
+            raise SimulationError(
+                f"scenario {scenario_index}, run {ri} (dataset seed {data_seed}) "
+                f"failed: {exc}"
+            ) from exc
     return out
 
 

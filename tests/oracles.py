@@ -1,8 +1,21 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here works on the fully materialized stacked model (Kronecker
-blocks expanded densely) or on definitional grid scans, deliberately
-avoiding the package's structured computation paths.
+blocks expanded densely), on definitional grid scans or on plain group
+means, deliberately avoiding the package's structured computation paths.
+
+References and the package functions they check:
+
+- ``dense_ols``, ``dense_hat_diagonal``: ``design.build_design`` and
+  ``design.fit_ols``;
+- ``dense_sandwich_block``: ``covariance.sandwich``;
+- ``adjusted_means_via_group_means`` (moved here from ``design``): the
+  adjusted means of ``design.fit_ols``;
+- ``descending_quantile`` (it replaces ``mctp.bootstrap_quantile``):
+  ``mctp.contrast_quantiles``;
+- ``scan_fwer`` (it replaces ``mctp.estimated_fwer``) and
+  ``scan_adjust_level``: ``mctp.adjust_level``;
+- ``welch_type_statistic``: ``mctp.test_statistics``.
 """
 
 from __future__ import annotations
@@ -61,6 +74,20 @@ def dense_sandwich_block(n_i, Z: np.ndarray, resid: np.ndarray,
     G = np.linalg.inv(Xt.T @ Xt)
     lam = n * G @ Xt.T @ S @ Xt @ G
     return lam[: k * d, : k * d]
+
+
+def adjusted_means_via_group_means(ds, fit) -> np.ndarray:
+    """Adjusted means recomputed as group means minus the covariate correction.
+
+    Group mean of Y minus (group mean of z applied to the regression
+    coefficients) must reproduce ``fit.mu_hat``.
+    """
+    out = np.empty_like(fit.mu_hat)
+    for i, sl in enumerate(ds.group_slices()):
+        ybar = ds.Y[sl].mean(axis=0)
+        correction = fit.nu_hat.T @ ds.Z[sl].mean(axis=0) if ds.c else 0.0
+        out[i] = ybar - correction
+    return out
 
 
 def descending_quantile(values: np.ndarray, g: int) -> float:

@@ -17,7 +17,6 @@ from bootmctp import (
     Dataset,
     SimScenario,
     adjust_level,
-    adjusted_means_via_group_means,
     build_design,
     contrast_quantiles,
     fit_ols,
@@ -32,7 +31,12 @@ from bootmctp import (
 )
 
 from conftest import HRV_OUTCOMES, random_dataset
-from oracles import dense_ols, dense_sandwich_block, scan_adjust_level
+from oracles import (
+    adjusted_means_via_group_means,
+    dense_ols,
+    dense_sandwich_block,
+    scan_adjust_level,
+)
 
 WORKERS = min(8, os.cpu_count() or 1)
 

@@ -43,13 +43,6 @@ class TestDeterminism:
         b = run_bootstrap(cfg, dm, fit, cov, cm)
         assert np.array_equal(a.A_star, b.A_star)
 
-    def test_worker_hint_does_not_change_results(self, fitted_small):
-        ds, dm, fit, cov = fitted_small
-        cm = two_sample(2, 2)
-        a = run_bootstrap(BootstrapConfig("wild", 150, 3, workers=1), dm, fit, cov, cm)
-        b = run_bootstrap(BootstrapConfig("wild", 150, 3, workers=8), dm, fit, cov, cm)
-        assert np.array_equal(a.A_star, b.A_star)
-
     def test_replicate_recomputable_in_isolation(self, fitted_small):
         ds, dm, fit, cov = fitted_small
         cm = two_sample(2, 2)
@@ -144,7 +137,6 @@ class TestWild:
             mu_hat=fit.mu_hat,
             nu_hat=fit.nu_hat,
             residuals=np.zeros_like(fit.residuals),
-            leverages=fit.leverages.copy(),
         )
         a, valid = wild_replicate(dm, zero_fit, two_sample(2, 1), substream(1, 0, 0))
         assert not valid
@@ -157,7 +149,6 @@ class TestWild:
             mu_hat=fit.mu_hat,
             nu_hat=fit.nu_hat,
             residuals=np.zeros_like(fit.residuals),
-            leverages=fit.leverages.copy(),
         )
         cov = sandwich(dm, zero_fit, hc4_weights(dm.leverages, dm.n))
         with pytest.raises(EstimationError, match="degenerate bootstrap"):
@@ -193,6 +184,50 @@ class TestWild:
         col = draws.A_star[:, 0]
         assert abs(col.mean()) < 0.05
         assert abs(col.var() - ratio) < 0.15 * ratio
+
+
+@pytest.fixture(scope="module")
+def few_redraws():
+    """Wild bootstrap in which about 2 in 1024 replicates are degenerate.
+
+    Group 1's residuals alternate +-1 in component 1 and +-2 in component
+    2, and the contrast compares the two components within group 1, so a
+    replicate whose signs undo the alternation has a zero studentizer.
+    Seed 1 redraws 2 of B=1000 replicates: a warning, not an abort.
+    """
+    col = np.tile([4.0, 2.0], 5)
+    other = np.random.default_rng(40).standard_normal((10, 2))
+    ds = Dataset.from_group_blocks(["a", "b"], [np.column_stack([col, 2 * col]), other])
+    dm = build_design(ds)
+    fit = fit_ols(dm, ds)
+    cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+    return dm, fit, cov, custom([[1.0, -1.0, 0.0, 0.0]]), BootstrapConfig("wild", 1000, 1)
+
+
+class TestRedraws:
+    def test_redraws_warn_and_do_not_depend_on_chunk_size(self, few_redraws, monkeypatch):
+        dm, fit, cov, cm, cfg = few_redraws
+        runs = []
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(bootstrap, "CHUNK", chunk)
+            runs.append(run_bootstrap(cfg, dm, fit, cov, cm))
+        assert runs[0].invalid_redraws > 0
+        assert len(runs[0].warnings) == 1
+        assert "invalid bootstrap replicates redrawn" in runs[0].warnings[0]
+        for draws in runs[1:]:
+            assert draws.invalid_redraws == runs[0].invalid_redraws
+            assert np.array_equal(draws.A_star, runs[0].A_star)
+
+    def test_redrawn_rows_come_from_the_next_attempt(self, few_redraws):
+        dm, fit, cov, cm, cfg = few_redraws
+        draws = run_bootstrap(cfg, dm, fit, cov, cm)
+        redrawn = [b for b in range(cfg.B)
+                   if not wild_replicate(dm, fit, cm, substream(cfg.seed, b, 0))[1]]
+        assert len(redrawn) == draws.invalid_redraws > 0
+        for b in redrawn:
+            a, valid = wild_replicate(dm, fit, cm, substream(cfg.seed, b, 1))
+            assert valid
+            assert np.array_equal(draws.A_star[b], a), b
 
 
 class TestParametric:

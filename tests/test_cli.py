@@ -177,6 +177,15 @@ class TestSimulate:
         code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
         assert code == 1
 
+    def test_invalid_scenario_value_exits_1(self, capsys, tmp_path):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(
+            {"scenarios": [{"k": 2, "d": 2, "distribution": "foo"}]}
+        ))
+        code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
+        assert code == 1
+        assert err.splitlines() == ["error: unknown distribution 'foo'"]
+
     def test_missing_config_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, ["simulate", "--config", "/nope.json"])
         assert code == 1

@@ -84,7 +84,6 @@ class TestSandwich:
             mu_hat=np.zeros((1, d)),
             nu_hat=np.zeros((0, d)),
             residuals=E,
-            leverages=dm.leverages.copy(),
         )
         cov = sandwich(dm, fit, np.ones(n))
         assert np.allclose(cov.lambda11, (E.T @ E) / n, rtol=1e-12, atol=1e-14)
@@ -97,7 +96,6 @@ class TestSandwich:
             mu_hat=fit.mu_hat,
             nu_hat=fit.nu_hat,
             residuals=np.zeros_like(fit.residuals),
-            leverages=fit.leverages.copy(),
         )
         cov = sandwich(dm, zero_fit, hc4_weights(dm.leverages, dm.n))
         assert np.all(cov.lambda11 == 0.0)
@@ -155,7 +153,6 @@ class TestGroupwiseCov:
             mu_hat=np.zeros((1, 2)),
             nu_hat=np.zeros((0, 2)),
             residuals=resid,
-            leverages=np.full(4, 0.25),
         )
         (sigma,) = groupwise_cov(fit, (4,), 0)
         assert np.allclose(sigma, (4.0 / 3.0) * np.outer(e1, e1), atol=1e-14)
@@ -165,7 +162,6 @@ class TestGroupwiseCov:
             mu_hat=np.zeros((1, 2)),
             nu_hat=np.zeros((0, 2)),
             residuals=np.zeros((5, 2)),
-            leverages=np.full(5, 0.2),
         )
         (sigma,) = groupwise_cov(fit, (5,), 0)
         assert np.all(sigma == 0.0)
@@ -185,7 +181,6 @@ class TestGroupwiseCov:
             mu_hat=np.zeros((2, 1)),
             nu_hat=np.zeros((2, 1)),
             residuals=np.zeros((6, 1)),
-            leverages=np.full(6, 0.5),
         )
         with pytest.raises(EstimationError, match="divisor nonpositive"):
             groupwise_cov(fit, (3, 3), 2)

@@ -3,14 +3,18 @@ import pytest
 
 from bootmctp import (
     Dataset,
-    adjusted_means_via_group_means,
     build_design,
     fit_ols,
     load_csv,
 )
 
 from conftest import random_dataset
-from oracles import dense_hat_diagonal, dense_ols, dense_stacked_design
+from oracles import (
+    adjusted_means_via_group_means,
+    dense_hat_diagonal,
+    dense_ols,
+    dense_stacked_design,
+)
 
 
 def fitted(ds):
@@ -50,7 +54,8 @@ class TestBuildDesign:
         dm = build_design(ds)
         Xt = dense_stacked_design(ds.n_i, ds.Z, ds.d)
         dense = np.linalg.inv(Xt.T @ Xt)
-        assert np.allclose(dm.xtx_inv_stacked(), dense, rtol=1e-9, atol=1e-12)
+        stacked = np.kron(dm.gram_inv, np.eye(ds.d))
+        assert np.allclose(stacked, dense, rtol=1e-9, atol=1e-12)
 
 
 class TestFitOls:

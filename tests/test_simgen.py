@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bootmctp import (
+    Dataset,
+    EstimationError,
     SimScenario,
     SimulationError,
     gen_covariates,
@@ -14,8 +16,9 @@ from bootmctp import (
     validate,
     write_study_csv,
 )
+from bootmctp import simgen
 from bootmctp.simgen import default_nu
-from bootmctp._rng import substream
+from bootmctp._rng import derive_seed, substream
 
 
 class TestStandardizedErrors:
@@ -181,6 +184,29 @@ class TestRunStudy:
         write_study_csv(results, str(path))
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 method rows
+
+    def test_failed_run_names_scenario_run_and_seed(self, monkeypatch):
+        # No covariates and outcomes constant within groups of 4: the fit is
+        # binary-exact, the residuals are exactly zero, the studentizer too.
+        flat = Dataset.from_group_blocks(
+            ["G1", "G2"], [np.full((4, 2), 1.0), np.full((4, 2), 2.0)]
+        )
+        calls = []
+
+        def gen_dataset_failing_once(scenario, rng):
+            calls.append(scenario)
+            return flat if len(calls) == 5 else gen_dataset(scenario, rng)
+
+        monkeypatch.setattr(simgen, "gen_dataset", gen_dataset_failing_once)
+        sc = SimScenario(k=2, d=2, contrast_family="two_sample")
+        with pytest.raises(SimulationError) as info:
+            run_study([sc, sc], runs=3, B=50, alpha=0.05, seed=7, workers=1)
+        # The fifth dataset is scenario 1, run 1.
+        assert str(info.value).startswith(
+            f"scenario 1, run 1 (dataset seed {derive_seed(7, 1, 1, 0)}) failed: "
+            "zero variance"
+        )
+        assert isinstance(info.value.__cause__, EstimationError)
 
     def test_workers_do_not_change_results(self):
         sc = SimScenario(k=2, d=2, contrast_family="two_sample")
