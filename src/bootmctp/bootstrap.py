@@ -16,14 +16,24 @@ gives one sign and bit 63 the next.  That is the value numpy's
 word, so the signs equal ``integers(0, 2, size=n) * 2 - 1`` on a fresh
 stream.  Parametric normals for a chunk are drawn into one buffer and each
 group's covariance root is applied once per chunk.  One bootstrap run
-allocates its chunk-sized response buffer once and draws every chunk into
-it, and the refit forms the squared residuals in place, so the large
-per-chunk arrays are not freed and faulted back in chunk after chunk.
+allocates its chunk-sized response buffer and one scratch buffer of the
+same size once and reuses them for every chunk, so the large per-chunk
+arrays are not freed and faulted back in chunk after chunk.
 
-All reductions in the refit path use np.einsum with the default
-(non-optimized) contraction, whose per-replicate summation order does not
-depend on the batch size; this keeps single-replicate recomputation
-bitwise identical to batched execution.
+A chunk of m replicates is stored subject-major, as an (n, m, d) array that
+the refit views as (n, q) with q = m*d: all replicates share the design, so
+beta = G X' Y*, the fitted values and the diagonal sandwich D are each one
+contraction over the leading axis of both operands.  np.einsum with the
+default (non-optimized) contraction sums such an index as
+``acc += a_i * b_i`` in index order, for every q including q = 1, so each
+replicate's arithmetic does not depend on the chunk size and recomputing a
+single replicate is bitwise identical to batched execution
+(``tests/oracles.sequential_refit`` pins the order).  For d >= 2 this is
+also the order of the earlier (m, n, d) layout, whose einsums looped over
+the d components innermost.  For d = 1 that layout fell into numpy's
+unrolled reduction over the n subjects instead, so with the change of
+layout the statistics of single-outcome data moved in the last bits.  The
+final contractions with the contrast matrix are unchanged.
 """
 
 from __future__ import annotations
@@ -91,30 +101,40 @@ class BootstrapDraws:
         return self.A_star.shape[1]
 
 
-def _wild_signs(rngs, n: int) -> np.ndarray:
+def _wild_signs(rngs, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rademacher signs, one row of n per stream in the sized iterable `rngs`.
 
     Row j is ``rng.integers(0, 2, size=n) * 2.0 - 1.0`` for a fresh stream,
     read from ``random_raw(ceil(n/2))``: numpy maps each 32-bit draw to
     {0, 1} by its top bit and splits each 64-bit word low half first, so
-    bits 31 and 63 of each word give two consecutive signs.
+    bits 31 and 63 of each word give two consecutive signs.  The m x n
+    signs are written to `out` when it is given.
     """
     m, words_per_row = len(rngs), (n + 1) // 2
-    words = np.empty((m, words_per_row), dtype=np.uint64)
+    words = np.empty((m, words_per_row), dtype="<u8")
     for j, rng in enumerate(rngs):
         words[j] = rng.bit_generator.random_raw(words_per_row)
-    bits = np.stack([(words >> 31) & 1, words >> 63], axis=2)
-    return bits.reshape(m, 2 * words_per_row)[:, :n] * 2.0 - 1.0
+    halves = words.view("<u4")[:, :n]  # low half of each word first
+    t = np.empty((m, n)) if out is None else out
+    np.right_shift(halves, 31, out=t)
+    t *= 2.0
+    t -= 1.0
+    return t
 
 
 class _Engine:
-    """Precomputed refit state shared by all replicates of one bootstrap."""
+    """Precomputed refit state shared by all replicates of one bootstrap.
+
+    A chunk of m replicate responses is stored subject-major, as an
+    (n, m, d) array that the refit views as (n, q) with q = m*d, so each
+    refit contraction runs over the leading axis of both operands.
+    """
 
     def __init__(self, dm: DesignMatrices, H: np.ndarray,
                  residuals: np.ndarray | None, sigmas=None):
         self.n, self.k, self.d = dm.n, dm.k, dm.d
-        self.X = dm.X
-        self.GXt = dm.gram_inv @ dm.X.T
+        self.XG = np.ascontiguousarray((dm.gram_inv @ dm.X.T).T)
+        self.Xt = np.ascontiguousarray(dm.X.T)
         weights = hc4_weights(dm.leverages, dm.n)
         U1 = (dm.X @ dm.gram_inv)[:, : dm.k]
         self.wU1sq = weights[:, None] * U1**2
@@ -128,49 +148,81 @@ class _Engine:
         self.roots = None
         if sigmas is not None:
             self.roots = [psd_sqrt(S) for S in sigmas]
+        self._work = np.empty(0)
+
+    def _scratch(self, size: int) -> np.ndarray:
+        """A flat buffer of `size` floats, reused by every later chunk."""
+        if self._work.size < size:
+            self._work = np.empty(size)
+        return self._work[:size]
 
     def draw_wild(self, rngs, out: np.ndarray | None = None) -> np.ndarray:
         """Stack wild-multiplier responses for one replicate chunk.
 
-        `rngs` is a sized iterable of fresh streams, one per row, consumed
-        in order (see :func:`_wild_signs`).  The m x n x d responses are
-        written to `out` when it is given.
+        `rngs` is a sized iterable of fresh streams, one per replicate,
+        consumed in order (see :func:`_wild_signs`).  Returns the
+        (n, m, d) responses, written to `out` when it is given.
         """
-        t = _wild_signs(rngs, self.n)
+        m, n = len(rngs), self.n
+        t = _wild_signs(rngs, n, out=self._scratch(m * n).reshape(m, n))
         t *= self.wild_scale
-        return np.multiply(t[:, :, None], self.residuals, out=out)
+        Y = np.empty((n, m, self.d)) if out is None else out
+        return np.multiply(t.T[:, :, None], self.residuals[:, None, :], out=Y)
 
     def draw_parametric(self, rngs, out: np.ndarray | None = None) -> np.ndarray:
         """Stack group-wise zero-mean normal responses for one chunk.
 
-        `rngs` is a sized iterable of streams, one per row, consumed in
-        order; each fills its row's n x d standard normals.  The m x n x d
-        responses are written to `out` when it is given.
+        `rngs` is a sized iterable of streams, one per replicate, consumed
+        in order; each fills its replicate's n x d standard normals in an
+        (m, n, d) scratch buffer.  Each group root multiplies the group's
+        normals of all replicates in one matmul, whose (m, n_g, d) output is
+        a transposed view of the chunk.  Returns the (n, m, d) responses,
+        written to `out` when it is given.
         """
-        Y = np.empty((len(rngs), self.n, self.d)) if out is None else out
+        m, n, d = len(rngs), self.n, self.d
+        Y = np.empty((n, m, d)) if out is None else out
+        normals = self._scratch(m * n * d).reshape(m, n, d)
         for j, rng in enumerate(rngs):
-            rng.standard_normal(out=Y[j])
+            rng.standard_normal(out=normals[j])
         for sl, L in zip(self.group_slices, self.roots):
-            Y[:, sl] = Y[:, sl] @ L
+            np.matmul(normals[:, sl], L, out=Y[sl].transpose(1, 0, 2))
         return Y
 
     def statistics(self, Ystar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Refit a chunk of responses; return (statistics, validity) per row."""
+        """Refit an (n, m, d) chunk of responses; return (statistics, validity).
+
+        Each refit einsum contracts the leading axis of both operands,
+        which numpy sums as ``acc += a_i * b_i`` in index order for every
+        chunk size (``tests/oracles.sequential_refit`` pins this).
+        """
         n, k, d = self.n, self.k, self.d
-        m = Ystar.shape[0]
-        beta = np.einsum("pn,mnd->mpd", self.GXt, Ystar)
-        mu_flat = np.ascontiguousarray(beta[:, :k, :]).reshape(m, k * d)
-        # Fitted values, turned into squared residuals in the same array.
-        resid_sq = np.einsum("np,mpd->mnd", self.X, beta)
-        np.subtract(Ystar, resid_sq, out=resid_sq)
+        m = Ystar.shape[1]
+        Yq = Ystar.reshape(n, m * d)
+        beta = np.einsum("np,nq->pq", self.XG, Yq)
+        # Fitted values, turned into squared residuals in the same buffer.
+        resid_sq = self._scratch(n * m * d).reshape(n, m * d)
+        np.einsum("pn,pq->nq", self.Xt, beta, out=resid_sq)
+        np.subtract(Yq, resid_sq, out=resid_sq)
         np.square(resid_sq, out=resid_sq)
-        D_flat = n * np.einsum("na,mnl->mal", self.wU1sq, resid_sq).reshape(m, k * d)
+        D = n * np.einsum("na,nq->aq", self.wU1sq, resid_sq)
+        return self.studentize(_replicate_rows(beta[:k], m, d),
+                               _replicate_rows(D, m, d))
+
+    def studentize(self, mu_flat: np.ndarray,
+                   D_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Contrast statistics from (m, k*d) adjusted means and diagonal D."""
         denom = np.einsum("mc,rc->mr", D_flat, self.H_sq)
         numer = np.einsum("mc,rc->mr", mu_flat, self.H)
         with np.errstate(divide="ignore", invalid="ignore"):
-            A = np.sqrt(n) * numer / np.sqrt(denom)
+            A = np.sqrt(self.n) * numer / np.sqrt(denom)
         valid = (denom > 0.0).all(axis=1) & np.isfinite(A).all(axis=1)
         return A, valid
+
+
+def _replicate_rows(V: np.ndarray, m: int, d: int) -> np.ndarray:
+    """(k, m*d) columns of a chunk as a C-contiguous (m, k*d) array."""
+    k = V.shape[0]
+    return V.reshape(k, m, d).transpose(1, 0, 2).reshape(m, k * d)
 
 
 def _wild_engine(dm: DesignMatrices, fit: FitResult, H: np.ndarray) -> _Engine:
@@ -271,11 +323,12 @@ def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
     abort_count = INVALID_ABORT_FRACTION * B
     invalid_total = 0
     stream = ReplicateStream(cfg.seed)
-    Y = np.empty((min(B, CHUNK), dm.n, dm.d))
+    Y = np.empty(dm.n * min(B, CHUNK) * dm.d)
     pending = [(b, 0) for b in range(B)]
     while pending:
         batch, pending = pending[:CHUNK], pending[CHUNK:]
-        Ystar = draw(_Rekeyed(stream, batch), out=Y[: len(batch)])
+        out = Y[: dm.n * len(batch) * dm.d].reshape(dm.n, len(batch), dm.d)
+        Ystar = draw(_Rekeyed(stream, batch), out=out)
         A, valid = engine.statistics(Ystar)
         for j, (b, attempt) in enumerate(batch):
             if valid[j]:

@@ -301,26 +301,33 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     Each run draws a fresh dataset and applies both bootstrap schemes to it;
     the reported rate is the share of runs with a global rejection, in
     percent, with an exact 95% binomial confidence interval.  Deterministic
-    in `seed` regardless of `workers`.
+    in `seed` regardless of `workers`.  With `workers` > 1, one process
+    pool runs the blocks of runs of every scenario; a failed run is raised
+    as in the serial order, and the blocks not yet started are cancelled.
     """
     if runs < 1:
         raise SimulationError("runs must be >= 1")
     scenarios = list(scenarios)
+    if workers > 1:
+        blocks = [blk.tolist() for blk in
+                  np.array_split(np.arange(runs), min(workers * 4, runs))]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                [pool.submit(_global_rejections, scenario, blk, B, alpha, seed, si)
+                 for blk in blocks]
+                for si, scenario in enumerate(scenarios)
+            ]
+            try:
+                cell_flags = [np.vstack([f.result() for f in row]) for row in futures]
+            finally:
+                pool.shutdown(cancel_futures=True)
+    else:
+        cell_flags = [
+            _global_rejections(scenario, list(range(runs)), B, alpha, seed, si)
+            for si, scenario in enumerate(scenarios)
+        ]
     results: list[StudyResult] = []
-    for si, scenario in enumerate(scenarios):
-        if workers > 1:
-            blocks = np.array_split(np.arange(runs), min(workers * 4, runs))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_global_rejections, scenario, blk.tolist(), B,
-                                alpha, seed, si)
-                    for blk in blocks if blk.size
-                ]
-                flags = np.vstack([f.result() for f in futures])
-        else:
-            flags = _global_rejections(
-                scenario, list(range(runs)), B, alpha, seed, si
-            )
+    for scenario, flags in zip(scenarios, cell_flags):
         for col, method in enumerate(("wild", "parametric")):
             hits = int(flags[:, col].sum())
             lo, hi = _binomial_ci(hits, runs)

@@ -15,7 +15,9 @@ References and the package functions they check:
   ``mctp.contrast_quantiles``;
 - ``scan_fwer`` (it replaces ``mctp.estimated_fwer``) and
   ``scan_adjust_level``: ``mctp.adjust_level``;
-- ``welch_type_statistic``: ``mctp.test_statistics``.
+- ``welch_type_statistic``: ``mctp.test_statistics``;
+- ``sequential_refit``: the refit in ``bootstrap._Engine.statistics``,
+  including the order in which it sums.
 """
 
 from __future__ import annotations
@@ -133,3 +135,45 @@ def welch_type_statistic(y1: np.ndarray, y2: np.ndarray) -> float:
         out.append(n * w * np.sum(resid**2) / m**2)
     v1, v2 = out
     return float(np.sqrt(n) * (y1.mean() - y2.mean()) / np.sqrt(v1 + v2))
+
+
+def sequential_refit(XG, X, wU1sq, Y):
+    """Bootstrap refit of m responses by plain loops: (mu, D), each (m, k*d).
+
+    `Y` is (m, n, d); `XG` is (n, p) with ``XG[j, a] = (G X')[a, j]``, `X`
+    is the (n, p) design and `wU1sq` the (n, k) leverage-weighted squared
+    adjusted-mean rows.  Per replicate: beta = G X' y, the squared
+    residuals (y - X beta)**2 and D = n * wU1sq' (y - X beta)**2; the first
+    k rows of beta are the adjusted means.  Every sum is ``acc += a * b``
+    in index order, so the result is the reference for the summation order
+    of the package's refit, not only for its value.
+    """
+    m, n, d = Y.shape
+    p, k = X.shape[1], wU1sq.shape[1]
+    XG, X, W = XG.tolist(), X.tolist(), wU1sq.tolist()
+    mu = np.empty((m, k * d))
+    D = np.empty((m, k * d))
+    for r, y in enumerate(Y.tolist()):
+        beta = [[0.0] * d for _ in range(p)]
+        for a in range(p):
+            for col in range(d):
+                acc = 0.0
+                for j in range(n):
+                    acc += XG[j][a] * y[j][col]
+                beta[a][col] = acc
+        resid_sq = [[0.0] * d for _ in range(n)]
+        for j in range(n):
+            for col in range(d):
+                acc = 0.0
+                for a in range(p):
+                    acc += X[j][a] * beta[a][col]
+                e = y[j][col] - acc
+                resid_sq[j][col] = e * e
+        for a in range(k):
+            for col in range(d):
+                acc = 0.0
+                for j in range(n):
+                    acc += W[j][a] * resid_sq[j][col]
+                mu[r, a * d + col] = beta[a][col]
+                D[r, a * d + col] = n * acc
+    return mu, D

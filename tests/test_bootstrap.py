@@ -6,6 +6,7 @@ from bootmctp import (
     Dataset,
     EstimationError,
     build_design,
+    build_family,
     custom,
     fit_ols,
     hc4_weights,
@@ -23,15 +24,29 @@ from bootmctp.design import DesignMatrices, FitResult
 from bootmctp._rng import ReplicateStream, substream
 
 from conftest import random_dataset
+from oracles import sequential_refit
 
 
-@pytest.fixture(scope="module")
-def fitted_small():
-    ds = random_dataset(100, k=2, d=2, c=1, n_i=(10, 12))
+def fitted(ds):
     dm = build_design(ds)
     fit = fit_ols(dm, ds)
     cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
     return ds, dm, fit, cov
+
+
+@pytest.fixture(scope="module")
+def fitted_small():
+    return fitted(random_dataset(100, k=2, d=2, c=1, n_i=(10, 12)))
+
+
+@pytest.fixture(scope="module")
+def fitted_shapes(fitted_small):
+    """The d=2, c=1 fixture plus a scalar design and a wide one."""
+    return {
+        "d=2, c=1": fitted_small,
+        "d=1, c=0": fitted(random_dataset(101, k=2, d=1, c=0, n_i=(9, 11))),
+        "d=5, c=2": fitted(random_dataset(7, k=2, d=5, c=2, n_i=(12, 15))),
+    }
 
 
 class TestDeterminism:
@@ -43,32 +58,32 @@ class TestDeterminism:
         b = run_bootstrap(cfg, dm, fit, cov, cm)
         assert np.array_equal(a.A_star, b.A_star)
 
-    def test_replicate_recomputable_in_isolation(self, fitted_small):
-        ds, dm, fit, cov = fitted_small
-        cm = two_sample(2, 2)
-        for kind in ("wild", "parametric"):
-            cfg = BootstrapConfig(kind, 50, 11)
-            draws = run_bootstrap(cfg, dm, fit, cov, cm)
-            for b in (0, 17, 49):
-                rng = substream(cfg.seed, b, 0)
-                if kind == "wild":
-                    a, valid = wild_replicate(dm, fit, cm, rng)
-                else:
-                    a, valid = parametric_replicate(dm, cov, cm, rng)
-                assert valid
-                assert np.array_equal(a, draws.A_star[b]), (kind, b)
+    def test_replicate_recomputable_in_isolation(self, fitted_shapes):
+        for shape, (ds, dm, fit, cov) in fitted_shapes.items():
+            cm = two_sample(2, dm.d)
+            for kind in ("wild", "parametric"):
+                cfg = BootstrapConfig(kind, 50, 11)
+                draws = run_bootstrap(cfg, dm, fit, cov, cm)
+                for b in (0, 17, 49):
+                    rng = substream(cfg.seed, b, 0)
+                    if kind == "wild":
+                        a, valid = wild_replicate(dm, fit, cm, rng)
+                    else:
+                        a, valid = parametric_replicate(dm, cov, cm, rng)
+                    assert valid
+                    assert np.array_equal(a, draws.A_star[b]), (shape, kind, b)
 
     @pytest.mark.parametrize("kind", ["wild", "parametric"])
-    def test_chunk_size_does_not_change_results(self, fitted_small, monkeypatch, kind):
-        ds, dm, fit, cov = fitted_small
-        cm = two_sample(2, 2)
-        cfg = BootstrapConfig(kind, 300, 19)
-        results = []
-        for chunk in (1, 7, 256):
-            monkeypatch.setattr(bootstrap, "CHUNK", chunk)
-            results.append(run_bootstrap(cfg, dm, fit, cov, cm).A_star)
-        assert np.array_equal(results[0], results[1])
-        assert np.array_equal(results[0], results[2])
+    def test_chunk_size_does_not_change_results(self, fitted_shapes, monkeypatch, kind):
+        for shape, (ds, dm, fit, cov) in fitted_shapes.items():
+            cm = two_sample(2, dm.d)
+            cfg = BootstrapConfig(kind, 300, 19)
+            results = []
+            for chunk in (1, 7, 256):
+                monkeypatch.setattr(bootstrap, "CHUNK", chunk)
+                results.append(run_bootstrap(cfg, dm, fit, cov, cm).A_star)
+            assert np.array_equal(results[0], results[1]), shape
+            assert np.array_equal(results[0], results[2]), shape
 
     def test_draw_into_reused_buffer_equals_fresh_draw(self, fitted_small):
         ds, dm, fit, cov = fitted_small
@@ -76,7 +91,7 @@ class TestDeterminism:
         for engine in (_wild_engine(dm, fit, H), _parametric_engine(dm, cov, H)):
             draw = (engine.draw_wild if engine.residuals is not None
                     else engine.draw_parametric)
-            buf = np.full((9, dm.n, dm.d), np.nan)
+            buf = np.full((dm.n, 9, dm.d), np.nan)
             for lo in (0, 9):
                 rngs = [substream(4, b, 0) for b in range(lo, lo + 9)]
                 fresh = draw(rngs)
@@ -88,6 +103,30 @@ class TestDeterminism:
         ds, dm, fit, cov = fitted_small
         draws = run_bootstrap(BootstrapConfig("wild", 1, 5), dm, fit, cov, two_sample(2, 2))
         assert draws.A_star.shape == (1, 2)
+
+
+class TestRefitOrder:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("c", [0, 2])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_statistics_equal_sequential_refit(self, k, c, d):
+        """The refit sums each contraction in index order, bit for bit.
+
+        A numpy release that changes einsum's loop order for these shapes
+        fails here instead of moving the benchmark digests.
+        """
+        ds, dm, fit, cov = fitted(random_dataset(10 * k + c + d, k=k, d=d, c=c,
+                                                 n_i=(7, 9, 8)[:k]))
+        engine = _wild_engine(dm, fit, build_family("tukey", k, d).H)
+        rng = np.random.default_rng(d)
+        for m in (1, 7, 256):
+            Y = rng.standard_normal((dm.n, m, d))
+            mu, D = sequential_refit(engine.XG, dm.X, engine.wU1sq,
+                                     Y.transpose(1, 0, 2))
+            A, valid = engine.statistics(Y)
+            A_ref, valid_ref = engine.studentize(mu, D)
+            assert np.array_equal(A, A_ref), m
+            assert np.array_equal(valid, valid_ref), m
 
 
 class TestRowCoupling:
@@ -107,8 +146,8 @@ class TestWild:
         rng = substream(21, 0, 0)
         t = rng.integers(0, 2, size=dm.n) * 2.0 - 1.0
         Y = (t * engine.wild_scale)[:, None] * fit.residuals
-        A_plus, _ = engine.statistics(Y[None])
-        A_minus, _ = engine.statistics(-Y[None])
+        A_plus, _ = engine.statistics(Y[:, None])
+        A_minus, _ = engine.statistics(-Y[:, None])
         assert np.array_equal(np.abs(A_plus), np.abs(A_minus))
 
     @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -167,6 +168,14 @@ class TestGenDataset:
         assert res.global_reject
 
 
+def zero_residual_dataset():
+    # No covariates and outcomes constant within groups of 4: the fit is
+    # binary-exact, the residuals are exactly zero, the studentizer too.
+    return Dataset.from_group_blocks(
+        ["G1", "G2"], [np.full((4, 2), 1.0), np.full((4, 2), 2.0)]
+    )
+
+
 class TestRunStudy:
     def test_zero_runs_rejected(self):
         with pytest.raises(SimulationError, match="runs"):
@@ -186,11 +195,7 @@ class TestRunStudy:
         assert len(rows) == 3  # header + 2 method rows
 
     def test_failed_run_names_scenario_run_and_seed(self, monkeypatch):
-        # No covariates and outcomes constant within groups of 4: the fit is
-        # binary-exact, the residuals are exactly zero, the studentizer too.
-        flat = Dataset.from_group_blocks(
-            ["G1", "G2"], [np.full((4, 2), 1.0), np.full((4, 2), 2.0)]
-        )
+        flat = zero_residual_dataset()
         calls = []
 
         def gen_dataset_failing_once(scenario, rng):
@@ -213,6 +218,46 @@ class TestRunStudy:
         seq = run_study([sc], runs=12, B=60, alpha=0.05, seed=3, workers=1)
         par = run_study([sc], runs=12, B=60, alpha=0.05, seed=3, workers=2)
         assert [r.rate for r in seq] == [r.rate for r in par]
+
+    def test_two_scenario_study_does_not_depend_on_workers(self, monkeypatch):
+        pools = []
+
+        class CountedPool(simgen.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simgen, "ProcessPoolExecutor", CountedPool)
+        scenarios = [
+            SimScenario(k=2, d=2, contrast_family="two_sample"),
+            SimScenario(k=3, d=2, contrast_family="dunnett", alternative="shift",
+                        delta=1.5),
+        ]
+        seq = run_study(scenarios, runs=6, B=60, alpha=0.05, seed=5, workers=1)
+        par = run_study(scenarios, runs=6, B=60, alpha=0.05, seed=5, workers=2)
+        assert len(pools) == 1
+        assert len(par) == 4
+        assert par == seq
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched gen_dataset reaches workers only by fork")
+    def test_failed_run_is_named_through_the_pool(self, monkeypatch):
+        flat = zero_residual_dataset()
+        data_seed = derive_seed(7, 1, 1, 0)
+        key = substream(data_seed, 0).bit_generator.state["state"]["key"]
+
+        def gen_dataset_failing_for_key(scenario, rng):
+            if np.array_equal(rng.bit_generator.state["state"]["key"], key):
+                return flat
+            return gen_dataset(scenario, rng)
+
+        monkeypatch.setattr(simgen, "gen_dataset", gen_dataset_failing_for_key)
+        sc = SimScenario(k=2, d=2, contrast_family="two_sample")
+        with pytest.raises(SimulationError) as info:
+            run_study([sc, sc], runs=3, B=50, alpha=0.05, seed=7, workers=2)
+        assert str(info.value).startswith(
+            f"scenario 1, run 1 (dataset seed {data_seed}) failed: zero variance"
+        )
 
     def test_power_monotone_in_delta(self):
         # common random numbers across delta values make the curve clean
