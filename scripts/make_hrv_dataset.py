@@ -24,17 +24,13 @@ from bootmctp import (  # noqa: E402
     BootstrapConfig,
     CsvSchema,
     adjust_level,
-    build_design,
-    fit_ols,
-    hc4_weights,
     load_csv,
     local_p_values,
     run_bootstrap,
-    sandwich,
-    test_statistics,
     two_sample,
     validate,
 )
+from bootmctp.mctp import _fit  # noqa: E402
 
 SEED = 20250810
 OUT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "data", "hrv_synthetic.csv")
@@ -119,11 +115,8 @@ def analyze(path, B, seed):
     schema = CsvSchema(group="group", outcomes=OUTCOMES, covariates=("HGSHA", "PSS"))
     ds = load_csv(path, schema)
     assert validate(ds).ok
-    dm = build_design(ds)
-    fit = fit_ols(dm, ds)
-    cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
     cm = two_sample(2, 5, group_names=ds.groups, outcome_names=OUTCOMES)
-    A_n = test_statistics(fit, cov, cm)
+    dm, fit, cov, A_n = _fit(ds, cm)
     draws = run_bootstrap(BootstrapConfig("wild", B, seed), dm, fit, cov, cm)
     return ds, fit, cov, cm, A_n, draws
 

@@ -11,10 +11,8 @@ family-wise error rate.
 from .bootstrap import (
     BootstrapConfig,
     BootstrapDraws,
-    parametric_replicate,
     run_bootstrap,
     save_draws_csv,
-    wild_replicate,
 )
 from .contrasts import (
     ContrastMatrix,
@@ -107,7 +105,6 @@ __all__ = [
     "hc4_weights",
     "load_csv",
     "local_p_values",
-    "parametric_replicate",
     "psd_sqrt",
     "run_bootstrap",
     "run_mctp",
@@ -120,6 +117,5 @@ __all__ = [
     "tukey",
     "two_sample",
     "validate",
-    "wild_replicate",
     "write_study_csv",
 ]

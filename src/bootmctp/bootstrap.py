@@ -1,9 +1,13 @@
 """Wild and parametric bootstrap of the studentized contrast statistics.
 
 Both schemes resample the response only; the design, its Gram inverse, the
-hat-matrix leverages and the leverage weights are fixed.  Every replicate b
-draws from its own counter-based substream (seed, b, attempt), so results
-are independent of execution order and chunk size, bit for bit.  Replicates
+hat-matrix leverages and the leverage weights are fixed.  Each replicate is
+refit on that design and studentized by the sandwich's own definition: its
+D contracts the covariance estimate's weighted rows ``wU1sq`` with the
+replicate's squared residuals, and :func:`covariance.studentize` forms the
+statistics, as it does for the observed data.  Every replicate b draws from
+its own counter-based substream (seed, b, attempt), so results are
+independent of execution order and chunk size, bit for bit.  Replicates
 whose studentizer degenerates (zero bootstrap variance for some contrast)
 are redrawn from the next attempt substream and counted.
 
@@ -28,12 +32,7 @@ default (non-optimized) contraction sums such an index as
 ``acc += a_i * b_i`` in index order, for every q including q = 1, so each
 replicate's arithmetic does not depend on the chunk size and recomputing a
 single replicate is bitwise identical to batched execution
-(``tests/oracles.sequential_refit`` pins the order).  For d >= 2 this is
-also the order of the earlier (m, n, d) layout, whose einsums looped over
-the d components innermost.  For d = 1 that layout fell into numpy's
-unrolled reduction over the n subjects instead, so with the change of
-layout the statistics of single-outcome data moved in the last bits.  The
-final contractions with the contrast matrix are unchanged.
+(``tests/oracles.sequential_refit`` pins the order).
 """
 
 from __future__ import annotations
@@ -45,9 +44,10 @@ import numpy as np
 from .contrasts import ContrastMatrix
 from .covariance import (
     CovarianceEstimate,
+    _sandwich_diagonal,
     check_group_divisors,
-    hc4_weights,
     psd_sqrt,
+    studentize,
 )
 from .dataset import _group_slices
 from .design import DesignMatrices, FitResult
@@ -125,30 +125,41 @@ def _wild_signs(rngs, n: int, out: np.ndarray | None = None) -> np.ndarray:
 class _Engine:
     """Precomputed refit state shared by all replicates of one bootstrap.
 
-    A chunk of m replicate responses is stored subject-major, as an
-    (n, m, d) array that the refit views as (n, q) with q = m*d, so each
-    refit contraction runs over the leading axis of both operands.
+    :meth:`draw` is the scheme's response draw for one chunk.  A chunk of m
+    replicate responses is stored subject-major, as an (n, m, d) array that
+    the refit views as (n, q) with q = m*d, so each refit contraction runs
+    over the leading axis of both operands.
     """
 
-    def __init__(self, dm: DesignMatrices, H: np.ndarray,
-                 residuals: np.ndarray | None, sigmas=None):
+    def __init__(self, kind: str, dm: DesignMatrices, fit: FitResult,
+                 cov: CovarianceEstimate, H: np.ndarray):
         self.n, self.k, self.d = dm.n, dm.k, dm.d
         self.XG = np.ascontiguousarray((dm.gram_inv @ dm.X.T).T)
         self.Xt = np.ascontiguousarray(dm.X.T)
-        weights = hc4_weights(dm.leverages, dm.n)
-        U1 = (dm.X @ dm.gram_inv)[:, : dm.k]
-        self.wU1sq = weights[:, None] * U1**2
+        self.wU1sq = cov.wU1sq
         self.H = H
-        self.H_sq = H**2
-        self.residuals = residuals
-        self.wild_scale = None
-        if residuals is not None:
-            self.wild_scale = 1.0 / np.sqrt(1.0 - dm.leverages)
-        self.group_slices = _group_slices(dm.n_i)
-        self.roots = None
-        if sigmas is not None:
-            self.roots = [psd_sqrt(S) for S in sigmas]
         self._work = np.empty(0)
+        if kind == "wild":
+            self.residuals = fit.residuals
+            self.wild_scale = 1.0 / np.sqrt(1.0 - dm.leverages)
+            self._draw = _Engine._draw_wild
+        else:
+            if cov.group_sigmas is None:
+                check_group_divisors(dm.n_i, dm.c)
+                raise EstimationError(
+                    "parametric bootstrap needs the group covariances, "
+                    "which the covariance estimate does not carry"
+                )
+            self.group_slices = _group_slices(dm.n_i)
+            self.roots = [psd_sqrt(S) for S in cov.group_sigmas]
+            self._draw = _Engine._draw_parametric
+
+    def draw(self, rngs, out: np.ndarray) -> np.ndarray:
+        """Draw one chunk of responses into `out`; returns `out`."""
+        # ``_draw`` holds the plain function: a bound method kept on the
+        # instance would be a reference cycle, leaving each bootstrap's
+        # chunk buffers allocated until the garbage collector runs.
+        return self._draw(self, rngs, out)
 
     def _scratch(self, size: int) -> np.ndarray:
         """A flat buffer of `size` floats, reused by every later chunk."""
@@ -156,44 +167,47 @@ class _Engine:
             self._work = np.empty(size)
         return self._work[:size]
 
-    def draw_wild(self, rngs, out: np.ndarray | None = None) -> np.ndarray:
-        """Stack wild-multiplier responses for one replicate chunk.
+    def _draw_wild(self, rngs, out: np.ndarray) -> np.ndarray:
+        """Write wild-multiplier responses for one chunk into `out`.
 
         `rngs` is a sized iterable of fresh streams, one per replicate,
-        consumed in order (see :func:`_wild_signs`).  Returns the
-        (n, m, d) responses, written to `out` when it is given.
+        consumed in order (see :func:`_wild_signs`).  Each subject's
+        residual vector is multiplied by one sign shared across the outcome
+        components and rescaled by 1/sqrt(1-p).  Returns `out`, the
+        (n, m, d) responses.
         """
         m, n = len(rngs), self.n
         t = _wild_signs(rngs, n, out=self._scratch(m * n).reshape(m, n))
         t *= self.wild_scale
-        Y = np.empty((n, m, self.d)) if out is None else out
-        return np.multiply(t.T[:, :, None], self.residuals[:, None, :], out=Y)
+        return np.multiply(t.T[:, :, None], self.residuals[:, None, :], out=out)
 
-    def draw_parametric(self, rngs, out: np.ndarray | None = None) -> np.ndarray:
-        """Stack group-wise zero-mean normal responses for one chunk.
+    def _draw_parametric(self, rngs, out: np.ndarray) -> np.ndarray:
+        """Write group-wise zero-mean normal responses for one chunk into `out`.
 
         `rngs` is a sized iterable of streams, one per replicate, consumed
         in order; each fills its replicate's n x d standard normals in an
-        (m, n, d) scratch buffer.  Each group root multiplies the group's
-        normals of all replicates in one matmul, whose (m, n_g, d) output is
-        a transposed view of the chunk.  Returns the (n, m, d) responses,
-        written to `out` when it is given.
+        (m, n, d) scratch buffer.  Each group's symmetric PSD covariance
+        root (singular covariances allowed) multiplies the group's normals
+        of all replicates in one matmul, whose (m, n_g, d) output is a
+        transposed view of the chunk.  Returns `out`, the (n, m, d)
+        responses.
         """
         m, n, d = len(rngs), self.n, self.d
-        Y = np.empty((n, m, d)) if out is None else out
         normals = self._scratch(m * n * d).reshape(m, n, d)
         for j, rng in enumerate(rngs):
             rng.standard_normal(out=normals[j])
         for sl, L in zip(self.group_slices, self.roots):
-            np.matmul(normals[:, sl], L, out=Y[sl].transpose(1, 0, 2))
-        return Y
+            np.matmul(normals[:, sl], L, out=out[sl].transpose(1, 0, 2))
+        return out
 
     def statistics(self, Ystar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Refit an (n, m, d) chunk of responses; return (statistics, validity).
 
         Each refit einsum contracts the leading axis of both operands,
         which numpy sums as ``acc += a_i * b_i`` in index order for every
-        chunk size (``tests/oracles.sequential_refit`` pins this).
+        chunk size (``tests/oracles.sequential_refit`` pins this).  A
+        replicate is valid when every contrast's h'Dh is positive and every
+        statistic finite.
         """
         n, k, d = self.n, self.k, self.d
         m = Ystar.shape[1]
@@ -204,18 +218,10 @@ class _Engine:
         np.einsum("pn,pq->nq", self.Xt, beta, out=resid_sq)
         np.subtract(Yq, resid_sq, out=resid_sq)
         np.square(resid_sq, out=resid_sq)
-        D = n * np.einsum("na,nq->aq", self.wU1sq, resid_sq)
-        return self.studentize(_replicate_rows(beta[:k], m, d),
-                               _replicate_rows(D, m, d))
-
-    def studentize(self, mu_flat: np.ndarray,
-                   D_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Contrast statistics from (m, k*d) adjusted means and diagonal D."""
-        denom = np.einsum("mc,rc->mr", D_flat, self.H_sq)
-        numer = np.einsum("mc,rc->mr", mu_flat, self.H)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            A = np.sqrt(self.n) * numer / np.sqrt(denom)
-        valid = (denom > 0.0).all(axis=1) & np.isfinite(A).all(axis=1)
+        D = _sandwich_diagonal(self.wU1sq, resid_sq)
+        A, hDh = studentize(_replicate_rows(beta[:k], m, d),
+                            _replicate_rows(D, m, d), self.H, n)
+        valid = (hDh > 0.0).all(axis=1) & np.isfinite(A).all(axis=1)
         return A, valid
 
 
@@ -223,21 +229,6 @@ def _replicate_rows(V: np.ndarray, m: int, d: int) -> np.ndarray:
     """(k, m*d) columns of a chunk as a C-contiguous (m, k*d) array."""
     k = V.shape[0]
     return V.reshape(k, m, d).transpose(1, 0, 2).reshape(m, k * d)
-
-
-def _wild_engine(dm: DesignMatrices, fit: FitResult, H: np.ndarray) -> _Engine:
-    return _Engine(dm, H, residuals=fit.residuals)
-
-
-def _parametric_engine(dm: DesignMatrices, cov: CovarianceEstimate,
-                       H: np.ndarray) -> _Engine:
-    if cov.group_sigmas is None:
-        check_group_divisors(dm.n_i, dm.c)
-        raise EstimationError(
-            "parametric bootstrap needs the group covariances, "
-            "which the covariance estimate does not carry"
-        )
-    return _Engine(dm, H, residuals=None, sigmas=cov.group_sigmas)
 
 
 class _Rekeyed:
@@ -259,38 +250,6 @@ class _Rekeyed:
         return (self.stream.reset(b, attempt) for b, attempt in self.batch)
 
 
-def wild_replicate(dm: DesignMatrices, fit: FitResult, contrasts: ContrastMatrix,
-                   rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """One wild-bootstrap replicate: sign-flipped leverage-scaled residuals.
-
-    Each subject's residual vector is multiplied by one random sign shared
-    across all outcome components, rescaled by 1/sqrt(1-p); the model is
-    refit and the studentized contrast statistics recomputed.  The signs
-    are ``rng.integers(0, 2, size=n) * 2 - 1`` of a fresh stream, such as
-    ``_rng.substream`` returns.
-
-    Returns the r-vector of statistics and a validity flag (False when some
-    contrast's bootstrap variance is not positive).
-    """
-    engine = _wild_engine(dm, fit, contrasts.H)
-    A, valid = engine.statistics(engine.draw_wild([rng]))
-    return A[0], bool(valid[0])
-
-
-def parametric_replicate(dm: DesignMatrices, cov: CovarianceEstimate,
-                         contrasts: ContrastMatrix,
-                         rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """One parametric replicate: group-wise zero-mean normal responses.
-
-    Responses are drawn from N(0, Sigma_i) per group via a symmetric PSD
-    square root of the group covariance (singular covariances allowed);
-    the rest of the pipeline matches :func:`wild_replicate`.
-    """
-    engine = _parametric_engine(dm, cov, contrasts.H)
-    A, valid = engine.statistics(engine.draw_parametric([rng]))
-    return A[0], bool(valid[0])
-
-
 def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
                   cov: CovarianceEstimate, contrasts: ContrastMatrix) -> BootstrapDraws:
     """Draw B bootstrap replicates of the studentized contrast statistics.
@@ -310,13 +269,7 @@ def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
             f"contrast matrix has {contrasts.H.shape[1]} columns, "
             f"expected k*d = {dm.k * dm.d}"
         )
-    if cfg.kind == "wild":
-        engine = _wild_engine(dm, fit, contrasts.H)
-        draw = engine.draw_wild
-    else:
-        engine = _parametric_engine(dm, cov, contrasts.H)
-        draw = engine.draw_parametric
-
+    engine = _Engine(cfg.kind, dm, fit, cov, contrasts.H)
     B = cfg.B
     r = contrasts.H.shape[0]
     A_star = np.empty((B, r))
@@ -328,7 +281,7 @@ def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
     while pending:
         batch, pending = pending[:CHUNK], pending[CHUNK:]
         out = Y[: dm.n * len(batch) * dm.d].reshape(dm.n, len(batch), dm.d)
-        Ystar = draw(_Rekeyed(stream, batch), out=out)
+        Ystar = engine.draw(_Rekeyed(stream, batch), out)
         A, valid = engine.statistics(Ystar)
         for j, (b, attempt) in enumerate(batch):
             if valid[j]:

@@ -1,10 +1,14 @@
-"""Leverage-adjusted sandwich covariance of the adjusted means.
+"""Leverage-adjusted sandwich studentizer of the adjusted means.
 
 The center of the sandwich is the block-diagonal matrix of squared residual
 outer products, each reweighted by (1-p_ij)^(-delta_ij) where p_ij is the
 subject's hat-matrix leverage and delta_ij = min(4, p_ij / mean leverage).
-Only the upper-left (group-mean) block of the sandwich is kept; its diagonal
-is the singularity-robust studentizer used by all test statistics.
+The test statistics need only the diagonal D of the upper-left (group-mean)
+block of the sandwich, so only D is computed: one contraction of the
+leverage-weighted squared adjusted-mean rows with the squared residuals.
+Every bootstrap replicate refits the resampled response on the same design,
+so it reuses those weighted rows, and :func:`studentize` turns adjusted
+means and D into statistics for the observed data and every replicate alike.
 """
 
 from __future__ import annotations
@@ -23,21 +27,23 @@ PSD_REL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Sandwich block for the adjusted means.
+    """Sandwich studentizer for the adjusted means.
 
-    ``lambda11`` is the kd x kd upper-left sandwich block, ``D`` its diagonal
-    (stored as a vector), and ``group_sigmas`` the group-wise residual
-    covariances with divisor n_i - c - 1 (None when some group is too small
-    to form them; they are only needed by the parametric bootstrap).
+    ``D`` is the diagonal of the kd x kd upper-left sandwich block (stored
+    as a group-major vector), ``wU1sq`` the n x k leverage-weighted squared
+    adjusted-mean rows that D contracts with the squared residuals, and
+    ``group_sigmas`` the group-wise residual covariances with divisor
+    n_i - c - 1 (None when some group is too small to form them; they are
+    only needed by the parametric bootstrap).
     """
 
-    lambda11: np.ndarray
     D: np.ndarray
+    wU1sq: np.ndarray
     group_sigmas: tuple[np.ndarray, ...] | None
 
     def __post_init__(self):
-        self.lambda11.setflags(write=False)
         self.D.setflags(write=False)
+        self.wU1sq.setflags(write=False)
         if self.group_sigmas is not None:
             for s in self.group_sigmas:
                 s.setflags(write=False)
@@ -65,27 +71,52 @@ def hc4_weights(leverages: np.ndarray, n: int) -> np.ndarray:
     return (1.0 - p) ** (-delta)
 
 
-def sandwich(dm: DesignMatrices, fit: FitResult, weights: np.ndarray) -> CovarianceEstimate:
-    """Weighted sandwich estimate of the adjusted-mean covariance block.
+def sandwich(dm: DesignMatrices, fit: FitResult) -> CovarianceEstimate:
+    """Leverage-weighted sandwich studentizer of the adjusted means.
 
-    Computes n * (X'X)^-1 X' S X (X'X)^-1 for the stacked design with
-    S the block diagonal of weighted squared residuals, using the Kronecker
-    structure: only the n x (k+c) univariate design is touched.
+    D is the diagonal of the upper-left block of n (X'X)^-1 X' S X (X'X)^-1
+    for the stacked design, S the block diagonal of weighted squared
+    residuals.  By the Kronecker structure, entry (a, l) is
+    n * sum_j w_j U1[j, a]^2 E[j, l]^2 with U1 = (X G)[:, :k], so only the
+    n x (k+c) univariate design is touched.
     """
-    n, k, d = dm.n, dm.k, dm.d
-    U1 = (dm.X @ dm.gram_inv)[:, :k]  # n x k
-    E = fit.residuals
-    V = np.einsum("na,nl->nal", U1, E).reshape(n, k * d)
-    lam = n * ((weights[:, None] * V).T @ V)
-    lam = (lam + lam.T) / 2.0
-    D = lam.diagonal().copy()
+    weights = hc4_weights(dm.leverages, dm.n)
+    U1 = (dm.X @ dm.gram_inv)[:, : dm.k]
+    wU1sq = weights[:, None] * U1**2
+    D = _sandwich_diagonal(wU1sq, fit.residuals**2)
 
     sigmas: tuple[np.ndarray, ...] | None
     if all(m > dm.c + 1 for m in dm.n_i):
         sigmas = groupwise_cov(fit, dm.n_i, dm.c)
     else:
         sigmas = None
-    return CovarianceEstimate(lambda11=lam, D=D, group_sigmas=sigmas)
+    return CovarianceEstimate(D=D.reshape(-1), wU1sq=wU1sq, group_sigmas=sigmas)
+
+
+def _sandwich_diagonal(wU1sq: np.ndarray, resid_sq: np.ndarray) -> np.ndarray:
+    """D[a, q] = n * sum_j wU1sq[j, a] * resid_sq[j, q], summed in j order.
+
+    `resid_sq` holds one squared residual column per outcome component of
+    each response: (n, d) for the observed data, (n, m*d) for a chunk of m
+    bootstrap replicates.
+    """
+    return wU1sq.shape[0] * np.einsum("na,nq->aq", wU1sq, resid_sq)
+
+
+def studentize(mu: np.ndarray, D: np.ndarray, H: np.ndarray,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Statistics sqrt(n) h'mu / sqrt(h'Dh) for each row of mu and D.
+
+    `mu` and `D` are (m, k*d) adjusted means and studentizer diagonals, one
+    row per response; `H` is the r x kd contrast matrix.  Returns the
+    (m, r) statistics and the (m, r) variances h'Dh; a statistic whose
+    h'Dh is not positive is not finite.
+    """
+    hDh = np.einsum("mc,rc->mr", D, H**2)
+    hmu = np.einsum("mc,rc->mr", mu, H)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = np.sqrt(n) * hmu / np.sqrt(hDh)
+    return A, hDh
 
 
 def groupwise_cov(fit: FitResult, n_i, c: int) -> tuple[np.ndarray, ...]:

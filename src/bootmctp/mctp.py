@@ -22,7 +22,7 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, BootstrapDraws, run_bootstrap
 from .contrasts import ContrastMatrix
-from .covariance import CovarianceEstimate, sandwich, hc4_weights
+from .covariance import CovarianceEstimate, sandwich, studentize
 from .dataset import Dataset, validate
 from .design import DesignMatrices, FitResult, build_design, fit_ols
 from .exceptions import ConfigError, DataError, EstimationError
@@ -40,16 +40,15 @@ def test_statistics(fit: FitResult, cov: CovarianceEstimate,
         If some contrast's studentizer h'Dh is not positive (names the
         contrast label).
     """
-    n = fit.residuals.shape[0]
-    numer = contrasts.H @ fit.mu_vec
-    denom = contrasts.H**2 @ cov.D
-    bad = np.nonzero(denom <= 0.0)[0]
+    A, hDh = studentize(fit.mu_vec[None], cov.D[None], contrasts.H,
+                        fit.residuals.shape[0])
+    bad = np.nonzero(hDh[0] <= 0.0)[0]
     if bad.size:
         raise EstimationError(
             f"zero variance for contrast '{contrasts.labels[bad[0]]}': "
             "studentizer h'Dh is not positive"
         )
-    return np.sqrt(n) * numer / np.sqrt(denom)
+    return A[0]
 
 
 def _draw_matrix(draws) -> np.ndarray:
@@ -118,7 +117,8 @@ def confidence_intervals(fit: FitResult, cov: CovarianceEstimate, draws,
     """Simultaneous intervals h'mu -/+ q * sqrt(h'Dh) / sqrt(n), shape (r, 2)."""
     n = fit.residuals.shape[0]
     est = contrasts.H @ fit.mu_vec
-    half = contrast_quantiles(draws, gamma) * np.sqrt(contrasts.H**2 @ cov.D / n)
+    _, hDh = studentize(fit.mu_vec[None], cov.D[None], contrasts.H, n)
+    half = contrast_quantiles(draws, gamma) * np.sqrt(hDh[0] / n)
     return np.column_stack([est - half, est + half])
 
 
@@ -232,7 +232,7 @@ def _fit(ds: Dataset, contrasts: ContrastMatrix):
     """Fit, sandwich studentizer and observed statistics: (dm, fit, cov, A_n)."""
     dm = build_design(ds)
     fit = fit_ols(dm, ds)
-    cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+    cov = sandwich(dm, fit)
     return dm, fit, cov, test_statistics(fit, cov, contrasts)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -51,9 +51,7 @@ _SINGULAR_SIGMA = {
 
 
 def default_nu(d: int) -> np.ndarray:
-    """Default 2 x d regression coefficients used by the study scenarios."""
-    if d < 2:
-        raise SimulationError("default regression coefficients require d >= 2")
+    """Default 2 x d regression coefficients (d >= 2) of the study scenarios."""
     return np.array(
         [
             [-0.5, *([1.0] * (d - 2)), -1.0],
@@ -75,12 +73,10 @@ class SimScenario:
     contrast_family: str = "dunnett"
     alternative: str = "null"
     delta: float = 0.0
-    c: int = 2
-    nu: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.k < 2 or self.d < 1:
-            raise SimulationError("scenario requires k >= 2 and d >= 1")
+        if self.k < 2 or self.d < 2:
+            raise SimulationError("scenario requires k >= 2 and d >= 2")
         if self.distribution not in DISTRIBUTIONS:
             raise SimulationError(f"unknown distribution '{self.distribution}'")
         if self.covariance not in COVARIANCES:
@@ -102,8 +98,6 @@ class SimScenario:
             )
         if self.delta < 0:
             raise SimulationError("delta must be >= 0")
-        if self.c != 2 and self.nu is None:
-            raise SimulationError("nu must be given explicitly when c != 2")
 
     @property
     def sample_sizes(self) -> tuple[int, ...]:
@@ -113,16 +107,6 @@ class SimScenario:
         elif self.sample_pattern == 3:
             base[-1] = 20
         return tuple(self.multiplier * m for m in base)
-
-    def regression_coefficients(self) -> np.ndarray:
-        if self.nu is not None:
-            nu = np.asarray(self.nu, dtype=float)
-            if nu.shape != (self.c, self.d):
-                raise SimulationError(
-                    f"nu must have shape (c, d) = ({self.c}, {self.d})"
-                )
-            return nu
-        return default_nu(self.d)
 
     def group_means(self) -> np.ndarray:
         mu = np.zeros((self.k, self.d))
@@ -236,7 +220,7 @@ def gen_covariates(rows: int, rng: np.random.Generator) -> np.ndarray:
 def gen_dataset(scenario: SimScenario, rng: np.random.Generator) -> Dataset:
     """Draw one dataset from the scenario's data-generation process."""
     _, roots = scenario_sigma(scenario.covariance, scenario.d, scenario.k)
-    nu = scenario.regression_coefficients()
+    nu = default_nu(scenario.d)
     mu = scenario.group_means()
     sizes = scenario.sample_sizes
     Y_blocks = []

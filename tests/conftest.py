@@ -8,6 +8,16 @@ sys.path.insert(0, os.path.dirname(__file__))  # make oracles importable
 
 from bootmctp import CsvSchema, Dataset
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests need the [test] extras
+    pass
+else:
+    # Derandomized and bounded, so each run checks the same examples.
+    settings.register_profile("bootmctp", derandomize=True, deadline=None,
+                              max_examples=50, database=None)
+    settings.load_profile("bootmctp")
+
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
 HRV_OUTCOMES = ("SDNN", "RMSSD", "HF", "VLF", "LF")

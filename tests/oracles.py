@@ -8,13 +8,12 @@ References and the package functions they check:
 
 - ``dense_ols``, ``dense_hat_diagonal``: ``design.build_design`` and
   ``design.fit_ols``;
-- ``dense_sandwich_block``: ``covariance.sandwich``;
-- ``adjusted_means_via_group_means`` (moved here from ``design``): the
-  adjusted means of ``design.fit_ols``;
-- ``descending_quantile`` (it replaces ``mctp.bootstrap_quantile``):
-  ``mctp.contrast_quantiles``;
-- ``scan_fwer`` (it replaces ``mctp.estimated_fwer``) and
-  ``scan_adjust_level``: ``mctp.adjust_level``;
+- ``dense_sandwich_block``: the full kd x kd sandwich block, whose
+  diagonal is ``covariance.sandwich``'s studentizer D;
+- ``adjusted_means_via_group_means``: the adjusted means of
+  ``design.fit_ols``;
+- ``descending_quantile``: ``mctp.contrast_quantiles``;
+- ``scan_fwer`` and ``scan_adjust_level``: ``mctp.adjust_level``;
 - ``welch_type_statistic``: ``mctp.test_statistics``;
 - ``sequential_refit``: the refit in ``bootstrap._Engine.statistics``,
   including the order in which it sums.

@@ -134,7 +134,7 @@ def test_criterion_4_singular_robustness():
         ds = gen_dataset(scenario, substream(401, i))
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
-        cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+        cov = sandwich(dm, fit)
         assert np.all(np.isfinite(cov.D)) and np.all(cov.D > 0)
     results = run_study([scenario], runs=500, B=1000, alpha=0.05, seed=402,
                         workers=WORKERS)
@@ -173,10 +173,10 @@ def test_criterion_5_oracle_equivalences():
         ds = random_dataset(2000 + trial, k=2, d=2, c=1, n_i=(8, 8))
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
+        cov = sandwich(dm, fit)
         weights = hc4_weights(dm.leverages, dm.n)
-        cov = sandwich(dm, fit, weights)
         dense = dense_sandwich_block(ds.n_i, ds.Z, fit.residuals, weights)
-        assert np.allclose(cov.lambda11, dense, rtol=1e-10, atol=1e-12)
+        assert np.allclose(cov.D, np.diag(dense), rtol=1e-10, atol=1e-12)
 
     rng2 = np.random.default_rng(501)
     checked = 0
@@ -226,10 +226,12 @@ def test_criterion_7_bootstrap_distribution_sanity():
     )
     dm = build_design(ds)
     fit = fit_ols(dm, ds)
-    cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+    cov = sandwich(dm, fit)
     cm = two_sample(2, 1)
     h = cm.H[0]
-    ratio = float((h @ cov.lambda11 @ h) / (cm.H[0] ** 2 @ cov.D))
+    lam = dense_sandwich_block(ds.n_i, ds.Z, fit.residuals,
+                               hc4_weights(dm.leverages, dm.n))
+    ratio = float((h @ lam @ h) / (cm.H[0] ** 2 @ cov.D))
     stats = {}
     for kind in ("wild", "parametric"):
         draws = run_bootstrap(BootstrapConfig(kind, 5000, 701), dm, fit, cov, cm)

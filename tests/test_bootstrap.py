@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,28 +13,34 @@ from bootmctp import (
     custom,
     fit_ols,
     hc4_weights,
-    parametric_replicate,
     run_bootstrap,
     sandwich,
     save_draws_csv,
     two_sample,
-    wild_replicate,
 )
 from bootmctp import bootstrap
-from bootmctp.bootstrap import _parametric_engine, _Rekeyed, _wild_engine, _wild_signs
-from bootmctp.covariance import CovarianceEstimate
+from bootmctp.bootstrap import _Engine, _Rekeyed, _wild_signs
+from bootmctp.covariance import CovarianceEstimate, studentize
+from bootmctp.mctp import test_statistics as observed_statistics
 from bootmctp.design import DesignMatrices, FitResult
 from bootmctp._rng import ReplicateStream, substream
 
 from conftest import random_dataset
-from oracles import sequential_refit
+from oracles import dense_sandwich_block, sequential_refit
 
 
 def fitted(ds):
     dm = build_design(ds)
     fit = fit_ols(dm, ds)
-    cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+    cov = sandwich(dm, fit)
     return ds, dm, fit, cov
+
+
+def replicate(kind, dm, fit, cov, H, rng):
+    """One replicate from the stream `rng`: (statistics, validity)."""
+    engine = _Engine(kind, dm, fit, cov, H)
+    A, valid = engine.statistics(engine.draw([rng], np.empty((dm.n, 1, dm.d))))
+    return A[0], bool(valid[0])
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +75,7 @@ class TestDeterminism:
                 draws = run_bootstrap(cfg, dm, fit, cov, cm)
                 for b in (0, 17, 49):
                     rng = substream(cfg.seed, b, 0)
-                    if kind == "wild":
-                        a, valid = wild_replicate(dm, fit, cm, rng)
-                    else:
-                        a, valid = parametric_replicate(dm, cov, cm, rng)
+                    a, valid = replicate(kind, dm, fit, cov, cm.H, rng)
                     assert valid
                     assert np.array_equal(a, draws.A_star[b]), (shape, kind, b)
 
@@ -88,21 +94,36 @@ class TestDeterminism:
     def test_draw_into_reused_buffer_equals_fresh_draw(self, fitted_small):
         ds, dm, fit, cov = fitted_small
         H = two_sample(2, 2).H
-        for engine in (_wild_engine(dm, fit, H), _parametric_engine(dm, cov, H)):
-            draw = (engine.draw_wild if engine.residuals is not None
-                    else engine.draw_parametric)
+        for kind in ("wild", "parametric"):
+            engine = _Engine(kind, dm, fit, cov, H)
             buf = np.full((dm.n, 9, dm.d), np.nan)
             for lo in (0, 9):
                 rngs = [substream(4, b, 0) for b in range(lo, lo + 9)]
-                fresh = draw(rngs)
+                fresh = engine.draw(rngs, np.empty((dm.n, 9, dm.d)))
                 rngs = [substream(4, b, 0) for b in range(lo, lo + 9)]
-                assert draw(rngs, out=buf) is buf
+                assert engine.draw(rngs, buf) is buf
                 assert np.array_equal(buf, fresh)
 
     def test_single_row_for_b_equals_one(self, fitted_small):
         ds, dm, fit, cov = fitted_small
         draws = run_bootstrap(BootstrapConfig("wild", 1, 5), dm, fit, cov, two_sample(2, 2))
         assert draws.A_star.shape == (1, 2)
+
+
+class TestEngineLifetime:
+    @pytest.mark.parametrize("kind", ["wild", "parametric"])
+    def test_engine_freed_without_garbage_collector(self, fitted_small, kind):
+        """An engine and its chunk buffers go as soon as the bootstrap ends."""
+        ds, dm, fit, cov = fitted_small
+        gc.disable()
+        try:
+            engine = _Engine(kind, dm, fit, cov, two_sample(2, 2).H)
+            engine.draw([substream(1, 0, 0)], np.empty((dm.n, 1, dm.d)))
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestRefitOrder:
@@ -117,16 +138,33 @@ class TestRefitOrder:
         """
         ds, dm, fit, cov = fitted(random_dataset(10 * k + c + d, k=k, d=d, c=c,
                                                  n_i=(7, 9, 8)[:k]))
-        engine = _wild_engine(dm, fit, build_family("tukey", k, d).H)
+        H = build_family("tukey", k, d).H
+        engine = _Engine("wild", dm, fit, cov, H)
         rng = np.random.default_rng(d)
         for m in (1, 7, 256):
             Y = rng.standard_normal((dm.n, m, d))
             mu, D = sequential_refit(engine.XG, dm.X, engine.wU1sq,
                                      Y.transpose(1, 0, 2))
             A, valid = engine.statistics(Y)
-            A_ref, valid_ref = engine.studentize(mu, D)
+            A_ref, hDh = studentize(mu, D, H, dm.n)
+            valid_ref = (hDh > 0.0).all(axis=1) & np.isfinite(A_ref).all(axis=1)
             assert np.array_equal(A, A_ref), m
             assert np.array_equal(valid, valid_ref), m
+
+
+class TestObservedIsReplicate:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("c", [0, 2])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_observed_response_as_replicate_gives_observed_statistics(self, k, c, d):
+        """Refitting the observed response reproduces the observed statistics."""
+        ds, dm, fit, cov = fitted(random_dataset(10 * k + c + d, k=k, d=d, c=c,
+                                                 n_i=(7, 9, 8)[:k]))
+        cm = build_family("tukey", k, d)
+        engine = _Engine("wild", dm, fit, cov, cm.H)
+        A, valid = engine.statistics(np.ascontiguousarray(ds.Y[:, None, :]))
+        assert valid[0]
+        assert np.allclose(A[0], observed_statistics(fit, cov, cm), rtol=1e-12, atol=0)
 
 
 class TestRowCoupling:
@@ -142,7 +180,7 @@ class TestWild:
     def test_sign_flip_leaves_abs_invariant(self, fitted_small):
         ds, dm, fit, cov = fitted_small
         cm = two_sample(2, 2)
-        engine = _wild_engine(dm, fit, cm.H)
+        engine = _Engine("wild", dm, fit, cov, cm.H)
         rng = substream(21, 0, 0)
         t = rng.integers(0, 2, size=dm.n) * 2.0 - 1.0
         Y = (t * engine.wild_scale)[:, None] * fit.residuals
@@ -177,7 +215,9 @@ class TestWild:
             nu_hat=fit.nu_hat,
             residuals=np.zeros_like(fit.residuals),
         )
-        a, valid = wild_replicate(dm, zero_fit, two_sample(2, 1), substream(1, 0, 0))
+        cov = sandwich(dm, zero_fit)
+        a, valid = replicate("wild", dm, zero_fit, cov, two_sample(2, 1).H,
+                             substream(1, 0, 0))
         assert not valid
 
     def test_zero_residuals_bootstrap_aborts(self):
@@ -189,7 +229,7 @@ class TestWild:
             nu_hat=fit.nu_hat,
             residuals=np.zeros_like(fit.residuals),
         )
-        cov = sandwich(dm, zero_fit, hc4_weights(dm.leverages, dm.n))
+        cov = sandwich(dm, zero_fit)
         with pytest.raises(EstimationError, match="degenerate bootstrap"):
             run_bootstrap(BootstrapConfig("wild", 200, 2), dm, zero_fit, cov, two_sample(2, 1))
 
@@ -214,10 +254,12 @@ class TestWild:
         )
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
-        cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+        cov = sandwich(dm, fit)
         cm = two_sample(2, 1)
         h = cm.H[0]
-        ratio = (h @ cov.lambda11 @ h) / (cm.H[0] ** 2 @ cov.D)
+        lam = dense_sandwich_block(ds.n_i, ds.Z, fit.residuals,
+                                   hc4_weights(dm.leverages, dm.n))
+        ratio = (h @ lam @ h) / (cm.H[0] ** 2 @ cov.D)
         assert ratio == pytest.approx(1.0, abs=1e-10)
         draws = run_bootstrap(BootstrapConfig("wild", 5000, 9), dm, fit, cov, cm)
         col = draws.A_star[:, 0]
@@ -239,7 +281,7 @@ def few_redraws():
     ds = Dataset.from_group_blocks(["a", "b"], [np.column_stack([col, 2 * col]), other])
     dm = build_design(ds)
     fit = fit_ols(dm, ds)
-    cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+    cov = sandwich(dm, fit)
     return dm, fit, cov, custom([[1.0, -1.0, 0.0, 0.0]]), BootstrapConfig("wild", 1000, 1)
 
 
@@ -261,10 +303,11 @@ class TestRedraws:
         dm, fit, cov, cm, cfg = few_redraws
         draws = run_bootstrap(cfg, dm, fit, cov, cm)
         redrawn = [b for b in range(cfg.B)
-                   if not wild_replicate(dm, fit, cm, substream(cfg.seed, b, 0))[1]]
+                   if not replicate("wild", dm, fit, cov, cm.H,
+                                    substream(cfg.seed, b, 0))[1]]
         assert len(redrawn) == draws.invalid_redraws > 0
         for b in redrawn:
-            a, valid = wild_replicate(dm, fit, cm, substream(cfg.seed, b, 1))
+            a, valid = replicate("wild", dm, fit, cov, cm.H, substream(cfg.seed, b, 1))
             assert valid
             assert np.array_equal(draws.A_star[b], a), b
 
@@ -282,13 +325,13 @@ class TestParametric:
             n_i=n,
         )
         cov = CovarianceEstimate(
-            lambda11=np.eye(4),
             D=np.ones(4),
+            wU1sq=np.ones((dm.n, 2)),
             group_sigmas=(np.eye(2), np.eye(2)),
         )
-        engine = _parametric_engine(dm, cov, two_sample(2, 2).H)
+        engine = _Engine("parametric", dm, None, cov, two_sample(2, 2).H)
         rngs = [substream(3, b, 0) for b in range(1000)]
-        Y = engine.draw_parametric(rngs)
+        Y = engine.draw(rngs, np.empty((dm.n, 1000, 2)))
         pooled = Y.reshape(-1, 2)
         assert np.abs(pooled.mean(axis=0)).max() < 0.02
         assert np.abs(np.cov(pooled.T) - np.eye(2)).max() < 0.02
@@ -306,11 +349,11 @@ class TestParametric:
         )
         sigma = np.diag([4.0, 1.0])
         cov = CovarianceEstimate(
-            lambda11=np.eye(4), D=np.ones(4), group_sigmas=(sigma, sigma)
+            D=np.ones(4), wU1sq=np.ones((dm.n, 2)), group_sigmas=(sigma, sigma)
         )
-        engine = _parametric_engine(dm, cov, two_sample(2, 2).H)
+        engine = _Engine("parametric", dm, None, cov, two_sample(2, 2).H)
         rngs = [substream(4, b, 0) for b in range(1000)]
-        Y = engine.draw_parametric(rngs).reshape(-1, 2)  # 1e5 draws
+        Y = engine.draw(rngs, np.empty((dm.n, 1000, 2))).reshape(-1, 2)  # 1e5 draws
         emp = np.cov(Y.T)
         assert np.abs(emp - sigma).max() < 0.1
 
@@ -324,11 +367,12 @@ class TestParametric:
         )
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
-        cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+        cov = sandwich(dm, fit)
         for sigma in cov.group_sigmas:
             assert np.linalg.matrix_rank(sigma, tol=1e-10) == 1
-        engine = _parametric_engine(dm, cov, two_sample(2, 2).H)
-        Y = engine.draw_parametric([substream(5, b, 0) for b in range(50)])
+        engine = _Engine("parametric", dm, fit, cov, two_sample(2, 2).H)
+        Y = engine.draw([substream(5, b, 0) for b in range(50)],
+                        np.empty((dm.n, 50, 2)))
         null_dir = np.array([2.0, -1.0]) / np.sqrt(5.0)  # orthogonal to (1, 2)
         span = np.abs(Y.reshape(-1, 2)).max()
         assert np.abs(Y.reshape(-1, 2) @ null_dir).max() < 1e-8 * span
@@ -342,14 +386,14 @@ class TestParametric:
         )
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
-        cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+        cov = sandwich(dm, fit)
         assert cov.group_sigmas is None
         with pytest.raises(EstimationError, match="divisor nonpositive"):
             run_bootstrap(BootstrapConfig("parametric", 10, 1), dm, fit, cov, two_sample(2, 1))
 
     def test_missing_group_covariances_raise(self, fitted_small):
         ds, dm, fit, cov = fitted_small
-        bare = CovarianceEstimate(lambda11=cov.lambda11, D=cov.D, group_sigmas=None)
+        bare = CovarianceEstimate(D=cov.D, wU1sq=cov.wU1sq, group_sigmas=None)
         with pytest.raises(EstimationError, match="group covariances"):
             run_bootstrap(BootstrapConfig("parametric", 10, 1), dm, fit, bare, two_sample(2, 2))
 

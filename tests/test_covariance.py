@@ -22,8 +22,7 @@ from oracles import dense_hat_diagonal, dense_sandwich_block
 def pipeline(ds):
     dm = build_design(ds)
     fit = fit_ols(dm, ds)
-    weights = hc4_weights(dm.leverages, dm.n)
-    return dm, fit, weights, sandwich(dm, fit, weights)
+    return dm, fit, hc4_weights(dm.leverages, dm.n), sandwich(dm, fit)
 
 
 class TestHc4Weights:
@@ -65,8 +64,9 @@ class TestHc4Weights:
 
 
 class TestSandwich:
-    def test_single_group_unit_weights_is_moment_estimator(self):
-        # bypass Dataset (k >= 2 there); one group, intercept-only design
+    def test_single_group_is_weighted_moment_estimator(self):
+        # bypass Dataset (k >= 2 there); one group, intercept-only design:
+        # every leverage is the mean 1/n, so every weight is n / (n - 1)
         rng = np.random.default_rng(2)
         n, d = 10, 3
         E = rng.standard_normal((n, d))
@@ -85,8 +85,9 @@ class TestSandwich:
             nu_hat=np.zeros((0, d)),
             residuals=E,
         )
-        cov = sandwich(dm, fit, np.ones(n))
-        assert np.allclose(cov.lambda11, (E.T @ E) / n, rtol=1e-12, atol=1e-14)
+        cov = sandwich(dm, fit)
+        expected = np.sum(E**2, axis=0) / (n - 1)
+        assert np.allclose(cov.D, expected, rtol=1e-12, atol=1e-14)
 
     def test_zero_residuals_give_zero(self):
         ds = random_dataset(3, k=2, d=2, c=1, n_i=(6, 6))
@@ -97,24 +98,14 @@ class TestSandwich:
             nu_hat=fit.nu_hat,
             residuals=np.zeros_like(fit.residuals),
         )
-        cov = sandwich(dm, zero_fit, hc4_weights(dm.leverages, dm.n))
-        assert np.all(cov.lambda11 == 0.0)
+        cov = sandwich(dm, zero_fit)
         assert np.all(cov.D == 0.0)
 
     def test_matches_dense_kronecker_oracle(self):
         ds = random_dataset(4, k=2, d=2, c=1, n_i=(8, 8))
         dm, fit, weights, cov = pipeline(ds)
         dense = dense_sandwich_block(ds.n_i, ds.Z, fit.residuals, weights)
-        assert np.allclose(cov.lambda11, dense, rtol=1e-10, atol=1e-12)
-
-    def test_unit_weights_match_dense_oracle(self):
-        # the classical unweighted sandwich, dense evaluation
-        ds = random_dataset(5, k=3, d=2, c=2, n_i=(7, 7, 7))
-        dm = build_design(ds)
-        fit = fit_ols(dm, ds)
-        cov = sandwich(dm, fit, np.ones(dm.n))
-        dense = dense_sandwich_block(ds.n_i, ds.Z, fit.residuals, np.ones(dm.n))
-        assert np.allclose(cov.lambda11, dense, rtol=1e-10, atol=1e-12)
+        assert np.allclose(cov.D, np.diag(dense), rtol=1e-10, atol=1e-12)
 
     def test_scale_equivariance(self):
         ds = random_dataset(6, k=2, d=3, c=2, n_i=(9, 9))
@@ -124,25 +115,19 @@ class TestSandwich:
             groups=ds.groups, n_i=ds.n_i, Y=lam * ds.Y, Z=ds.Z, row_group=ds.row_group
         )
         _, _, _, cov2 = pipeline(ds2)
-        assert np.allclose(cov2.lambda11, lam**2 * cov.lambda11, rtol=1e-10)
         assert np.allclose(cov2.D, lam**2 * cov.D, rtol=1e-10)
-
-    def test_diagonal_is_lambda_diagonal_bitwise(self):
-        ds = random_dataset(7, k=3, d=2, c=2, n_i=(6, 8, 7))
-        _, _, _, cov = pipeline(ds)
-        assert np.array_equal(cov.D, cov.lambda11.diagonal())
-        assert np.allclose(cov.lambda11, cov.lambda11.T, rtol=1e-10, atol=0)
 
     def test_singular_scenario_diagonal_finite(self):
         scenario = SimScenario(
             k=3, d=3, covariance=3, contrast_family="dunnett"
         )
         ds = gen_dataset(scenario, substream(99, 0))
-        _, _, _, cov = pipeline(ds)
+        _, fit, weights, cov = pipeline(ds)
         assert np.all(np.isfinite(cov.D))
         assert np.all(cov.D > 0)
-        # lambda11 itself is near-singular here; D never needs a decomposition
-        assert np.linalg.matrix_rank(cov.lambda11, tol=1e-8 * cov.D.max()) < cov.lambda11.shape[0]
+        # the full block is near-singular here; D never needs a decomposition
+        lam = dense_sandwich_block(ds.n_i, ds.Z, fit.residuals, weights)
+        assert np.linalg.matrix_rank(lam, tol=1e-8 * cov.D.max()) < lam.shape[0]
 
 
 class TestGroupwiseCov:

@@ -13,7 +13,6 @@ from bootmctp import (
     custom,
     fit_ols,
     format_result_table,
-    hc4_weights,
     local_p_values,
     run_mctp,
     sandwich,
@@ -37,7 +36,7 @@ class TestTestStatistics:
         ds = Dataset.from_group_blocks(["a", "b"], [block, block.copy()])
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
-        cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+        cov = sandwich(dm, fit)
         A = studentized_statistics(fit, cov, two_sample(2, 2))
         assert np.array_equal(A, np.zeros(2))
 
@@ -45,14 +44,14 @@ class TestTestStatistics:
         ds = random_dataset(1, k=2, d=2, c=1, n_i=(9, 9))
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
-        cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+        cov = sandwich(dm, fit)
         A = studentized_statistics(fit, cov, two_sample(2, 2))
         ds2 = Dataset(
             groups=ds.groups, n_i=ds.n_i, Y=2.0 * ds.Y, Z=ds.Z, row_group=ds.row_group
         )
         dm2 = build_design(ds2)
         fit2 = fit_ols(dm2, ds2)
-        cov2 = sandwich(dm2, fit2, hc4_weights(dm2.leverages, dm2.n))
+        cov2 = sandwich(dm2, fit2)
         A2 = studentized_statistics(fit2, cov2, two_sample(2, 2))
         assert np.allclose(A, A2, rtol=1e-12)
 
@@ -63,7 +62,7 @@ class TestTestStatistics:
         ds = Dataset.from_group_blocks(["a", "b"], [y1[:, None], y2[:, None]])
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
-        cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+        cov = sandwich(dm, fit)
         A = studentized_statistics(fit, cov, two_sample(2, 1))
         assert A[0] == pytest.approx(welch_type_statistic(y1, y2), rel=1e-10)
 
@@ -78,7 +77,7 @@ class TestTestStatistics:
         )
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
-        cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+        cov = sandwich(dm, fit)
         cm = two_sample(2, 2, group_names=ds.groups, outcome_names=ds.outcome_names)
         with pytest.raises(EstimationError, match="flat"):
             studentized_statistics(fit, cov, cm)
@@ -215,7 +214,7 @@ class TestConfidenceIntervals:
         ds = random_dataset(seed, k=2, d=2, c=1, n_i=(9, 10))
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
-        cov = sandwich(dm, fit, hc4_weights(dm.leverages, dm.n))
+        cov = sandwich(dm, fit)
         cm = two_sample(2, 2)
         from bootmctp import run_bootstrap
 
@@ -248,7 +247,7 @@ class TestConfidenceIntervals:
         )
         dm2 = build_design(ds2)
         fit2 = fit_ols(dm2, ds2)
-        cov2 = sandwich(dm2, fit2, hc4_weights(dm2.leverages, dm2.n))
+        cov2 = sandwich(dm2, fit2)
         from bootmctp import run_bootstrap
 
         draws2 = run_bootstrap(BootstrapConfig("wild", 200, 21), dm2, fit2, cov2, cm)

@@ -142,8 +142,11 @@ class TestScenario:
         assert np.array_equal(
             default_nu(4), [[-0.5, 1.0, 1.0, -1.0], [1.5, 2.0, 2.0, 3.0]]
         )
-        with pytest.raises(SimulationError):
-            default_nu(1)
+
+    def test_single_outcome_rejected_at_construction(self):
+        # the default regression coefficients need d >= 2
+        with pytest.raises(SimulationError, match="d >= 2"):
+            SimScenario(k=2, d=1)
 
     def test_singular_dimension_guard(self):
         with pytest.raises(SimulationError, match="singular"):
