@@ -23,14 +23,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from bootmctp import (  # noqa: E402
     BootstrapConfig,
     CsvSchema,
-    adjust_level,
     load_csv,
-    local_p_values,
     run_bootstrap,
     two_sample,
     validate,
 )
-from bootmctp.mctp import _fit  # noqa: E402
+from bootmctp.mctp import _fit, adjust_level, local_p_values  # noqa: E402
 
 SEED = 20250810
 OUT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "data", "hrv_synthetic.csv")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _group_slices
+from .dataset import group_slices
 from .design import DesignMatrices, FitResult
 from .exceptions import EstimationError
 
@@ -130,7 +130,7 @@ def groupwise_cov(fit: FitResult, n_i, c: int) -> tuple[np.ndarray, ...]:
     n_i = tuple(int(m) for m in n_i)
     check_group_divisors(n_i, c)
     out = []
-    for m, sl in zip(n_i, _group_slices(n_i)):
+    for m, sl in zip(n_i, group_slices(n_i)):
         E = fit.residuals[sl]
         S = (E.T @ E) / (m - c - 1)
         out.append((S + S.T) / 2.0)

@@ -136,10 +136,6 @@ class Dataset:
     def n(self) -> int:
         return self.Y.shape[0]
 
-    def group_slices(self) -> list[slice]:
-        """Row slice of each group, in group order."""
-        return _group_slices(self.n_i)
-
     @classmethod
     def from_group_blocks(
         cls,
@@ -294,7 +290,7 @@ def validate(ds: Dataset) -> ValidationReport:
             f"each other and of the group indicators"
         )
 
-    for i, sl in enumerate(ds.group_slices()):
+    for i, sl in enumerate(group_slices(ds.n_i)):
         block = ds.Y[sl]
         for ell in range(ds.d):
             if np.ptp(block[:, ell]) == 0.0:
@@ -320,7 +316,7 @@ def _group_indicators(ds: Dataset) -> np.ndarray:
     return M
 
 
-def _group_slices(n_i) -> list[slice]:
-    """Row slice of each group for contiguous groups of sizes n_i."""
+def group_slices(n_i) -> list[slice]:
+    """Row slice of each group, in order, for contiguous groups of sizes n_i."""
     offsets = np.cumsum([0, *n_i]).tolist()
     return [slice(a, b) for a, b in zip(offsets, offsets[1:])]

@@ -8,6 +8,14 @@ values is the (gamma*B + 1)-th largest.  With this convention the p-value /
 critical-value duality holds exactly for finite B, ties included:
 p_s <= gamma  iff  |A_n(h_s)| exceeds the contrast's quantile.
 
+Gamma, the quantiles and the p-values all read one ranking of the draws:
+|A_star| with each column sorted ascending, which :class:`BootstrapDraws`
+makes once on construction (a raw B x r array passed in is sorted on the
+spot).  Gamma comes from each replicate's tail counts, found by
+``searchsorted`` in its column; the quantile at grid index g is row B-1-g;
+a p-value is B minus the ``searchsorted`` position of |A_n(h_s)|, over B.
+The counts are exact integers.
+
 :func:`run_mctp` and each simulated run in ``simgen`` share one core:
 :func:`_fit` (fit, sandwich studentizer, observed statistics) and
 :func:`_calibrate` (bootstrap, gamma, quantiles, decisions).
@@ -51,10 +59,16 @@ def test_statistics(fit: FitResult, cov: CovarianceEstimate,
     return A[0]
 
 
-def _draw_matrix(draws) -> np.ndarray:
+def _ranked(draws) -> tuple[np.ndarray, np.ndarray]:
+    """(A_star, |A_star| with each column sorted ascending) of the draws.
+
+    A :class:`BootstrapDraws` carries the sorted copy from construction; a
+    raw B x r array is sorted here.
+    """
     if isinstance(draws, BootstrapDraws):
-        return draws.A_star
-    return np.atleast_2d(np.asarray(draws, dtype=float))
+        return draws.A_star, draws.sorted_abs
+    A = np.atleast_2d(np.asarray(draws, dtype=float))
+    return A, np.sort(np.abs(A), axis=0)
 
 
 def gamma_index(gamma: float, B: int) -> int:
@@ -65,16 +79,6 @@ def gamma_index(gamma: float, B: int) -> int:
             f"gamma={gamma} is not on the grid {{0, 1/B, ..., (B-1)/B}} for B={B}"
         )
     return g
-
-
-def _min_tail_counts(absA: np.ndarray) -> np.ndarray:
-    """Per replicate: min over contrasts of #{b': |A_b's| >= |A_bs|}."""
-    B = absA.shape[0]
-    counts = np.empty_like(absA, dtype=np.int64)
-    for s in range(absA.shape[1]):
-        col = absA[:, s]
-        counts[:, s] = B - np.searchsorted(np.sort(col), col, side="left")
-    return counts.min(axis=1)
 
 
 def adjust_level(draws, alpha: float) -> float:
@@ -88,9 +92,12 @@ def adjust_level(draws, alpha: float) -> float:
     """
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    A = np.abs(_draw_matrix(draws))
-    B = A.shape[0]
-    m = _min_tail_counts(A)  # values in 1..B
+    A, S = _ranked(draws)
+    B = S.shape[0]
+    absA = np.abs(A)
+    # Per replicate: min over contrasts of #{b': |A_b's| >= |A_bs|}, in 1..B.
+    m = B - np.max([np.searchsorted(S[:, s], absA[:, s], side="left")
+                    for s in range(S.shape[1])], axis=0)
     hist = np.bincount(m, minlength=B + 1)
     cum = np.cumsum(hist)  # cum[g] = #{b: m_b <= g}
     ok = cum[:B].astype(float) / B <= alpha  # prefix of the grid
@@ -100,16 +107,19 @@ def adjust_level(draws, alpha: float) -> float:
 
 def local_p_values(draws, A_n: np.ndarray) -> np.ndarray:
     """Share of replicates with |bootstrap statistic| >= |observed statistic|."""
-    A = np.abs(_draw_matrix(draws))
-    return (A >= np.abs(np.asarray(A_n))[None, :]).mean(axis=0)
+    _, S = _ranked(draws)
+    B = S.shape[0]
+    absA_n = np.abs(np.asarray(A_n, dtype=float))
+    below = [np.searchsorted(S[:, s], absA_n[s], side="left")
+             for s in range(S.shape[1])]
+    return (B - np.array(below)) / B
 
 
 def contrast_quantiles(draws, gamma: float) -> np.ndarray:
     """Per-contrast (1-gamma)-quantiles of the absolute bootstrap statistics."""
-    A = np.abs(_draw_matrix(draws))
-    B = A.shape[0]
-    g = gamma_index(gamma, B)
-    return np.sort(A, axis=0)[B - 1 - g, :]
+    _, S = _ranked(draws)
+    B = S.shape[0]
+    return S[B - 1 - gamma_index(gamma, B)].copy()
 
 
 def confidence_intervals(fit: FitResult, cov: CovarianceEstimate, draws,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,6 +279,17 @@ def _binomial_ci(successes: int, trials: int, level: float = 0.95):
     return lo, hi
 
 
+def _block_flags(future, scenario_index: int, block) -> np.ndarray:
+    """The pooled result of one block; a dead worker is named by the block."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        raise SimulationError(
+            f"scenario {scenario_index}, runs {block[0]}-{block[-1]}: a worker "
+            f"process died before this block finished ({exc})"
+        ) from exc
+
+
 def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
               workers: int = 1) -> list[StudyResult]:
     """Monte Carlo study over scenarios; returns one result per method.
@@ -288,6 +300,8 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     in `seed` regardless of `workers`.  With `workers` > 1, one process
     pool runs the blocks of runs of every scenario; a failed run is raised
     as in the serial order, and the blocks not yet started are cancelled.
+    A worker process that dies is raised as a SimulationError naming the
+    first block, in that order, that did not finish.
     """
     if runs < 1:
         raise SimulationError("runs must be >= 1")
@@ -302,7 +316,10 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
                 for si, scenario in enumerate(scenarios)
             ]
             try:
-                cell_flags = [np.vstack([f.result() for f in row]) for row in futures]
+                cell_flags = [
+                    np.vstack([_block_flags(f, si, blk) for f, blk in zip(row, blocks)])
+                    for si, row in enumerate(futures)
+                ]
             finally:
                 pool.shutdown(cancel_futures=True)
     else:

@@ -14,6 +14,7 @@ References and the package functions they check:
   ``design.fit_ols``;
 - ``descending_quantile``: ``mctp.contrast_quantiles``;
 - ``scan_fwer`` and ``scan_adjust_level``: ``mctp.adjust_level``;
+- ``scan_p_values``: ``mctp.local_p_values``, by direct count;
 - ``welch_type_statistic``: ``mctp.test_statistics``;
 - ``sequential_refit``: the refit in ``bootstrap._Engine.statistics``,
   including the order in which it sums.
@@ -84,9 +85,10 @@ def adjusted_means_via_group_means(ds, fit) -> np.ndarray:
     coefficients) must reproduce ``fit.mu_hat``.
     """
     out = np.empty_like(fit.mu_hat)
-    for i, sl in enumerate(ds.group_slices()):
-        ybar = ds.Y[sl].mean(axis=0)
-        correction = fit.nu_hat.T @ ds.Z[sl].mean(axis=0) if ds.c else 0.0
+    bounds = np.cumsum([0, *ds.n_i])
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        ybar = ds.Y[lo:hi].mean(axis=0)
+        correction = fit.nu_hat.T @ ds.Z[lo:hi].mean(axis=0) if ds.c else 0.0
         out[i] = ybar - correction
     return out
 
@@ -114,6 +116,11 @@ def scan_adjust_level(A_star: np.ndarray, alpha: float) -> float:
         else:
             break  # scan_fwer is nondecreasing in g
     return best / B
+
+
+def scan_p_values(A_star: np.ndarray, A_n: np.ndarray) -> np.ndarray:
+    """Definitional local p-values: the share of replicates with |A*| >= |A_n|."""
+    return (np.abs(A_star) >= np.abs(A_n)[None, :]).mean(axis=0)
 
 
 def welch_type_statistic(y1: np.ndarray, y2: np.ndarray) -> float:

@@ -8,21 +8,16 @@ from bootmctp import (
     BootstrapConfig,
     Dataset,
     EstimationError,
-    build_design,
     build_family,
     custom,
-    fit_ols,
-    hc4_weights,
     run_bootstrap,
-    sandwich,
-    save_draws_csv,
     two_sample,
 )
 from bootmctp import bootstrap
-from bootmctp.bootstrap import _Engine, _Rekeyed, _wild_signs
-from bootmctp.covariance import CovarianceEstimate, studentize
+from bootmctp.bootstrap import _Engine, _Rekeyed, _wild_signs, save_draws_csv
+from bootmctp.covariance import CovarianceEstimate, hc4_weights, sandwich, studentize
 from bootmctp.mctp import test_statistics as observed_statistics
-from bootmctp.design import DesignMatrices, FitResult
+from bootmctp.design import DesignMatrices, FitResult, build_design, fit_ols
 from bootmctp._rng import ReplicateStream, substream
 
 from conftest import random_dataset

@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from bootmctp import (
-    Dataset,
-    EstimationError,
-    build_design,
-    fit_ols,
-    groupwise_cov,
-    hc4_weights,
-    psd_sqrt,
-    sandwich,
-)
-from bootmctp.design import DesignMatrices, FitResult
+from bootmctp import Dataset, EstimationError
+from bootmctp.covariance import groupwise_cov, hc4_weights, psd_sqrt, sandwich
+from bootmctp.dataset import group_slices
+from bootmctp.design import DesignMatrices, FitResult, build_design, fit_ols
 from bootmctp.simgen import SimScenario, gen_dataset
 from bootmctp._rng import substream
 
@@ -157,7 +150,7 @@ class TestGroupwiseCov:
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
         sigmas = groupwise_cov(fit, ds.n_i, ds.c)
-        for sigma, sl, m in zip(sigmas, ds.group_slices(), ds.n_i):
+        for sigma, sl, m in zip(sigmas, group_slices(ds.n_i), ds.n_i):
             expected = np.sum(fit.residuals[sl] ** 2) / (m - ds.c - 1)
             assert sigma[0, 0] == pytest.approx(expected, rel=1e-12)
 

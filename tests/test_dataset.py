@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bootmctp import CsvSchema, Dataset, DataError, load_csv, validate
+from bootmctp.dataset import group_slices
 from bootmctp.simgen import gen_covariates
 
 from conftest import random_dataset
@@ -108,7 +109,7 @@ class TestDatasetInvariants:
     def test_relabeling_keeps_sizes(self):
         ds = random_dataset(5, k=3, n_i=(4, 6, 5))
         perm = [2, 0, 1]
-        slices = ds.group_slices()
+        slices = group_slices(ds.n_i)
         permuted = Dataset.from_group_blocks(
             groups=[ds.groups[i] for i in perm],
             Y_blocks=[ds.Y[slices[i]] for i in perm],

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from bootmctp import (
-    Dataset,
-    build_design,
-    fit_ols,
-    load_csv,
-)
+from bootmctp import Dataset, load_csv
+from bootmctp.dataset import group_slices
+from bootmctp.design import build_design, fit_ols
 
 from conftest import random_dataset
 from oracles import (
@@ -86,7 +83,7 @@ class TestFitOls:
         dm, fit = fitted(ds)
         shift = np.array([2.5, -1.0])
         Y2 = ds.Y.copy()
-        Y2[ds.group_slices()[1]] += shift
+        Y2[group_slices(ds.n_i)[1]] += shift
         ds2 = Dataset(
             groups=ds.groups, n_i=ds.n_i, Y=Y2, Z=ds.Z, row_group=ds.row_group
         )

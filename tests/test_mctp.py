@@ -3,25 +3,32 @@ import pytest
 
 from bootmctp import (
     BootstrapConfig,
+    BootstrapDraws,
     ConfigError,
     Dataset,
     EstimationError,
-    adjust_level,
-    build_design,
-    confidence_intervals,
-    contrast_quantiles,
     custom,
-    fit_ols,
     format_result_table,
-    local_p_values,
     run_mctp,
-    sandwich,
     two_sample,
 )
-
+from bootmctp.covariance import sandwich, studentize
+from bootmctp.design import build_design, fit_ols
+from bootmctp.mctp import (
+    adjust_level,
+    confidence_intervals,
+    contrast_quantiles,
+    local_p_values,
+)
 from bootmctp.mctp import test_statistics as studentized_statistics
 from conftest import random_dataset
-from oracles import scan_adjust_level, scan_fwer, welch_type_statistic
+from oracles import (
+    descending_quantile,
+    scan_adjust_level,
+    scan_fwer,
+    scan_p_values,
+    welch_type_statistic,
+)
 
 
 def tie_matrix(rng, B, r):
@@ -186,6 +193,18 @@ class TestPValueDuality:
     """p-value / critical-value duality, exact for finite B with ties."""
 
     def test_equivalences_on_random_and_tied_instances(self):
+        """The ranked results equal the definitional oracles bit for bit.
+
+        gamma, the quantiles, the p-values and the intervals are compared
+        from a raw array and from BootstrapDraws, whose sorted copy is made
+        on construction; then p <= gamma exactly when |A_n| exceeds q.
+        """
+        models = {}
+        for r in range(1, 5):
+            ds = random_dataset(30 + r, k=2, d=r, c=1, n_i=(6, 7))
+            dm = build_design(ds)
+            fit = fit_ols(dm, ds)
+            models[r] = fit, sandwich(dm, fit), two_sample(2, r)
         rng = np.random.default_rng(15)
         for trial in range(200):
             B = int(rng.integers(4, 50))
@@ -193,9 +212,24 @@ class TestPValueDuality:
             A_star = tie_matrix(rng, B, r)
             A_n = tie_matrix(rng, 1, r)[0]
             alpha = float(rng.uniform(0.02, 0.4))
-            gamma = adjust_level(A_star, alpha)
-            q = contrast_quantiles(A_star, gamma)
-            p = local_p_values(A_star, A_n)
+            gamma_ref = scan_adjust_level(A_star, alpha)
+            g = round(gamma_ref * B)
+            q_ref = np.array([descending_quantile(A_star[:, s], g) for s in range(r)])
+            p_ref = scan_p_values(A_star, A_n)
+            fit, cov, cm = models[r]
+            n = fit.residuals.shape[0]
+            _, hDh = studentize(fit.mu_vec[None], cov.D[None], cm.H, n)
+            est, half = cm.H @ fit.mu_vec, q_ref * np.sqrt(hDh[0] / n)
+            ci_ref = np.column_stack([est - half, est + half])
+            for draws in (A_star, BootstrapDraws(A_star.copy(), "wild", 0)):
+                gamma = adjust_level(draws, alpha)
+                q = contrast_quantiles(draws, gamma)
+                p = local_p_values(draws, A_n)
+                ci = confidence_intervals(fit, cov, draws, gamma, cm)
+                assert gamma == gamma_ref, trial
+                for got, ref in ((q, q_ref), (p, p_ref), (ci, ci_ref)):
+                    assert got.dtype == ref.dtype and got.shape == ref.shape, trial
+                    assert got.tobytes() == ref.tobytes(), trial
             reject = np.abs(A_n) > q
             assert np.array_equal(p <= gamma, reject), trial
             assert (p.min() <= gamma) == reject.any(), trial

@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bootmctp import Dataset, build_family, hc4_weights
+from bootmctp import Dataset, build_family
+from bootmctp.covariance import hc4_weights
 from bootmctp.mctp import _fit
 
 from conftest import random_dataset

@@ -1,5 +1,7 @@
 import math
 import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -9,16 +11,18 @@ from bootmctp import (
     EstimationError,
     SimScenario,
     SimulationError,
-    gen_covariates,
-    gen_dataset,
     run_study,
-    scenario_sigma,
-    standardized_errors,
     validate,
     write_study_csv,
 )
 from bootmctp import simgen
-from bootmctp.simgen import default_nu
+from bootmctp.simgen import (
+    default_nu,
+    gen_covariates,
+    gen_dataset,
+    scenario_sigma,
+    standardized_errors,
+)
 from bootmctp._rng import derive_seed, substream
 
 
@@ -261,6 +265,26 @@ class TestRunStudy:
         assert str(info.value).startswith(
             f"scenario 1, run 1 (dataset seed {data_seed}) failed: zero variance"
         )
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched gen_dataset reaches workers only by fork")
+    def test_crashed_worker_is_named_through_the_pool(self, monkeypatch):
+        key = substream(derive_seed(7, 0, 1, 0), 0).bit_generator.state["state"]["key"]
+
+        def gen_dataset_exiting_for_key(scenario, rng):
+            if np.array_equal(rng.bit_generator.state["state"]["key"], key):
+                os._exit(1)
+            return gen_dataset(scenario, rng)
+
+        monkeypatch.setattr(simgen, "gen_dataset", gen_dataset_exiting_for_key)
+        sc = SimScenario(k=2, d=2, contrast_family="two_sample")
+        with pytest.raises(SimulationError) as info:
+            run_study([sc], runs=16, B=50, alpha=0.05, seed=7, workers=2)
+        # 16 runs in 8 blocks of 2: run 1 ends its worker inside block 0.
+        assert str(info.value).startswith(
+            "scenario 0, runs 0-1: a worker process died before this block finished"
+        )
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
 
     def test_power_monotone_in_delta(self):
         # common random numbers across delta values make the curve clean
