@@ -8,11 +8,11 @@ are reproducible bit for bit regardless of chunking or process scheduling.
 :func:`substream` builds the stream for one (seed, index, attempt) as a new
 generator; it is the reference definition.  A Philox stream is fully
 determined by its key, its counter and its output buffer, so
-:class:`ReplicateStream` reproduces the same streams from a single Philox
-by assigning that state in place (re-keying), which avoids building a
-bit generator and its unused entropy-seeded ``SeedSequence`` per stream.
-The bootstrap, which needs one stream per replicate, uses the re-keyed
-form.
+:func:`replicate_streams` yields the same streams for many (index, attempt)
+pairs from one Philox by assigning that state in place (re-keying), which
+avoids building a bit generator and its unused entropy-seeded
+``SeedSequence`` per stream.  The bootstrap draws each chunk of replicates
+from it.
 """
 
 from __future__ import annotations
@@ -22,10 +22,17 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def _stream_key(seed: int, index: int, attempt: int) -> list[int]:
-    if not (0 <= index < 1 << 32 and 0 <= attempt < 1 << 32):
-        raise ValueError("stream index/attempt out of range")
-    return [seed & _MASK64, (attempt << 32) | index]
+def _stream_key(seed: int, index, attempt) -> list:
+    """Philox key ``[seed, attempt << 32 | index]``; for arrays, word 2 is a list.
+
+    Raises ValueError unless every index and attempt lies in [0, 2**32).
+    """
+    index, attempt = np.asarray(index), np.asarray(attempt)
+    for v in (index, attempt):
+        if not (0 <= v.min() and v.max() < 1 << 32):
+            raise ValueError("stream index/attempt out of range")
+    words = attempt.astype(np.uint64) << np.uint64(32) | index.astype(np.uint64)
+    return [seed & _MASK64, words.tolist()]
 
 
 def substream(seed: int, index: int, attempt: int = 0) -> np.random.Generator:
@@ -39,36 +46,32 @@ def substream(seed: int, index: int, attempt: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class ReplicateStream:
-    """One reusable generator that :meth:`reset` re-keys to any substream.
+def replicate_streams(seed: int, index, attempt):
+    """Yield the streams of the pairs (index[j], attempt[j]) under `seed`, in order.
 
-    After ``reset(index, attempt)`` the generator produces exactly the
-    numbers of ``substream(seed, index, attempt)``: the key is set to
+    Each yielded generator produces exactly the numbers of
+    ``substream(seed, index[j], attempt[j])``: the key is set to
     ``(seed, attempt << 32 | index)``, the counter to zero, the output
-    buffer to empty and any buffered 32-bit half is dropped.  Every reset
-    returns the same generator object, so a stream is valid only until the
-    next reset.
+    buffer to empty and any buffered 32-bit half is dropped.  Every pair
+    yields the same generator object, so a stream is valid only until the
+    next one is taken.
     """
-
-    def __init__(self, seed: int):
-        key = _stream_key(seed, 0, 0)
-        self.bit_generator = np.random.Philox(key=np.array(key, dtype=np.uint64))
-        self.generator = np.random.Generator(self.bit_generator)
-        self._key = key
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def reset(self, index: int, attempt: int = 0) -> np.random.Generator:
-        """Re-key the generator to stream `index` (redraw `attempt`)."""
-        self._key[1] = _stream_key(self._key[0], index, attempt)[1]
-        self.bit_generator.state = self._state
-        return self.generator
+    seed_word, words = _stream_key(seed, index, attempt)
+    key = [seed_word, 0]
+    bit_generator = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    generator = np.random.Generator(bit_generator)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for word in words:
+        key[1] = word
+        bit_generator.state = state
+        yield generator
 
 
 def derive_seed(seed: int, *path: int) -> int:

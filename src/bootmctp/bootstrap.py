@@ -11,11 +11,11 @@ independent of execution order and chunk size, bit for bit.  Replicates
 whose studentizer degenerates (zero bootstrap variance for some contrast)
 are redrawn from the next attempt substream and counted.
 
-One bootstrap run re-keys a single Philox generator to each replicate's
-substream just before that replicate's row of the chunk is drawn (see
-``ReplicateStream``), instead of building a generator per replicate.  Wild
-signs are read from the raw 64-bit words of the stream: bit 31 of each word
-gives one sign and bit 63 the next.  That is the value numpy's
+The replicates still to draw are two integer arrays, index and attempt.
+Each chunk of them is drawn from ``_rng.replicate_streams``, which re-keys
+one Philox generator to each pair's substream as that row is drawn.  Wild
+signs are read from the raw 64-bit words: bit 31 of each word gives one
+sign and bit 63 the next.  That is the value numpy's
 ``integers(0, 2)`` returns for the low and then the high 32-bit half of the
 word, so the signs equal ``integers(0, 2, size=n) * 2 - 1`` on a fresh
 stream.  Parametric normals for a chunk are drawn into one buffer and each
@@ -52,7 +52,7 @@ from .covariance import (
 from .dataset import group_slices
 from .design import DesignMatrices, FitResult
 from .exceptions import EstimationError
-from ._rng import ReplicateStream
+from ._rng import replicate_streams
 
 CHUNK = 256
 MAX_ATTEMPTS = 64
@@ -110,25 +110,23 @@ class BootstrapDraws:
         return self.A_star.shape[1]
 
 
-def _wild_signs(rngs, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Rademacher signs, one row of n per stream in the sized iterable `rngs`.
+def _wild_signs(rngs, out: np.ndarray) -> np.ndarray:
+    """Rademacher signs into the (m, n) array `out`, one row per stream.
 
-    Row j is ``rng.integers(0, 2, size=n) * 2.0 - 1.0`` for a fresh stream,
-    read from ``random_raw(ceil(n/2))``: numpy maps each 32-bit draw to
-    {0, 1} by its top bit and splits each 64-bit word low half first, so
-    bits 31 and 63 of each word give two consecutive signs.  The m x n
-    signs are written to `out` when it is given.
+    The rows are zipped with the iterable of fresh streams `rngs`.  Row j is
+    ``rng.integers(0, 2, size=n) * 2.0 - 1.0``, read from
+    ``random_raw(ceil(n/2))``: numpy maps each 32-bit draw to {0, 1} by its
+    top bit and splits each 64-bit word low half first, so bits 31 and 63 of
+    each word give two consecutive signs.  Returns `out`.
     """
-    m, words_per_row = len(rngs), (n + 1) // 2
-    words = np.empty((m, words_per_row), dtype="<u8")
-    for j, rng in enumerate(rngs):
-        words[j] = rng.bit_generator.random_raw(words_per_row)
-    halves = words.view("<u4")[:, :n]  # low half of each word first
-    t = np.empty((m, n)) if out is None else out
-    np.right_shift(halves, 31, out=t)
-    t *= 2.0
-    t -= 1.0
-    return t
+    m, n = out.shape
+    words = np.empty((m, (n + 1) // 2), dtype="<u8")
+    for row, rng in zip(words, rngs, strict=True):
+        row[:] = rng.bit_generator.random_raw(words.shape[1])
+    np.right_shift(words.view("<u4")[:, :n], 31, out=out)  # low half first
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 class _Engine:
@@ -163,7 +161,11 @@ class _Engine:
             self.roots = [psd_sqrt(S) for S in cov.group_sigmas]
 
     def draw(self, rngs, out: np.ndarray) -> np.ndarray:
-        """Draw one chunk of responses into `out`; returns `out`."""
+        """Draw one chunk of responses into `out`; returns `out`.
+
+        `rngs` is an iterable of fresh streams, one per replicate of the
+        (n, m, d) chunk `out`, consumed in order.
+        """
         if self.kind == "wild":
             return self._draw_wild(rngs, out)
         return self._draw_parametric(rngs, out)
@@ -177,32 +179,29 @@ class _Engine:
     def _draw_wild(self, rngs, out: np.ndarray) -> np.ndarray:
         """Write wild-multiplier responses for one chunk into `out`.
 
-        `rngs` is a sized iterable of fresh streams, one per replicate,
-        consumed in order (see :func:`_wild_signs`).  Each subject's
-        residual vector is multiplied by one sign shared across the outcome
-        components and rescaled by 1/sqrt(1-p).  Returns `out`, the
-        (n, m, d) responses.
+        Each subject's residual vector is multiplied by one sign shared
+        across the outcome components (see :func:`_wild_signs`) and
+        rescaled by 1/sqrt(1-p).  Returns `out`, the (n, m, d) responses.
         """
-        m, n = len(rngs), self.n
-        t = _wild_signs(rngs, n, out=self._scratch(m * n).reshape(m, n))
+        n, m = out.shape[:2]
+        t = _wild_signs(rngs, self._scratch(m * n).reshape(m, n))
         t *= self.wild_scale
         return np.multiply(t.T[:, :, None], self.residuals[:, None, :], out=out)
 
     def _draw_parametric(self, rngs, out: np.ndarray) -> np.ndarray:
         """Write group-wise zero-mean normal responses for one chunk into `out`.
 
-        `rngs` is a sized iterable of streams, one per replicate, consumed
-        in order; each fills its replicate's n x d standard normals in an
+        Each stream fills its replicate's n x d standard normals in an
         (m, n, d) scratch buffer.  Each group's symmetric PSD covariance
         root (singular covariances allowed) multiplies the group's normals
         of all replicates in one matmul, whose (m, n_g, d) output is a
         transposed view of the chunk.  Returns `out`, the (n, m, d)
         responses.
         """
-        m, n, d = len(rngs), self.n, self.d
+        n, m, d = out.shape
         normals = self._scratch(m * n * d).reshape(m, n, d)
-        for j, rng in enumerate(rngs):
-            rng.standard_normal(out=normals[j])
+        for rows, rng in zip(normals, rngs, strict=True):
+            rng.standard_normal(out=rows)
         for sl, L in zip(self.group_slices, self.roots):
             np.matmul(normals[:, sl], L, out=out[sl].transpose(1, 0, 2))
         return out
@@ -238,25 +237,6 @@ def _replicate_rows(V: np.ndarray, m: int, d: int) -> np.ndarray:
     return V.reshape(k, m, d).transpose(1, 0, 2).reshape(m, k * d)
 
 
-class _Rekeyed:
-    """The streams of one chunk's (replicate, attempt) pairs, made lazily.
-
-    Iterating re-keys the shared generator to each pair's substream just
-    before it is handed out, so each stream is valid only until the next
-    one is taken.
-    """
-
-    def __init__(self, stream: ReplicateStream, batch):
-        self.stream = stream
-        self.batch = batch
-
-    def __len__(self) -> int:
-        return len(self.batch)
-
-    def __iter__(self):
-        return (self.stream.reset(b, attempt) for b, attempt in self.batch)
-
-
 def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
                   cov: CovarianceEstimate, contrasts: ContrastMatrix) -> BootstrapDraws:
     """Draw B bootstrap replicates of the studentized contrast statistics.
@@ -278,35 +258,33 @@ def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
         )
     engine = _Engine(cfg.kind, dm, fit, cov, contrasts.H)
     B = cfg.B
-    r = contrasts.H.shape[0]
-    A_star = np.empty((B, r))
-    abort_count = INVALID_ABORT_FRACTION * B
+    A_star = np.empty((B, contrasts.H.shape[0]))
     invalid_total = 0
-    stream = ReplicateStream(cfg.seed)
+    index, attempt = np.arange(B), np.zeros(B, dtype=np.int64)
     Y = np.empty(dm.n * min(B, CHUNK) * dm.d)
-    pending = [(b, 0) for b in range(B)]
-    while pending:
-        batch, pending = pending[:CHUNK], pending[CHUNK:]
-        out = Y[: dm.n * len(batch) * dm.d].reshape(dm.n, len(batch), dm.d)
-        Ystar = engine.draw(_Rekeyed(stream, batch), out)
+    while index.size:
+        b, a = index[:CHUNK], attempt[:CHUNK]
+        index, attempt = index[CHUNK:], attempt[CHUNK:]
+        out = Y[: dm.n * b.size * dm.d].reshape(dm.n, b.size, dm.d)
+        Ystar = engine.draw(replicate_streams(cfg.seed, b, a), out)
         A, valid = engine.statistics(Ystar)
-        for j, (b, attempt) in enumerate(batch):
-            if valid[j]:
-                A_star[b] = A[j]
-            else:
-                invalid_total += 1
-                if attempt + 1 >= MAX_ATTEMPTS:
-                    raise EstimationError(
-                        f"degenerate bootstrap distribution: replicate {b} "
-                        f"invalid after {MAX_ATTEMPTS} attempts"
-                    )
-                pending.append((b, attempt + 1))
-        if invalid_total > abort_count:
+        A_star[b[valid]] = A[valid]
+        if valid.all():
+            continue
+        b, a = b[~valid], a[~valid] + 1
+        invalid_total += b.size
+        if a.max() >= MAX_ATTEMPTS:
+            raise EstimationError(
+                "degenerate bootstrap distribution: replicate "
+                f"{b[a >= MAX_ATTEMPTS][0]} invalid after {MAX_ATTEMPTS} attempts"
+            )
+        if invalid_total > INVALID_ABORT_FRACTION * B:
             raise EstimationError(
                 "degenerate bootstrap distribution: more than "
                 f"{INVALID_ABORT_FRACTION:.0%} of replicates invalid "
                 f"({invalid_total} redraws for B={B})"
             )
+        index, attempt = np.concatenate((index, b)), np.concatenate((attempt, a))
 
     # Free the chunk buffers before BootstrapDraws sorts its copy of |A_star|:
     # a copy allocated above them keeps the heap from shrinking, which raised

@@ -9,6 +9,7 @@ Subcommands: `analyze` runs the multiple contrast test on a CSV dataset,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -209,24 +210,18 @@ def _cmd_analyze(args) -> int:
 
 
 def _scenario_from_dict(raw: dict) -> SimScenario:
-    known = {
-        "k", "d", "distribution", "covariance", "sample_pattern", "multiplier",
-        "contrast_family", "alternative", "delta",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dataclasses.fields(SimScenario)}
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
     if "k" not in raw or "d" not in raw:
         raise ConfigError("each scenario needs at least 'k' and 'd'")
-    return SimScenario(**{key: raw[key] for key in known if key in raw})
+    return SimScenario(**raw)
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    for key in ("runs", "B", "alpha", "seed", "workers"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+    cfg = _merge_config(
+        args, keys=("scenarios", "runs", "B", "alpha", "seed", "workers", "out")
+    )
     if "scenarios" not in cfg or not cfg["scenarios"]:
         raise ConfigError("config must define a non-empty 'scenarios' list")
     scenarios = [_scenario_from_dict(s) for s in cfg["scenarios"]]
@@ -251,7 +246,7 @@ def _cmd_simulate(args) -> int:
             f"{res.rate:.2f}% [{res.ci_lower:.2f}, {res.ci_upper:.2f}] "
             f"({res.runs} runs, B={res.B})"
         )
-    out_dir = getattr(args, "out", None) or cfg.get("out")
+    out_dir = cfg.get("out")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_study_csv(results, os.path.join(out_dir, "study.csv"))

@@ -24,7 +24,7 @@ The counts are exact integers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -192,19 +192,7 @@ class MctpResult:
                 "c": self.c,
                 "groups": list(self.groups),
             },
-            "contrasts": [
-                {
-                    "label": o.label,
-                    "estimate": o.estimate,
-                    "statistic": o.statistic,
-                    "quantile": o.quantile,
-                    "p_value": o.p_value,
-                    "ci_lower": o.ci_lower,
-                    "ci_upper": o.ci_upper,
-                    "reject": o.reject,
-                }
-                for o in self.contrasts
-            ],
+            "contrasts": [asdict(o) for o in self.contrasts],
         }
 
     def to_json(self, indent: int = 2) -> str:

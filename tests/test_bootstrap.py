@@ -14,11 +14,11 @@ from bootmctp import (
     two_sample,
 )
 from bootmctp import bootstrap
-from bootmctp.bootstrap import _Engine, _Rekeyed, _wild_signs, save_draws_csv
+from bootmctp.bootstrap import _Engine, _wild_signs, save_draws_csv
 from bootmctp.covariance import CovarianceEstimate, hc4_weights, sandwich, studentize
 from bootmctp.mctp import test_statistics as observed_statistics
 from bootmctp.design import DesignMatrices, FitResult, build_design, fit_ols
-from bootmctp._rng import ReplicateStream, substream
+from bootmctp._rng import replicate_streams, substream
 
 from conftest import random_dataset
 from oracles import dense_sandwich_block, sequential_refit
@@ -29,6 +29,19 @@ def fitted(ds):
     fit = fit_ols(dm, ds)
     cov = sandwich(dm, fit)
     return ds, dm, fit, cov
+
+
+def zero_residual_fit(seed):
+    """A scalar two-group fit whose residuals are all zero: (dm, fit, cov)."""
+    ds = random_dataset(seed, k=2, d=1, c=0, n_i=(5, 5))
+    dm = build_design(ds)
+    fit = fit_ols(dm, ds)
+    zero_fit = FitResult(
+        mu_hat=fit.mu_hat,
+        nu_hat=fit.nu_hat,
+        residuals=np.zeros_like(fit.residuals),
+    )
+    return dm, zero_fit, sandwich(dm, zero_fit)
 
 
 def replicate(kind, dm, fit, cov, H, rng):
@@ -193,40 +206,31 @@ class TestWild:
         path maps 32-bit draws to {0, 1}; this test fails if a numpy
         release changes that path.
         """
-        batch = [(0, 0), (1, 0), (2**32 - 1, 0), (3, 5)]
-        stream = ReplicateStream(seed)
+        index, attempt = [0, 1, 2**32 - 1, 3], [0, 0, 0, 5]
         for n in range(1, 71):
-            t = _wild_signs(_Rekeyed(stream, batch), n)
+            t = _wild_signs(replicate_streams(seed, index, attempt), np.empty((4, n)))
             want = [substream(seed, b, a).integers(0, 2, size=n) * 2.0 - 1.0
-                    for b, a in batch]
+                    for b, a in zip(index, attempt)]
             assert np.array_equal(t, np.array(want)), n
 
     def test_zero_residuals_replicate_invalid(self):
-        ds = random_dataset(30, k=2, d=1, c=0, n_i=(5, 5))
-        dm = build_design(ds)
-        fit = fit_ols(dm, ds)
-        zero_fit = FitResult(
-            mu_hat=fit.mu_hat,
-            nu_hat=fit.nu_hat,
-            residuals=np.zeros_like(fit.residuals),
-        )
-        cov = sandwich(dm, zero_fit)
+        dm, zero_fit, cov = zero_residual_fit(30)
         a, valid = replicate("wild", dm, zero_fit, cov, two_sample(2, 1).H,
                              substream(1, 0, 0))
         assert not valid
 
     def test_zero_residuals_bootstrap_aborts(self):
-        ds = random_dataset(31, k=2, d=1, c=0, n_i=(5, 5))
-        dm = build_design(ds)
-        fit = fit_ols(dm, ds)
-        zero_fit = FitResult(
-            mu_hat=fit.mu_hat,
-            nu_hat=fit.nu_hat,
-            residuals=np.zeros_like(fit.residuals),
-        )
-        cov = sandwich(dm, zero_fit)
+        dm, zero_fit, cov = zero_residual_fit(31)
         with pytest.raises(EstimationError, match="degenerate bootstrap"):
             run_bootstrap(BootstrapConfig("wild", 200, 2), dm, zero_fit, cov, two_sample(2, 1))
+
+    def test_replicate_invalid_on_every_attempt_raises(self, monkeypatch):
+        # Without the 1% abort, replicate 0 is redrawn until MAX_ATTEMPTS.
+        dm, zero_fit, cov = zero_residual_fit(31)
+        monkeypatch.setattr(bootstrap, "INVALID_ABORT_FRACTION", 1000.0)
+        with pytest.raises(EstimationError,
+                           match="replicate 0 invalid after 64 attempts"):
+            run_bootstrap(BootstrapConfig("wild", 2, 2), dm, zero_fit, cov, two_sample(2, 1))
 
     def test_bootstrap_mean_of_adjusted_means_near_zero(self, fitted_small):
         # mean over replicates of the refit adjusted means is O(1/sqrt(n B))

@@ -186,6 +186,23 @@ class TestSimulate:
         assert code == 1
         assert err.splitlines() == ["error: unknown distribution 'foo'"]
 
+    def test_unknown_config_key_exits_1(self, capsys, tmp_path):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(
+            {"run": 10, "runs": 2, "B": 20, "scenarios": [{"k": 2, "d": 2}]}
+        ))
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: unknown config keys: ['run']"]
+
+    def test_unknown_scenario_key_exits_1(self, capsys, tmp_path):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({"scenarios": [{"k": 2, "d": 2, "c": 1}]}))
+        code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
+        assert code == 1
+        assert err.splitlines() == ["error: unknown scenario keys: ['c']"]
+
     def test_missing_config_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, ["simulate", "--config", "/nope.json"])
         assert code == 1
