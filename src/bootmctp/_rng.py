@@ -11,8 +11,8 @@ determined by its key, its counter and its output buffer, so
 :func:`replicate_streams` yields the same streams for many (index, attempt)
 pairs from one Philox by assigning that state in place (re-keying), which
 avoids building a bit generator and its unused entropy-seeded
-``SeedSequence`` per stream.  The bootstrap draws each chunk of replicates
-from it.
+``SeedSequence`` per stream.  The bootstrap builds one such generator per
+run and re-keys it for each chunk of replicates.
 """
 
 from __future__ import annotations
@@ -46,20 +46,18 @@ def substream(seed: int, index: int, attempt: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def replicate_streams(seed: int, index, attempt):
+def replicate_streams(generator: np.random.Generator, seed: int, index, attempt):
     """Yield the streams of the pairs (index[j], attempt[j]) under `seed`, in order.
 
-    Each yielded generator produces exactly the numbers of
-    ``substream(seed, index[j], attempt[j])``: the key is set to
-    ``(seed, attempt << 32 | index)``, the counter to zero, the output
-    buffer to empty and any buffered 32-bit half is dropped.  Every pair
-    yields the same generator object, so a stream is valid only until the
-    next one is taken.
+    `generator` is any Generator over a Philox bit generator; its state is
+    overwritten, so one generator serves any number of calls.  For each pair
+    the key is set to ``(seed, attempt << 32 | index)``, the counter to zero,
+    both output buffers are emptied and `generator` is yielded.  Until the
+    next pair is taken, it draws exactly the numbers of
+    ``substream(seed, index[j], attempt[j])``.
     """
     seed_word, words = _stream_key(seed, index, attempt)
     key = [seed_word, 0]
-    bit_generator = np.random.Philox(key=np.array(key, dtype=np.uint64))
-    generator = np.random.Generator(bit_generator)
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": key},
@@ -70,7 +68,7 @@ def replicate_streams(seed: int, index, attempt):
     }
     for word in words:
         key[1] = word
-        bit_generator.state = state
+        generator.bit_generator.state = state
         yield generator
 
 

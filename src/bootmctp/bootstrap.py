@@ -13,12 +13,8 @@ are redrawn from the next attempt substream and counted.
 
 The replicates still to draw are two integer arrays, index and attempt.
 Each chunk of them is drawn from ``_rng.replicate_streams``, which re-keys
-one Philox generator to each pair's substream as that row is drawn.  Wild
-signs are read from the raw 64-bit words: bit 31 of each word gives one
-sign and bit 63 the next.  That is the value numpy's
-``integers(0, 2)`` returns for the low and then the high 32-bit half of the
-word, so the signs equal ``integers(0, 2, size=n) * 2 - 1`` on a fresh
-stream.  Parametric normals for a chunk are drawn into one buffer and each
+the run's one Philox generator to each pair's substream as that row is
+drawn.  Parametric normals for a chunk are drawn into one buffer and each
 group's covariance root is applied once per chunk.  One bootstrap run
 allocates its chunk-sized response buffer and one scratch buffer of the
 same size once and reuses them for every chunk, so the large per-chunk
@@ -77,13 +73,29 @@ class BootstrapConfig:
             raise EstimationError("bootstrap replicate count B must be >= 1")
 
 
+def _rank_abs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|A| with each column sorted ascending, and each entry's left rank in it.
+
+    One argsort per column gives both: the left rank (``searchsorted`` with
+    side="left") is the first sorted position of the entry's tie group.
+    """
+    absT = np.abs(A.T, order="C")  # contiguous columns sort fastest
+    order = np.argsort(absT, axis=1)
+    S = np.take_along_axis(absT, order, axis=1)
+    first = np.zeros(S.shape, dtype=np.intp)
+    first[:, 1:] = np.where(S[:, 1:] != S[:, :-1], np.arange(1, S.shape[1]), 0)
+    ranks = np.empty_like(first)
+    np.put_along_axis(ranks, order, np.maximum.accumulate(first, axis=1), axis=1)
+    return S.T, ranks.T
+
+
 @dataclass(frozen=True)
 class BootstrapDraws:
     """B x r matrix of bootstrap statistics, one row per replicate.
 
-    ``sorted_abs`` is |A_star| with each column sorted ascending, made once
-    on construction: the level adjustment, the quantiles and the p-values
-    in ``mctp`` all read their ranks from it.
+    ``sorted_abs`` (|A_star|, each column sorted ascending) and ``ranks``
+    come from one sort on construction (:func:`_rank_abs`): the level
+    adjustment, the quantiles and the p-values in ``mctp`` all read them.
     """
 
     A_star: np.ndarray
@@ -92,14 +104,15 @@ class BootstrapDraws:
     invalid_redraws: int = 0
     warnings: tuple[str, ...] = ()
     sorted_abs: np.ndarray = field(init=False, repr=False, compare=False)
+    ranks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.A_star.setflags(write=False)
         if not np.all(np.isfinite(self.A_star)):
             raise EstimationError("bootstrap statistics contain non-finite values")
-        ranked = np.sort(np.abs(self.A_star), axis=0)
-        ranked.setflags(write=False)
-        object.__setattr__(self, "sorted_abs", ranked)
+        for name, value in zip(("sorted_abs", "ranks"), _rank_abs(self.A_star)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def B(self) -> int:
@@ -262,11 +275,12 @@ def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
     invalid_total = 0
     index, attempt = np.arange(B), np.zeros(B, dtype=np.int64)
     Y = np.empty(dm.n * min(B, CHUNK) * dm.d)
+    rng = np.random.Generator(np.random.Philox(0))
     while index.size:
         b, a = index[:CHUNK], attempt[:CHUNK]
         index, attempt = index[CHUNK:], attempt[CHUNK:]
         out = Y[: dm.n * b.size * dm.d].reshape(dm.n, b.size, dm.d)
-        Ystar = engine.draw(replicate_streams(cfg.seed, b, a), out)
+        Ystar = engine.draw(replicate_streams(rng, cfg.seed, b, a), out)
         A, valid = engine.statistics(Ystar)
         A_star[b[valid]] = A[valid]
         if valid.all():

@@ -9,10 +9,10 @@ Subcommands: `analyze` runs the multiple contrast test on a CSV dataset,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+import typing
 
 from . import contrasts as contrasts_mod
 from .bootstrap import BootstrapConfig, save_draws_csv
@@ -124,6 +124,14 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
     return cfg
 
 
+def _number(cfg: dict, key: str, kind: type, default):
+    try:
+        return kind(cfg.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config value {key} must be {kind.__name__}, "
+                          f"got {cfg[key]!r}") from None
+
+
 def _split_names(value) -> tuple[str, ...]:
     if value is None:
         return ()
@@ -178,12 +186,12 @@ def _cmd_analyze(args) -> int:
     )
     boot = BootstrapConfig(
         kind=str(cfg.get("bootstrap", "wild")),
-        B=int(cfg.get("B", DEFAULT_B)),
-        seed=int(cfg.get("seed", DEFAULT_SEED)),
+        B=_number(cfg, "B", int, DEFAULT_B),
+        seed=_number(cfg, "seed", int, DEFAULT_SEED),
     )
     dump = bool(cfg.get("dump-draws", False))
     result = run_mctp(
-        ds, contrasts, boot, float(cfg.get("alpha", DEFAULT_ALPHA)),
+        ds, contrasts, boot, _number(cfg, "alpha", float, DEFAULT_ALPHA),
         keep_draws=dump,
     )
 
@@ -209,12 +217,19 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _scenario_from_dict(raw: dict) -> SimScenario:
-    unknown = set(raw) - {f.name for f in dataclasses.fields(SimScenario)}
+def _scenario_from_dict(position: int, raw) -> SimScenario:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"scenarios[{position}] must be a JSON object, got {raw!r}")
+    types = typing.get_type_hints(SimScenario)
+    unknown = set(raw) - set(types)
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
     if "k" not in raw or "d" not in raw:
         raise ConfigError("each scenario needs at least 'k' and 'd'")
+    for key, value in raw.items():
+        if not isinstance(value, (int, float) if types[key] is float else types[key]):
+            raise ConfigError(f"scenarios[{position}].{key} must be "
+                              f"{types[key].__name__}, got {value!r}")
     return SimScenario(**raw)
 
 
@@ -222,17 +237,17 @@ def _cmd_simulate(args) -> int:
     cfg = _merge_config(
         args, keys=("scenarios", "runs", "B", "alpha", "seed", "workers", "out")
     )
-    if "scenarios" not in cfg or not cfg["scenarios"]:
+    if not isinstance(cfg.get("scenarios"), list) or not cfg["scenarios"]:
         raise ConfigError("config must define a non-empty 'scenarios' list")
-    scenarios = [_scenario_from_dict(s) for s in cfg["scenarios"]]
+    scenarios = [_scenario_from_dict(i, s) for i, s in enumerate(cfg["scenarios"])]
     try:
         results = run_study(
             scenarios,
-            runs=int(cfg.get("runs", 1000)),
-            B=int(cfg.get("B", DEFAULT_B)),
-            alpha=float(cfg.get("alpha", DEFAULT_ALPHA)),
-            seed=int(cfg.get("seed", DEFAULT_SEED)),
-            workers=int(cfg.get("workers", 1)),
+            runs=_number(cfg, "runs", int, 1000),
+            B=_number(cfg, "B", int, DEFAULT_B),
+            alpha=_number(cfg, "alpha", float, DEFAULT_ALPHA),
+            seed=_number(cfg, "seed", int, DEFAULT_SEED),
+            workers=_number(cfg, "workers", int, 1),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid study settings: {exc}") from None

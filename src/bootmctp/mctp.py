@@ -8,12 +8,11 @@ values is the (gamma*B + 1)-th largest.  With this convention the p-value /
 critical-value duality holds exactly for finite B, ties included:
 p_s <= gamma  iff  |A_n(h_s)| exceeds the contrast's quantile.
 
-Gamma, the quantiles and the p-values all read one ranking of the draws:
-|A_star| with each column sorted ascending, which :class:`BootstrapDraws`
-makes once on construction (a raw B x r array passed in is sorted on the
-spot).  Gamma comes from each replicate's tail counts, found by
-``searchsorted`` in its column; the quantile at grid index g is row B-1-g;
-a p-value is B minus the ``searchsorted`` position of |A_n(h_s)|, over B.
+Gamma, the quantiles and the p-values all read the one ranking of the
+draws that :class:`BootstrapDraws` makes (a raw B x r array is ranked on
+the spot).  Gamma comes from each replicate's tail counts, B minus its left
+ranks; the quantile at grid index g is row B-1-g of the sorted |A_star|; a
+p-value is B minus the ``searchsorted`` position of |A_n(h_s)|, over B.
 The counts are exact integers.
 
 :func:`run_mctp` and each simulated run in ``simgen`` share one core:
@@ -28,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapDraws, run_bootstrap
+from .bootstrap import BootstrapConfig, BootstrapDraws, _rank_abs, run_bootstrap
 from .contrasts import ContrastMatrix
 from .covariance import CovarianceEstimate, sandwich, studentize
 from .dataset import Dataset, validate
@@ -60,15 +59,10 @@ def test_statistics(fit: FitResult, cov: CovarianceEstimate,
 
 
 def _ranked(draws) -> tuple[np.ndarray, np.ndarray]:
-    """(A_star, |A_star| with each column sorted ascending) of the draws.
-
-    A :class:`BootstrapDraws` carries the sorted copy from construction; a
-    raw B x r array is sorted here.
-    """
+    """(sorted_abs, ranks) of the draws; a raw B x r array is ranked here."""
     if isinstance(draws, BootstrapDraws):
-        return draws.A_star, draws.sorted_abs
-    A = np.atleast_2d(np.asarray(draws, dtype=float))
-    return A, np.sort(np.abs(A), axis=0)
+        return draws.sorted_abs, draws.ranks
+    return _rank_abs(np.atleast_2d(np.asarray(draws, dtype=float)))
 
 
 def gamma_index(gamma: float, B: int) -> int:
@@ -92,12 +86,10 @@ def adjust_level(draws, alpha: float) -> float:
     """
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    A, S = _ranked(draws)
-    B = S.shape[0]
-    absA = np.abs(A)
+    _, ranks = _ranked(draws)
+    B = ranks.shape[0]
     # Per replicate: min over contrasts of #{b': |A_b's| >= |A_bs|}, in 1..B.
-    m = B - np.max([np.searchsorted(S[:, s], absA[:, s], side="left")
-                    for s in range(S.shape[1])], axis=0)
+    m = B - ranks.max(axis=1)
     hist = np.bincount(m, minlength=B + 1)
     cum = np.cumsum(hist)  # cum[g] = #{b: m_b <= g}
     ok = cum[:B].astype(float) / B <= alpha  # prefix of the grid
@@ -107,7 +99,7 @@ def adjust_level(draws, alpha: float) -> float:
 
 def local_p_values(draws, A_n: np.ndarray) -> np.ndarray:
     """Share of replicates with |bootstrap statistic| >= |observed statistic|."""
-    _, S = _ranked(draws)
+    S, _ = _ranked(draws)
     B = S.shape[0]
     absA_n = np.abs(np.asarray(A_n, dtype=float))
     below = [np.searchsorted(S[:, s], absA_n[s], side="left")
@@ -117,7 +109,7 @@ def local_p_values(draws, A_n: np.ndarray) -> np.ndarray:
 
 def contrast_quantiles(draws, gamma: float) -> np.ndarray:
     """Per-contrast (1-gamma)-quantiles of the absolute bootstrap statistics."""
-    _, S = _ranked(draws)
+    S, _ = _ranked(draws)
     B = S.shape[0]
     return S[B - 1 - gamma_index(gamma, B)].copy()
 

@@ -17,7 +17,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .bootstrap import BootstrapConfig
 from .contrasts import build_family
@@ -268,15 +268,12 @@ def _global_rejections(scenario: SimScenario, run_indices, B: int, alpha: float,
 
 
 def _binomial_ci(successes: int, trials: int, level: float = 0.95):
-    # Clopper-Pearson exact interval
+    # Clopper-Pearson; betaincinv gives beta.ppf bit for bit with a far cheaper import
     a = 1.0 - level
-    lo = 0.0 if successes == 0 else float(
-        stats.beta.ppf(a / 2, successes, trials - successes + 1)
-    )
-    hi = 1.0 if successes == trials else float(
-        stats.beta.ppf(1 - a / 2, successes + 1, trials - successes)
-    )
-    return lo, hi
+    lo, hi = special.betaincinv([successes, successes + 1],
+                                [trials - successes + 1, trials - successes],
+                                [a / 2, 1 - a / 2]).tolist()
+    return 0.0 if successes == 0 else lo, 1.0 if successes == trials else hi
 
 
 def _block_flags(future, scenario_index: int, block) -> np.ndarray:

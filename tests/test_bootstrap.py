@@ -112,6 +112,21 @@ class TestDeterminism:
                 assert engine.draw(rngs, buf) is buf
                 assert np.array_equal(buf, fresh)
 
+    def test_one_philox_per_bootstrap(self, fitted_small, monkeypatch):
+        built = []
+
+        class Philox(np.random.Philox):  # the state setter checks the name
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        ds, dm, fit, cov = fitted_small
+        cm, cfg = two_sample(2, 2), BootstrapConfig("wild", 3 * bootstrap.CHUNK, 8)
+        want = run_bootstrap(cfg, dm, fit, cov, cm).A_star
+        monkeypatch.setattr(np.random, "Philox", Philox)
+        assert np.array_equal(run_bootstrap(cfg, dm, fit, cov, cm).A_star, want)
+        assert len(built) == 1
+
     def test_single_row_for_b_equals_one(self, fitted_small):
         ds, dm, fit, cov = fitted_small
         draws = run_bootstrap(BootstrapConfig("wild", 1, 5), dm, fit, cov, two_sample(2, 2))
@@ -207,8 +222,9 @@ class TestWild:
         release changes that path.
         """
         index, attempt = [0, 1, 2**32 - 1, 3], [0, 0, 0, 5]
+        rng = np.random.Generator(np.random.Philox(0))
         for n in range(1, 71):
-            t = _wild_signs(replicate_streams(seed, index, attempt), np.empty((4, n)))
+            t = _wild_signs(replicate_streams(rng, seed, index, attempt), np.empty((4, n)))
             want = [substream(seed, b, a).integers(0, 2, size=n) * 2.0 - 1.0
                     for b, a in zip(index, attempt)]
             assert np.array_equal(t, np.array(want)), n

@@ -140,6 +140,22 @@ class TestAnalyze:
         assert doc["meta"]["B"] == 120  # flag wins
         assert doc["meta"]["bootstrap"] == "parametric"
 
+    @pytest.mark.parametrize("key, value, kind", [("B", "abc", "int"),
+                                                  ("alpha", "x", "float"),
+                                                  ("seed", [1], "int"),
+                                                  ("B", float("inf"), "int")])
+    def test_wrongly_typed_config_value_exits_1(self, capsys, tmp_path, hrv_path,
+                                                key, value, kind):
+        cfg = {"input": hrv_path, "group-col": "group", "outcomes": "SDNN,RMSSD",
+               key: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, ["analyze", "--config", str(cfg_path)])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: config value {key} must be {kind}, got {value!r}"]
+
     def test_unknown_config_key_exits_1(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"inputt": "x.csv"}))
@@ -202,6 +218,25 @@ class TestSimulate:
         code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
         assert code == 1
         assert err.splitlines() == ["error: unknown scenario keys: ['c']"]
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"scenarios": [1]}, "scenarios[0] must be a JSON object, got 1"),
+        ({"scenarios": [{"k": 2, "d": 2}, {"k": "3", "d": 2}]},
+         "scenarios[1].k must be int, got '3'"),
+        ({"scenarios": [{"k": 2, "d": 2, "delta": "0"}]},
+         "scenarios[0].delta must be float, got '0'"),
+        ({"scenarios": [{"k": 2, "d": 2}], "runs": "ten"},
+         "config value runs must be int, got 'ten'"),
+        ({"scenarios": {"k": 2, "d": 2}},
+         "config must define a non-empty 'scenarios' list"),
+    ])
+    def test_wrongly_typed_config_value_exits_1(self, capsys, tmp_path, cfg, message):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_missing_config_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, ["simulate", "--config", "/nope.json"])

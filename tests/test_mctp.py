@@ -196,8 +196,9 @@ class TestPValueDuality:
         """The ranked results equal the definitional oracles bit for bit.
 
         gamma, the quantiles, the p-values and the intervals are compared
-        from a raw array and from BootstrapDraws, whose sorted copy is made
-        on construction; then p <= gamma exactly when |A_n| exceeds q.
+        from a raw array and from BootstrapDraws, whose sorted copy and left
+        ranks are made on construction; the ranks are compared with their
+        definitional count.  Then p <= gamma exactly when |A_n| exceeds q.
         """
         models = {}
         for r in range(1, 5):
@@ -230,6 +231,9 @@ class TestPValueDuality:
                 for got, ref in ((q, q_ref), (p, p_ref), (ci, ci_ref)):
                     assert got.dtype == ref.dtype and got.shape == ref.shape, trial
                     assert got.tobytes() == ref.tobytes(), trial
+            absA = np.abs(A_star)  # ranks[b, s] = #{b': |A_b's| < |A_bs|}
+            ranks_ref = (absA[None] < absA[:, None]).sum(axis=1)
+            assert np.array_equal(draws.ranks, ranks_ref), trial
             reject = np.abs(A_n) > q
             assert np.array_equal(p <= gamma, reject), trial
             assert (p.min() <= gamma) == reject.any(), trial

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import bootmctp
@@ -61,3 +64,30 @@ def test_benchmark_traced_targets_resolve():
         module = importlib.import_module(f"bootmctp.{module_name}")
         assert callable(getattr(module, name, None)), target
     assert {"run_bootstrap", "adjust_level"} <= set(mctp._calibrate.__code__.co_names)
+
+
+def test_package_never_imports_scipy_stats():
+    """Importing, a study run and a CLI analysis leave scipy.stats unloaded.
+
+    Loading scipy.stats roughly doubles the package's start-up time and adds
+    nearly 40 MB to its memory.  Run in a fresh interpreter, because the
+    tests themselves may import it.
+    """
+    code = """
+import sys
+import bootmctp
+from bootmctp import cli
+bootmctp.run_study([bootmctp.SimScenario(k=2, d=2, contrast_family="two_sample")],
+                   runs=1, B=20, alpha=0.05, seed=1)
+assert cli.main(["analyze", "--input", sys.argv[1], "--group-col", "group",
+                 "--outcomes", "SDNN,RMSSD", "--B", "20"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "data" / "hrv_synthetic.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -5,6 +5,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bootmctp import (
     Dataset,
@@ -17,6 +18,7 @@ from bootmctp import (
 )
 from bootmctp import simgen
 from bootmctp.simgen import (
+    _binomial_ci,
     default_nu,
     gen_covariates,
     gen_dataset,
@@ -181,6 +183,19 @@ def zero_residual_dataset():
     return Dataset.from_group_blocks(
         ["G1", "G2"], [np.full((4, 2), 1.0), np.full((4, 2), 2.0)]
     )
+
+
+class TestBinomialCi:
+    @pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
+    def test_equals_beta_ppf_bitwise(self, level):
+        """Clopper-Pearson bounds equal scipy.stats.beta.ppf for all x <= n <= 200."""
+        x, n = np.array([(x, n) for n in range(201) for x in range(n + 1)]).T
+        a = 1.0 - level
+        with np.errstate(invalid="ignore"):
+            lo = np.where(x == 0, 0.0, stats.beta.ppf(a / 2, x, n - x + 1))
+            hi = np.where(x == n, 1.0, stats.beta.ppf(1 - a / 2, x + 1, n - x))
+        got = np.array([_binomial_ci(int(xi), int(ni), level) for xi, ni in zip(x, n)])
+        assert got.tobytes() == np.column_stack([lo, hi]).tobytes()
 
 
 class TestRunStudy:
