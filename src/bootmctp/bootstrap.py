@@ -71,6 +71,8 @@ class BootstrapConfig:
             raise EstimationError(f"unknown bootstrap kind '{self.kind}'")
         if self.B < 1:
             raise EstimationError("bootstrap replicate count B must be >= 1")
+        if self.B > 1 << 32:  # replicate b draws from stream index b < 2**32
+            raise EstimationError("bootstrap replicate count B must be <= 2**32")
 
 
 def _rank_abs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

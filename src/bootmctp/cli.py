@@ -15,7 +15,7 @@ import sys
 import typing
 
 from . import contrasts as contrasts_mod
-from .bootstrap import BootstrapConfig, save_draws_csv
+from .bootstrap import KINDS, BootstrapConfig, save_draws_csv
 from .dataset import CsvSchema, load_csv, validate
 from .exceptions import (
     ConfigError,
@@ -27,16 +27,33 @@ from .exceptions import (
 from .mctp import format_result_table, run_mctp
 from .simgen import SimScenario, run_study, write_study_csv
 
-DEFAULT_SEED = 20250809
-DEFAULT_B = 2000
-DEFAULT_ALPHA = 0.05
-
-_FAMILY_FLAGS = {
-    "two-sample": "two_sample",
-    "dunnett": "dunnett",
-    "tukey": "tukey",
-    "grand-mean": "grand_mean",
-}
+# Each setting of `analyze` and `simulate`, declared once: its name (the
+# --flag and the config key), JSON type, default (... if required) and help.
+# `scenarios` has no flag and no type here: `_cmd_simulate` checks it.
+_BOOTSTRAP_SETTINGS = (
+    ("B", int, 2000, "number of bootstrap replicates"),
+    ("alpha", float, 0.05, "family-wise error level"),
+    ("seed", int, 20250809, "random seed"),
+)
+ANALYZE_SETTINGS = (
+    ("input", str, ..., "CSV dataset path"),
+    ("group-col", str, ..., "name of the group label column"),
+    ("outcomes", list, ..., "comma-separated outcome column names"),
+    ("covariates", list, [], "comma-separated covariate column names"),
+    ("contrast", str, "two-sample",
+     "two-sample | dunnett | tukey | grand-mean | custom:<csv path>"),
+    ("bootstrap", str, "wild", "bootstrap scheme"),
+) + _BOOTSTRAP_SETTINGS + (
+    ("out", str, None, "output directory for report files"),
+    ("dump-draws", bool, False, "also write the replicate matrix as CSV"),
+)
+SIMULATE_SETTINGS = (
+    ("scenarios", None, None, None),
+    ("runs", int, 1000, "simulated datasets per scenario"),
+) + _BOOTSTRAP_SETTINGS + (
+    ("workers", int, 1, "worker processes"),
+    ("out", str, None, "output directory for the results CSV"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,6 +62,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _add_flags(parser, settings) -> None:
+    for name, kind, _, help_text in settings:
+        if kind is bool:
+            parser.add_argument(f"--{name}", action="store_true", default=None,
+                                help=help_text)
+        elif kind is not None:
+            parser.add_argument(f"--{name}", type=str if kind is list else kind,
+                                choices=KINDS if name == "bootstrap" else None,
+                                help=help_text)
 
 
 def _build_parser() -> _Parser:
@@ -59,32 +87,13 @@ def _build_parser() -> _Parser:
 
     pa = sub.add_parser("analyze", help="test contrasts on a CSV dataset")
     pa.add_argument("--config", help="JSON config file; explicit flags win")
-    pa.add_argument("--input", help="CSV dataset path")
-    pa.add_argument("--group-col", help="name of the group label column")
-    pa.add_argument("--outcomes", help="comma-separated outcome column names")
-    pa.add_argument("--covariates", help="comma-separated covariate column names")
-    pa.add_argument(
-        "--contrast",
-        help="two-sample | dunnett | tukey | grand-mean | custom:<csv path>",
-    )
-    pa.add_argument("--bootstrap", choices=["wild", "parametric"])
-    pa.add_argument("--B", type=int, dest="B")
-    pa.add_argument("--alpha", type=float)
-    pa.add_argument("--seed", type=int)
-    pa.add_argument("--out", help="output directory for report files")
-    pa.add_argument(
-        "--dump-draws", action="store_true", default=None,
-        help="also write the replicate matrix as CSV",
-    )
+    _add_flags(pa, ANALYZE_SETTINGS)
+    pa.set_defaults(command=_cmd_analyze)
 
     ps = sub.add_parser("simulate", help="run a Monte Carlo study")
     ps.add_argument("--config", required=True, help="JSON scenario grid")
-    ps.add_argument("--runs", type=int)
-    ps.add_argument("--B", type=int, dest="B")
-    ps.add_argument("--alpha", type=float)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--workers", type=int)
-    ps.add_argument("--out", help="output directory for the results CSV")
+    _add_flags(ps, SIMULATE_SETTINGS)
+    ps.set_defaults(command=_cmd_simulate)
 
     pc = sub.add_parser("contrasts", help="print a contrast matrix")
     pc.add_argument("--contrast", required=True,
@@ -93,51 +102,57 @@ def _build_parser() -> _Parser:
     pc.add_argument("--d", type=int, required=True, help="number of outcomes")
     pc.add_argument("--groups", help="comma-separated group names")
     pc.add_argument("--outcomes", help="comma-separated outcome names")
+    pc.set_defaults(command=_cmd_contrasts)
     return parser
 
 
-def _load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in config file {path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return cfg
+def _check(what: str, value, kind: type) -> None:
+    """Raise a ConfigError naming `what` unless `value` has JSON type `kind`.
+
+    A bool is only a bool, an int is also a float, and a list holds str; a
+    str is also a list (of comma-separated names).
+    """
+    accepted = {float: (int, float), list: (str, list)}.get(kind, kind)
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
+            or isinstance(value, list) and not all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
 
 
-def _merge_config(args: argparse.Namespace, keys) -> dict:
+def _settings(args: argparse.Namespace, settings) -> dict:
+    """Each setting from its flag, else from the --config file, else its default."""
     cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = _load_config(args.config)
-        unknown = set(file_cfg) - set(keys)
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"invalid JSON in config file {args.config}: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigError("config file must hold a JSON object")
+        unknown = set(cfg) - {name for name, *_ in settings}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
-    for key in keys:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            cfg[key] = value
+    for name, kind, default, _ in settings:
+        flag = getattr(args, name.replace("-", "_"), None)
+        if flag is not None:
+            cfg[name] = flag
+        elif name in cfg:
+            if kind is not None:
+                _check(f"config value {name}", cfg[name], kind)
+        elif default is ...:
+            raise ConfigError(f"missing required option --{name}")
+        else:
+            cfg[name] = default
     return cfg
-
-
-def _number(cfg: dict, key: str, kind: type, default):
-    try:
-        return kind(cfg.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config value {key} must be {kind.__name__}, "
-                          f"got {cfg[key]!r}") from None
 
 
 def _split_names(value) -> tuple[str, ...]:
-    if value is None:
-        return ()
-    if isinstance(value, (list, tuple)):
-        return tuple(str(v) for v in value)
-    return tuple(s.strip() for s in str(value).split(",") if s.strip())
+    if isinstance(value, list):
+        return tuple(value)
+    return tuple(s.strip() for s in value.split(",") if s.strip())
 
 
 def _resolve_contrast(spec: str, k: int, d: int, group_names, outcome_names):
@@ -146,30 +161,20 @@ def _resolve_contrast(spec: str, k: int, d: int, group_names, outcome_names):
         if not os.path.exists(path):
             raise ConfigError(f"custom contrast file not found: {path}")
         return contrasts_mod.from_csv(path, k, d)
-    family = _FAMILY_FLAGS.get(spec, spec)
-    return contrasts_mod.build_family(
-        family, k, d, group_names=group_names, outcome_names=outcome_names
-    )
+    return contrasts_mod.build_family(spec.replace("-", "_"), k, d,
+                                      group_names=group_names,
+                                      outcome_names=outcome_names)
 
 
 def _cmd_analyze(args) -> int:
-    cfg = _merge_config(
-        args,
-        keys=(
-            "input", "group-col", "outcomes", "covariates", "contrast",
-            "bootstrap", "B", "alpha", "seed", "out", "dump-draws",
-        ),
-    )
-    for required in ("input", "group-col", "outcomes"):
-        if required not in cfg:
-            raise ConfigError(f"missing required option --{required}")
+    cfg = _settings(args, ANALYZE_SETTINGS)
     if not os.path.exists(cfg["input"]):
         raise ConfigError(f"input file not found: {cfg['input']}")
 
     schema = CsvSchema(
-        group=str(cfg["group-col"]),
+        group=cfg["group-col"],
         outcomes=_split_names(cfg["outcomes"]),
-        covariates=_split_names(cfg.get("covariates")),
+        covariates=_split_names(cfg["covariates"]),
     )
     ds = load_csv(cfg["input"], schema)
     report = validate(ds)
@@ -180,38 +185,28 @@ def _cmd_analyze(args) -> int:
             print(f"error: {e}", file=sys.stderr)
         return 2
 
-    contrast_spec = str(cfg.get("contrast", "two-sample"))
     contrasts = _resolve_contrast(
-        contrast_spec, ds.k, ds.d, ds.groups, ds.outcome_names
+        cfg["contrast"], ds.k, ds.d, ds.groups, ds.outcome_names
     )
-    boot = BootstrapConfig(
-        kind=str(cfg.get("bootstrap", "wild")),
-        B=_number(cfg, "B", int, DEFAULT_B),
-        seed=_number(cfg, "seed", int, DEFAULT_SEED),
-    )
-    dump = bool(cfg.get("dump-draws", False))
-    result = run_mctp(
-        ds, contrasts, boot, _number(cfg, "alpha", float, DEFAULT_ALPHA),
-        keep_draws=dump,
-    )
+    boot = BootstrapConfig(kind=cfg["bootstrap"], B=cfg["B"], seed=cfg["seed"])
+    result = run_mctp(ds, contrasts, boot, cfg["alpha"], keep_draws=cfg["dump-draws"])
 
     table = format_result_table(result)
     print(table)
-    out_dir = cfg.get("out")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    if cfg["out"]:
+        os.makedirs(cfg["out"], exist_ok=True)
         doc = result.to_dict()
         doc["meta"]["input"] = os.path.abspath(cfg["input"])
-        doc["meta"]["contrast"] = contrast_spec
-        with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8") as fh:
+        doc["meta"]["contrast"] = cfg["contrast"]
+        with open(os.path.join(cfg["out"], "result.json"), "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-        with open(os.path.join(out_dir, "result.txt"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(cfg["out"], "result.txt"), "w", encoding="utf-8") as fh:
             fh.write(table + "\n")
-        if dump:
+        if cfg["dump-draws"]:
             save_draws_csv(
                 result.draws,
-                os.path.join(out_dir, "draws.csv"),
+                os.path.join(cfg["out"], "draws.csv"),
                 labels=[o.label for o in result.contrasts],
             )
     return 0
@@ -227,28 +222,19 @@ def _scenario_from_dict(position: int, raw) -> SimScenario:
     if "k" not in raw or "d" not in raw:
         raise ConfigError("each scenario needs at least 'k' and 'd'")
     for key, value in raw.items():
-        if not isinstance(value, (int, float) if types[key] is float else types[key]):
-            raise ConfigError(f"scenarios[{position}].{key} must be "
-                              f"{types[key].__name__}, got {value!r}")
+        _check(f"scenarios[{position}].{key}", value, types[key])
     return SimScenario(**raw)
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _merge_config(
-        args, keys=("scenarios", "runs", "B", "alpha", "seed", "workers", "out")
-    )
-    if not isinstance(cfg.get("scenarios"), list) or not cfg["scenarios"]:
+    cfg = _settings(args, SIMULATE_SETTINGS)
+    if not isinstance(cfg["scenarios"], list) or not cfg["scenarios"]:
         raise ConfigError("config must define a non-empty 'scenarios' list")
     scenarios = [_scenario_from_dict(i, s) for i, s in enumerate(cfg["scenarios"])]
     try:
-        results = run_study(
-            scenarios,
-            runs=_number(cfg, "runs", int, 1000),
-            B=_number(cfg, "B", int, DEFAULT_B),
-            alpha=_number(cfg, "alpha", float, DEFAULT_ALPHA),
-            seed=_number(cfg, "seed", int, DEFAULT_SEED),
-            workers=_number(cfg, "workers", int, 1),
-        )
+        results = run_study(scenarios, runs=cfg["runs"], B=cfg["B"],
+                            alpha=cfg["alpha"], seed=cfg["seed"],
+                            workers=cfg["workers"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid study settings: {exc}") from None
 
@@ -261,18 +247,17 @@ def _cmd_simulate(args) -> int:
             f"{res.rate:.2f}% [{res.ci_lower:.2f}, {res.ci_upper:.2f}] "
             f"({res.runs} runs, B={res.B})"
         )
-    out_dir = cfg.get("out")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        write_study_csv(results, os.path.join(out_dir, "study.csv"))
+    if cfg["out"]:
+        os.makedirs(cfg["out"], exist_ok=True)
+        write_study_csv(results, os.path.join(cfg["out"], "study.csv"))
     return 0
 
 
 def _cmd_contrasts(args) -> int:
     contrasts = _resolve_contrast(
         args.contrast, args.k, args.d,
-        _split_names(args.groups) or None,
-        _split_names(args.outcomes) or None,
+        args.groups and _split_names(args.groups),
+        args.outcomes and _split_names(args.outcomes),
     )
     width = max(len(lbl) for lbl in contrasts.labels)
     for label, row in zip(contrasts.labels, contrasts.H):
@@ -283,22 +268,14 @@ def _cmd_contrasts(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "simulate": _cmd_simulate,
-        "contrasts": _cmd_contrasts,
-    }
     try:
-        return handlers[args.subcommand](args)
-    except (ConfigError, SimulationError) as exc:
+        return args.command(args)
+    except (ConfigError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, ContrastError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -58,8 +58,12 @@ def _names(prefix: str, count: int, given) -> list[str]:
     return [f"{prefix} {j + 1}" for j in range(count)]
 
 
-def _kron_with_identity(H_u: np.ndarray, d: int) -> np.ndarray:
-    return np.kron(H_u, np.eye(d)) + 0.0  # adding 0.0 normalizes -0.0 entries
+def _family(H_u, row_names, d: int, outcome_names) -> ContrastMatrix:
+    """H_u kron I_d, its rows labelled "<row name>, <outcome>", outcome fastest."""
+    o = _names("outcome", d, outcome_names)
+    H = np.kron(np.asarray(H_u, dtype=float), np.eye(d)) + 0.0  # + 0.0 normalizes -0.0
+    return ContrastMatrix(H=H, labels=tuple(f"{row}, {out}" for row in row_names
+                                            for out in o))
 
 
 def two_sample(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
@@ -67,10 +71,7 @@ def two_sample(k: int, d: int, group_names=None, outcome_names=None) -> Contrast
     if k != 2:
         raise ContrastError(f"two-sample contrasts require k=2 groups, got k={k}")
     g = _names("group", 2, group_names)
-    o = _names("outcome", d, outcome_names)
-    H = _kron_with_identity(np.array([[1.0, -1.0]]), d)
-    labels = tuple(f"{g[0]} - {g[1]}, {o[ell]}" for ell in range(d))
-    return ContrastMatrix(H=H, labels=labels)
+    return _family([[1.0, -1.0]], [f"{g[0]} - {g[1]}"], d, outcome_names)
 
 
 def dunnett(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
@@ -78,14 +79,9 @@ def dunnett(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMat
     if k < 2:
         raise ContrastError(f"many-to-one contrasts require k>=2 groups, got k={k}")
     g = _names("group", k, group_names)
-    o = _names("outcome", d, outcome_names)
-    H_u = np.zeros((k - 1, k))
-    labels = []
-    for i in range(1, k):
-        H_u[i - 1, 0] = -1.0
-        H_u[i - 1, i] = 1.0
-        labels.extend(f"{g[i]} - {g[0]}, {o[ell]}" for ell in range(d))
-    return ContrastMatrix(H=_kron_with_identity(H_u, d), labels=tuple(labels))
+    e = np.eye(k)
+    return _family([e[i] - e[0] for i in range(1, k)],
+                   [f"{g[i]} - {g[0]}" for i in range(1, k)], d, outcome_names)
 
 
 def tukey(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
@@ -93,19 +89,10 @@ def tukey(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatri
     if k < 2:
         raise ContrastError(f"all-pair contrasts require k>=2 groups, got k={k}")
     g = _names("group", k, group_names)
-    o = _names("outcome", d, outcome_names)
-    rows = []
-    labels = []
-    for i1 in range(k):
-        for i2 in range(i1 + 1, k):
-            row = np.zeros(k)
-            row[i1] = -1.0
-            row[i2] = 1.0
-            rows.append(row)
-            labels.extend(f"{g[i2]} - {g[i1]}, {o[ell]}" for ell in range(d))
-    return ContrastMatrix(
-        H=_kron_with_identity(np.asarray(rows), d), labels=tuple(labels)
-    )
+    e = np.eye(k)
+    pairs = [(i1, i2) for i1 in range(k) for i2 in range(i1 + 1, k)]
+    return _family([e[i2] - e[i1] for i1, i2 in pairs],
+                   [f"{g[i2]} - {g[i1]}" for i1, i2 in pairs], d, outcome_names)
 
 
 def grand_mean(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
@@ -113,12 +100,8 @@ def grand_mean(k: int, d: int, group_names=None, outcome_names=None) -> Contrast
     if k < 2:
         raise ContrastError(f"grand-mean contrasts require k>=2 groups, got k={k}")
     g = _names("group", k, group_names)
-    o = _names("outcome", d, outcome_names)
-    H_u = np.eye(k) - np.full((k, k), 1.0 / k)
-    labels = tuple(
-        f"{g[i]} - grand mean, {o[ell]}" for i in range(k) for ell in range(d)
-    )
-    return ContrastMatrix(H=_kron_with_identity(H_u, d), labels=labels)
+    return _family(np.eye(k) - np.full((k, k), 1.0 / k),
+                   [f"{g[i]} - grand mean" for i in range(k)], d, outcome_names)
 
 
 def custom(H_raw, labels=None) -> ContrastMatrix:

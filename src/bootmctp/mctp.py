@@ -278,8 +278,8 @@ def run_mctp(ds: Dataset, contrasts: ContrastMatrix, cfg: BootstrapConfig,
         )
     if gamma == 0.0:
         warnings.append(
-            f"no rejection possible: adjusted level gamma=0 at B={cfg.B}, "
-            f"alpha={alpha:g}"
+            f"adjusted level gamma=0 at B={cfg.B}, alpha={alpha:g}: only a "
+            "statistic above every bootstrap value is rejected"
         )
 
     outcomes = tuple(

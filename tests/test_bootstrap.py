@@ -422,6 +422,13 @@ class TestConfigAndDump:
         with pytest.raises(EstimationError, match="B must be >= 1"):
             BootstrapConfig("wild", 0, 1)
 
+    def test_b_beyond_stream_range(self):
+        """Replicate b draws from stream index b, which must be below 2**32."""
+        assert BootstrapConfig("wild", 2**32, 1).B == 2**32
+        for B in (2**32 + 1, 10**30):
+            with pytest.raises(EstimationError, match=r"B must be <= 2\*\*32"):
+                BootstrapConfig("wild", B, 1)
+
     def test_draws_csv_roundtrip(self, fitted_small, tmp_path):
         ds, dm, fit, cov = fitted_small
         cm = two_sample(2, 2)

@@ -1,10 +1,14 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bootmctp.cli import main
+from bootmctp.cli import ANALYZE_SETTINGS, SIMULATE_SETTINGS, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -143,7 +147,13 @@ class TestAnalyze:
     @pytest.mark.parametrize("key, value, kind", [("B", "abc", "int"),
                                                   ("alpha", "x", "float"),
                                                   ("seed", [1], "int"),
-                                                  ("B", float("inf"), "int")])
+                                                  ("B", float("inf"), "int"),
+                                                  ("B", 150.9, "int"),
+                                                  ("B", True, "int"),
+                                                  ("B", "60", "int"),
+                                                  ("dump-draws", "false", "bool"),
+                                                  ("input", 3, "str"),
+                                                  ("outcomes", ["SDNN", 1], "list")])
     def test_wrongly_typed_config_value_exits_1(self, capsys, tmp_path, hrv_path,
                                                 key, value, kind):
         cfg = {"input": hrv_path, "group-col": "group", "outcomes": "SDNN,RMSSD",
@@ -155,6 +165,16 @@ class TestAnalyze:
         assert out == ""
         assert err.splitlines() == [
             f"error: config value {key} must be {kind}, got {value!r}"]
+
+    def test_b_beyond_stream_range_is_one_error_line(self, capsys, tmp_path, hrv_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input": hrv_path, "group-col": "group",
+                                        "outcomes": "SDNN,RMSSD", "B": 10**30}))
+        code, out, err = run_cli(capsys, ["analyze", "--config", str(cfg_path)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: bootstrap replicate count B must be <= 2**32"]
 
     def test_unknown_config_key_exits_1(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -227,6 +247,10 @@ class TestSimulate:
          "scenarios[0].delta must be float, got '0'"),
         ({"scenarios": [{"k": 2, "d": 2}], "runs": "ten"},
          "config value runs must be int, got 'ten'"),
+        ({"scenarios": [{"k": 2, "d": 2}], "runs": 2.7},
+         "config value runs must be int, got 2.7"),
+        ({"scenarios": [{"k": 2, "d": 2, "covariance": True}]},
+         "scenarios[0].covariance must be int, got True"),
         ({"scenarios": {"k": 2, "d": 2}},
          "config must define a non-empty 'scenarios' list"),
     ])
@@ -279,3 +303,17 @@ class TestContrastsCommand:
         )
         assert code == 2
         assert "k=2" in err
+
+
+@pytest.mark.parametrize("subcommand, settings", [("analyze", ANALYZE_SETTINGS),
+                                                  ("simulate", SIMULATE_SETTINGS)])
+def test_readme_lists_each_setting_with_its_type_and_default(subcommand, settings):
+    """The README's list of config keys is the CLI's table of settings."""
+    text = README.read_text(encoding="utf-8")
+    header = f"The settings of `{subcommand}` (JSON type,"
+    bullets = text.split(header, 1)[1].split("\n\n", 2)[1]
+    assert re.findall(r"^- `([\w-]+)`", bullets, re.M) == [s[0] for s in settings]
+    typed = re.findall(r"^- `([\w-]+)` \((\w+), (?:required|default `([^`]*)`)",
+                       bullets, re.M)
+    assert typed == [(name, kind.__name__, "" if default is ... else json.dumps(default))
+                     for name, kind, default, _ in settings if kind is not None]

@@ -348,7 +348,22 @@ class TestRunMctp:
         ds = random_dataset(27, k=2, d=1, c=0, n_i=(10, 10))
         res = run_mctp(ds, two_sample(2, 1), BootstrapConfig("wild", 120, 1), 0.005)
         assert res.gamma == 0.0
-        assert any("no rejection possible" in w for w in res.warnings)
+        assert any("only a statistic above every bootstrap value is rejected" in w
+                   for w in res.warnings)
+
+    def test_gamma_zero_warning_with_a_rejection(self, hrv_path, hrv_schema):
+        """At gamma=0 a statistic above every replicate is still rejected."""
+        from bootmctp import load_csv
+
+        ds = load_csv(hrv_path, hrv_schema)
+        cm = two_sample(2, 5, group_names=ds.groups, outcome_names=ds.outcome_names)
+        res = run_mctp(ds, cm, BootstrapConfig("wild", 20, 20250809), 0.05)
+        assert res.gamma == 0.0
+        assert [o.label for o in res.contrasts if o.reject] == [
+            "hypnosis - control, SDNN", "hypnosis - control, VLF"]
+        assert all(o.p_value == 0.0 for o in res.contrasts if o.reject)
+        assert any("gamma=0" in w and "only a statistic above every bootstrap "
+                   "value is rejected" in w for w in res.warnings)
 
     def test_table_contains_all_contrasts(self):
         ds = random_dataset(28, k=2, d=2, c=1, n_i=(8, 8))
