@@ -54,6 +54,8 @@ SIMULATE_SETTINGS = (
     ("workers", int, 1, "worker processes"),
     ("out", str, None, "output directory for the results CSV"),
 )
+# The accepted values of a setting that has a fixed set of them.
+_CHOICES = {"bootstrap": KINDS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +73,7 @@ def _add_flags(parser, settings) -> None:
                                 help=help_text)
         elif kind is not None:
             parser.add_argument(f"--{name}", type=str if kind is list else kind,
-                                choices=KINDS if name == "bootstrap" else None,
+                                choices=_CHOICES.get(name),
                                 help=help_text)
 
 
@@ -142,6 +144,10 @@ def _settings(args: argparse.Namespace, settings) -> dict:
         elif name in cfg:
             if kind is not None:
                 _check(f"config value {name}", cfg[name], kind)
+            choices = _CHOICES.get(name)
+            if choices and cfg[name] not in choices:
+                raise ConfigError(f"config value {name} must be one of "
+                                  f"{', '.join(choices)}, got {cfg[name]!r}")
         elif default is ...:
             raise ConfigError(f"missing required option --{name}")
         else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from . import bootstrap
 from .bootstrap import BootstrapConfig
 from .contrasts import build_family
 from .covariance import psd_sqrt
@@ -287,6 +289,11 @@ def _block_flags(future, scenario_index: int, block) -> np.ndarray:
         ) from exc
 
 
+def _serial_bootstraps() -> None:
+    """Pool initializer: the pool's processes already fill the CPUs."""
+    bootstrap.MAX_THREADS = 1
+
+
 def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
               workers: int = 1) -> list[StudyResult]:
     """Monte Carlo study over scenarios; returns one result per method.
@@ -298,15 +305,21 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     pool runs the blocks of runs of every scenario; a failed run is raised
     as in the serial order, and the blocks not yet started are cancelled.
     A worker process that dies is raised as a SimulationError naming the
-    first block, in that order, that did not finish.
+    first block, in that order, that did not finish.  Pool workers run
+    their bootstraps on one thread; see :mod:`bootmctp.bootstrap`.
     """
     if runs < 1:
         raise SimulationError("runs must be >= 1")
+    if runs > sys.maxsize:
+        raise ValueError(f"runs must be <= {sys.maxsize}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     scenarios = list(scenarios)
     if workers > 1:
         blocks = [blk.tolist() for blk in
                   np.array_split(np.arange(runs), min(workers * 4, runs))]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_serial_bootstraps) as pool:
             futures = [
                 [pool.submit(_global_rejections, scenario, blk, B, alpha, seed, si)
                  for blk in blocks]

@@ -1,4 +1,6 @@
 import gc
+import os
+import sys
 import weakref
 
 import numpy as np
@@ -57,13 +59,45 @@ def fitted_small():
 
 
 @pytest.fixture(scope="module")
-def fitted_shapes(fitted_small):
-    """The d=2, c=1 fixture plus a scalar design and a wide one."""
+def fitted_large():
+    """A design at the threading gate of both schemes: n*d = 1500."""
+    return fitted(random_dataset(8, k=2, d=5, c=2, n_i=(140, 160)))
+
+
+@pytest.fixture(scope="module")
+def fitted_shapes(fitted_small, fitted_large):
+    """The d=2, c=1 fixture, a scalar design, a wide one and a large one."""
     return {
         "d=2, c=1": fitted_small,
         "d=1, c=0": fitted(random_dataset(101, k=2, d=1, c=0, n_i=(9, 11))),
         "d=5, c=2": fitted(random_dataset(7, k=2, d=5, c=2, n_i=(12, 15))),
+        "n=300, d=5": fitted_large,
     }
+
+
+def force_threads(monkeypatch, T):
+    """Make every later bootstrap run on T threads, whatever its size."""
+    monkeypatch.setattr(bootstrap, "_thread_count", lambda kind, n, d: T)
+
+
+def runs_by_layout(monkeypatch, cfg, dm, fit, cov, cm):
+    """run_bootstrap at T in {1, 2} x CHUNK in {1, 7, 256}, keyed by (T, CHUNK)."""
+    runs = {}
+    for T in (1, 2):
+        force_threads(monkeypatch, T)
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(bootstrap, "CHUNK", chunk)
+            runs[T, chunk] = run_bootstrap(cfg, dm, fit, cov, cm)
+    return runs
+
+
+def assert_same_draws(runs, context):
+    """Every run's A_star, redraw count and warnings equal the first run's."""
+    (_, first), *rest = runs.items()
+    for layout, draws in rest:
+        assert np.array_equal(draws.A_star, first.A_star), (context, layout)
+        assert draws.invalid_redraws == first.invalid_redraws, (context, layout)
+        assert draws.warnings == first.warnings, (context, layout)
 
 
 class TestDeterminism:
@@ -88,16 +122,12 @@ class TestDeterminism:
                     assert np.array_equal(a, draws.A_star[b]), (shape, kind, b)
 
     @pytest.mark.parametrize("kind", ["wild", "parametric"])
-    def test_chunk_size_does_not_change_results(self, fitted_shapes, monkeypatch, kind):
+    def test_threads_and_chunk_size_do_not_change_results(self, fitted_shapes,
+                                                          monkeypatch, kind):
         for shape, (ds, dm, fit, cov) in fitted_shapes.items():
             cm = two_sample(2, dm.d)
             cfg = BootstrapConfig(kind, 300, 19)
-            results = []
-            for chunk in (1, 7, 256):
-                monkeypatch.setattr(bootstrap, "CHUNK", chunk)
-                results.append(run_bootstrap(cfg, dm, fit, cov, cm).A_star)
-            assert np.array_equal(results[0], results[1]), shape
-            assert np.array_equal(results[0], results[2]), shape
+            assert_same_draws(runs_by_layout(monkeypatch, cfg, dm, fit, cov, cm), shape)
 
     def test_draw_into_reused_buffer_equals_fresh_draw(self, fitted_small):
         ds, dm, fit, cov = fitted_small
@@ -112,7 +142,14 @@ class TestDeterminism:
                 assert engine.draw(rngs, buf) is buf
                 assert np.array_equal(buf, fresh)
 
-    def test_one_philox_per_bootstrap(self, fitted_small, monkeypatch):
+    @pytest.mark.parametrize("kind", ["wild", "parametric"])
+    @pytest.mark.parametrize("large", [False, True])
+    def test_one_philox_per_thread(self, fitted_small, fitted_large, monkeypatch,
+                                   kind, large):
+        """One Philox on the serial path, T on the threaded one.
+
+        T comes from this process's real CPU affinity: 1 on one CPU.
+        """
         built = []
 
         class Philox(np.random.Philox):  # the state setter checks the name
@@ -120,12 +157,64 @@ class TestDeterminism:
                 built.append(self)
                 super().__init__(*args, **kwargs)
 
-        ds, dm, fit, cov = fitted_small
-        cm, cfg = two_sample(2, 2), BootstrapConfig("wild", 3 * bootstrap.CHUNK, 8)
+        ds, dm, fit, cov = fitted_large if large else fitted_small
+        cm, cfg = two_sample(2, dm.d), BootstrapConfig(kind, 3 * bootstrap.CHUNK, 8)
         want = run_bootstrap(cfg, dm, fit, cov, cm).A_star
         monkeypatch.setattr(np.random, "Philox", Philox)
         assert np.array_equal(run_bootstrap(cfg, dm, fit, cov, cm).A_star, want)
-        assert len(built) == 1
+        assert len(built) == (min(2, len(os.sched_getaffinity(0))) if large else 1)
+
+    def test_thread_count_gate(self, monkeypatch):
+        T = min(2, len(os.sched_getaffinity(0)))
+        for kind, cells in bootstrap.THREAD_MIN_CELLS.items():
+            assert bootstrap._thread_count(kind, cells - 1, 1) == 1
+            assert bootstrap._thread_count(kind, cells, 1) == T
+            assert bootstrap._thread_count(kind, 1, cells) == T
+        assert bootstrap._thread_count("wild", 45, 5) == 1  # the HRV data
+        monkeypatch.setattr(bootstrap, "MAX_THREADS", 1)
+        assert bootstrap._thread_count("parametric", 10**4, 5) == 1
+
+    def test_thread_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert bootstrap._thread_count("wild", 10**4, 5) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert bootstrap._thread_count("wild", 10**4, 5) == 2
+
+    def test_more_threads_than_cpus_with_short_switch_interval(self, fitted_small,
+                                                               monkeypatch):
+        """Eight threads handing the GIL over every microsecond: same draws."""
+        ds, dm, fit, cov = fitted_small
+        cm = two_sample(2, 2)
+        for kind in ("wild", "parametric"):
+            cfg = BootstrapConfig(kind, 2000, 23)
+            force_threads(monkeypatch, 1)
+            want = run_bootstrap(cfg, dm, fit, cov, cm).A_star
+            force_threads(monkeypatch, 8)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                got = run_bootstrap(cfg, dm, fit, cov, cm).A_star
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(got, want), kind
+
+    def test_failing_chunk_on_the_pool_thread_raises(self, fitted_large, monkeypatch):
+        ds, dm, fit, cov = fitted_large
+        real = _Engine.replicates
+        calls = []
+
+        def replicates(self, seed, index, attempt):
+            calls.append(index[0])
+            if index[0] == bootstrap.CHUNK // 2:  # the second chunk of round 1
+                raise MemoryError("pool thread")
+            return real(self, seed, index, attempt)
+
+        force_threads(monkeypatch, 2)
+        monkeypatch.setattr(_Engine, "replicates", replicates)
+        with pytest.raises(MemoryError, match="pool thread"):
+            run_bootstrap(BootstrapConfig("wild", 1000, 3), dm, fit, cov, two_sample(2, 5))
+        assert sorted(calls) == [0, bootstrap.CHUNK // 2]
 
     def test_single_row_for_b_equals_one(self, fitted_small):
         ds, dm, fit, cov = fitted_small
@@ -301,18 +390,21 @@ def few_redraws():
 
 
 class TestRedraws:
-    def test_redraws_warn_and_do_not_depend_on_chunk_size(self, few_redraws, monkeypatch):
+    def test_redraws_warn_and_do_not_depend_on_threads_or_chunk_size(
+            self, few_redraws, monkeypatch):
         dm, fit, cov, cm, cfg = few_redraws
-        runs = []
-        for chunk in (1, 7, 256):
-            monkeypatch.setattr(bootstrap, "CHUNK", chunk)
-            runs.append(run_bootstrap(cfg, dm, fit, cov, cm))
-        assert runs[0].invalid_redraws > 0
-        assert len(runs[0].warnings) == 1
-        assert "invalid bootstrap replicates redrawn" in runs[0].warnings[0]
-        for draws in runs[1:]:
-            assert draws.invalid_redraws == runs[0].invalid_redraws
-            assert np.array_equal(draws.A_star, runs[0].A_star)
+        runs = runs_by_layout(monkeypatch, cfg, dm, fit, cov, cm)
+        first = runs[1, 1]
+        assert first.invalid_redraws > 0
+        assert len(first.warnings) == 1
+        assert "invalid bootstrap replicates redrawn" in first.warnings[0]
+        assert_same_draws(runs, "wild")
+
+    def test_parametric_does_not_depend_on_threads_or_chunk_size(
+            self, few_redraws, monkeypatch):
+        dm, fit, cov, cm, cfg = few_redraws
+        cfg = BootstrapConfig("parametric", cfg.B, cfg.seed)
+        assert_same_draws(runs_by_layout(monkeypatch, cfg, dm, fit, cov, cm), "parametric")
 
     def test_redrawn_rows_come_from_the_next_attempt(self, few_redraws):
         dm, fit, cov, cm, cfg = few_redraws

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,16 @@ class TestAnalyze:
         assert err.splitlines() == [
             "error: bootstrap replicate count B must be <= 2**32"]
 
+    def test_config_bootstrap_outside_choices_exits_1(self, capsys, tmp_path, hrv_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input": hrv_path, "group-col": "group",
+                                        "outcomes": "SDNN,RMSSD", "bootstrap": "Wild"}))
+        code, out, err = run_cli(capsys, ["analyze", "--config", str(cfg_path)])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: config value bootstrap must be one of wild, parametric, got 'Wild'"]
+
     def test_unknown_config_key_exits_1(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"inputt": "x.csv"}))
@@ -261,6 +272,21 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"workers": -3}, "workers must be >= 1"),
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"runs": 10**30}, f"runs must be <= {sys.maxsize}"),
+        ({"runs": 10**30, "workers": 2}, f"runs must be <= {sys.maxsize}"),
+    ])
+    def test_invalid_study_settings_exit_1(self, capsys, tmp_path, cfg, message):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({"runs": 2, "B": 20,
+                                        "scenarios": [{"k": 2, "d": 2}], **cfg}))
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: invalid study settings: {message}"]
 
     def test_missing_config_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, ["simulate", "--config", "/nope.json"])

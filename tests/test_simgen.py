@@ -16,7 +16,7 @@ from bootmctp import (
     validate,
     write_study_csv,
 )
-from bootmctp import simgen
+from bootmctp import bootstrap, simgen
 from bootmctp.simgen import (
     _binomial_ci,
     default_nu,
@@ -204,6 +204,12 @@ class TestRunStudy:
             run_study([SimScenario(k=2, d=2, contrast_family="two_sample")],
                       runs=0, B=100, alpha=0.05, seed=1)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_study([SimScenario(k=2, d=2, contrast_family="two_sample")],
+                      runs=2, B=20, alpha=0.05, seed=1, workers=workers)
+
     def test_smoke_two_methods(self, tmp_path):
         sc = SimScenario(k=2, d=2, contrast_family="two_sample")
         results = run_study([sc], runs=40, B=100, alpha=0.05, seed=2)
@@ -260,6 +266,25 @@ class TestRunStudy:
         assert len(pools) == 1
         assert len(par) == 4
         assert par == seq
+
+    def test_pool_workers_bootstrap_on_one_thread(self, monkeypatch):
+        """A threaded cell gives the same rates through single-threaded workers."""
+        probes = []
+
+        class ProbedPool(simgen.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                probes.append(self.submit(bootstrap._thread_count, "wild", 10**4, 5))
+
+        monkeypatch.setattr(simgen, "ProcessPoolExecutor", ProbedPool)
+        sc = SimScenario(k=2, d=5, multiplier=15, contrast_family="two_sample")
+        # n*d = 1500 reaches both gates: one process threads this cell's bootstraps.
+        assert sum(sc.sample_sizes) * sc.d >= max(bootstrap.THREAD_MIN_CELLS.values())
+        seq = run_study([sc], runs=4, B=300, alpha=0.05, seed=9, workers=1)
+        par = run_study([sc], runs=4, B=300, alpha=0.05, seed=9, workers=2)
+        assert [probe.result() for probe in probes] == [1]
+        assert par == seq
+        assert bootstrap.MAX_THREADS == 2  # only the pool's processes were set
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched gen_dataset reaches workers only by fork")
