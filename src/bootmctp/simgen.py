@@ -18,7 +18,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import bootstrap
 from .bootstrap import BootstrapConfig
@@ -241,16 +240,16 @@ def gen_dataset(scenario: SimScenario, rng: np.random.Generator) -> Dataset:
     )
 
 
-def _global_rejections(scenario: SimScenario, run_indices, B: int, alpha: float,
-                       seed: int, scenario_index: int) -> np.ndarray:
-    """Global decisions (wild, parametric) for a block of simulation runs.
+def _global_rejections(scenario: SimScenario, start: int, stop: int, B: int,
+                       alpha: float, seed: int, scenario_index: int) -> tuple[int, int]:
+    """Global rejection counts (wild, parametric) over the runs start..stop-1.
 
     An EstimationError in one run is re-raised, chained, as a SimulationError
     that names the scenario index, the run index and the dataset seed.
     """
-    out = np.zeros((len(run_indices), 2), dtype=bool)
+    hits = [0, 0]
     H = build_family(scenario.contrast_family, scenario.k, scenario.d)
-    for j, ri in enumerate(run_indices):
+    for ri in range(start, stop):
         data_seed = derive_seed(seed, scenario_index, ri, 0)
         try:
             ds = gen_dataset(scenario, substream(data_seed, 0))
@@ -260,17 +259,19 @@ def _global_rejections(scenario: SimScenario, run_indices, B: int, alpha: float,
                     kind=kind, B=B, seed=derive_seed(seed, scenario_index, ri, 1 + col)
                 )
                 *_, reject = _calibrate(cfg, dm, fit, cov, H, A_n, alpha)
-                out[j, col] = bool(reject.any())
+                hits[col] += bool(reject.any())
         except EstimationError as exc:
             raise SimulationError(
                 f"scenario {scenario_index}, run {ri} (dataset seed {data_seed}) "
                 f"failed: {exc}"
             ) from exc
-    return out
+    return hits[0], hits[1]
 
 
 def _binomial_ci(successes: int, trials: int, level: float = 0.95):
     # Clopper-Pearson; betaincinv gives beta.ppf bit for bit with a far cheaper import
+    from scipy import special  # only studies need it: ~50 ms and 3.6 MB to load
+
     a = 1.0 - level
     lo, hi = special.betaincinv([successes, successes + 1],
                                 [trials - successes + 1, trials - successes],
@@ -278,13 +279,20 @@ def _binomial_ci(successes: int, trials: int, level: float = 0.95):
     return 0.0 if successes == 0 else lo, 1.0 if successes == trials else hi
 
 
-def _block_flags(future, scenario_index: int, block) -> np.ndarray:
+def _block_bounds(runs: int, count: int) -> list[tuple[int, int]]:
+    """(start, stop) of `count` consecutive blocks of runs, sized as np.array_split."""
+    size, extra = divmod(runs, count)
+    starts = [i * size + min(i, extra) for i in range(count + 1)]
+    return list(zip(starts[:-1], starts[1:]))
+
+
+def _block_hits(future, scenario_index: int, block: tuple[int, int]) -> tuple[int, int]:
     """The pooled result of one block; a dead worker is named by the block."""
     try:
         return future.result()
     except BrokenProcessPool as exc:
         raise SimulationError(
-            f"scenario {scenario_index}, runs {block[0]}-{block[-1]}: a worker "
+            f"scenario {scenario_index}, runs {block[0]}-{block[1] - 1}: a worker "
             f"process died before this block finished ({exc})"
         ) from exc
 
@@ -306,7 +314,9 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     as in the serial order, and the blocks not yet started are cancelled.
     A worker process that dies is raised as a SimulationError naming the
     first block, in that order, that did not finish.  Pool workers run
-    their bootstraps on one thread; see :mod:`bootmctp.bootstrap`.
+    their bootstraps on one thread; see :mod:`bootmctp.bootstrap`.  A study
+    of a single block (one scenario, one run) runs in this process, whose
+    bootstraps may use threads.  Memory does not grow with `runs`.
     """
     if runs < 1:
         raise SimulationError("runs must be >= 1")
@@ -315,32 +325,31 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     if workers < 1:
         raise ValueError("workers must be >= 1")
     scenarios = list(scenarios)
-    if workers > 1:
-        blocks = [blk.tolist() for blk in
-                  np.array_split(np.arange(runs), min(workers * 4, runs))]
+    blocks = _block_bounds(runs, min(workers * 4, runs))
+    if workers > 1 and len(scenarios) * len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_serial_bootstraps) as pool:
             futures = [
-                [pool.submit(_global_rejections, scenario, blk, B, alpha, seed, si)
+                [pool.submit(_global_rejections, scenario, *blk, B, alpha, seed, si)
                  for blk in blocks]
                 for si, scenario in enumerate(scenarios)
             ]
             try:
-                cell_flags = [
-                    np.vstack([_block_flags(f, si, blk) for f, blk in zip(row, blocks)])
+                cell_hits = [
+                    [sum(col) for col in
+                     zip(*(_block_hits(f, si, blk) for f, blk in zip(row, blocks)))]
                     for si, row in enumerate(futures)
                 ]
             finally:
                 pool.shutdown(cancel_futures=True)
     else:
-        cell_flags = [
-            _global_rejections(scenario, list(range(runs)), B, alpha, seed, si)
+        cell_hits = [
+            _global_rejections(scenario, 0, runs, B, alpha, seed, si)
             for si, scenario in enumerate(scenarios)
         ]
     results: list[StudyResult] = []
-    for scenario, flags in zip(scenarios, cell_flags):
-        for col, method in enumerate(("wild", "parametric")):
-            hits = int(flags[:, col].sum())
+    for scenario, cell in zip(scenarios, cell_hits):
+        for method, hits in zip(("wild", "parametric"), cell):
             lo, hi = _binomial_ci(hits, runs)
             results.append(
                 StudyResult(

@@ -80,14 +80,22 @@ def force_threads(monkeypatch, T):
     monkeypatch.setattr(bootstrap, "_thread_count", lambda kind, n, d: T)
 
 
+# (CHUNK, CHUNK_CELLS) pairs: three chunk sizes at the default byte bound,
+# and the two bounds at which fitted_large (n*d = 1500) gets 1 and 7
+# replicates per chunk.  A smaller CHUNK would make the bound moot.
+LAYOUTS = ((1, bootstrap.CHUNK_CELLS), (7, bootstrap.CHUNK_CELLS),
+           (256, bootstrap.CHUNK_CELLS), (256, 1500), (256, 7 * 1500))
+
+
 def runs_by_layout(monkeypatch, cfg, dm, fit, cov, cm):
-    """run_bootstrap at T in {1, 2} x CHUNK in {1, 7, 256}, keyed by (T, CHUNK)."""
+    """run_bootstrap at T in {1, 2} x LAYOUTS, keyed by (T, CHUNK, CHUNK_CELLS)."""
     runs = {}
     for T in (1, 2):
         force_threads(monkeypatch, T)
-        for chunk in (1, 7, 256):
+        for chunk, cells in LAYOUTS:
             monkeypatch.setattr(bootstrap, "CHUNK", chunk)
-            runs[T, chunk] = run_bootstrap(cfg, dm, fit, cov, cm)
+            monkeypatch.setattr(bootstrap, "CHUNK_CELLS", cells)
+            runs[T, chunk, cells] = run_bootstrap(cfg, dm, fit, cov, cm)
     return runs
 
 
@@ -206,7 +214,7 @@ class TestDeterminism:
 
         def replicates(self, seed, index, attempt):
             calls.append(index[0])
-            if index[0] == bootstrap.CHUNK // 2:  # the second chunk of round 1
+            if index[0] == bootstrap.CHUNK // 2:  # the second share of round 1
                 raise MemoryError("pool thread")
             return real(self, seed, index, attempt)
 
@@ -215,6 +223,29 @@ class TestDeterminism:
         with pytest.raises(MemoryError, match="pool thread"):
             run_bootstrap(BootstrapConfig("wild", 1000, 3), dm, fit, cov, two_sample(2, 5))
         assert sorted(calls) == [0, bootstrap.CHUNK // 2]
+
+    @pytest.mark.parametrize("kind", ["wild", "parametric"])
+    @pytest.mark.parametrize("cells", [1000, 7 * 1500, bootstrap.CHUNK_CELLS])
+    def test_chunk_buffers_hold_at_most_chunk_cells(self, fitted_large, monkeypatch,
+                                                    kind, cells):
+        """Every engine buffer stays within CHUNK_CELLS doubles, or one replicate."""
+        ds, dm, fit, cov = fitted_large
+        engines = []
+
+        class Engine(_Engine):
+            def __init__(self, *args, **kwargs):
+                engines.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bootstrap, "_Engine", Engine)
+        monkeypatch.setattr(bootstrap, "CHUNK_CELLS", cells)
+        for T in (1, 2):
+            force_threads(monkeypatch, T)
+            run_bootstrap(BootstrapConfig(kind, 600, 5), dm, fit, cov, two_sample(2, 5))
+        assert len(engines) == 3
+        bound = max(cells, dm.n * dm.d)  # 1000 is below one replicate's 1500
+        for engine in engines:
+            assert engine._Y.size <= bound and engine._work.size <= bound
 
     def test_single_row_for_b_equals_one(self, fitted_small):
         ds, dm, fit, cov = fitted_small
@@ -394,7 +425,7 @@ class TestRedraws:
             self, few_redraws, monkeypatch):
         dm, fit, cov, cm, cfg = few_redraws
         runs = runs_by_layout(monkeypatch, cfg, dm, fit, cov, cm)
-        first = runs[1, 1]
+        first = runs[(1, *LAYOUTS[0])]
         assert first.invalid_redraws > 0
         assert len(first.warnings) == 1
         assert "invalid bootstrap replicates redrawn" in first.warnings[0]

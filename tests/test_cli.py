@@ -39,10 +39,10 @@ class TestAnalyze:
         )
         assert code == 0
         assert "SDNN" in out and "global hypothesis" in out
-        doc = json.loads(open(os.path.join(out_dir, "result.json")).read())
+        doc = json.loads(Path(out_dir, "result.json").read_text())
         assert len(doc["contrasts"]) == 5
         assert doc["meta"]["B"] == 300
-        table = open(os.path.join(out_dir, "result.txt")).read()
+        table = Path(out_dir, "result.txt").read_text()
         assert "decision" in table
 
     def test_table_numbers_appear_in_json_with_more_precision(
@@ -53,7 +53,7 @@ class TestAnalyze:
             capsys, analyze_args + ["--B", "200", "--seed", "2", "--out", out_dir]
         )
         assert code == 0
-        doc = json.loads(open(os.path.join(out_dir, "result.json")).read())
+        doc = json.loads(Path(out_dir, "result.json").read_text())
         for row, entry in zip(
             [ln for ln in out.splitlines() if " - " in ln], doc["contrasts"]
         ):
@@ -101,7 +101,7 @@ class TestAnalyze:
             capsys, analyze_args + ["--B", "10", "--seed", "4", "--out", out_dir]
         )
         assert code == 0
-        doc = json.loads(open(os.path.join(out_dir, "result.json")).read())
+        doc = json.loads(Path(out_dir, "result.json").read_text())
         assert any("gamma-grid too coarse" in w for w in doc["meta"]["warnings"])
 
     def test_validation_failure_exits_2(self, capsys, tmp_path):
@@ -141,7 +141,7 @@ class TestAnalyze:
             ["analyze", "--config", str(cfg_path), "--B", "120", "--out", out_dir],
         )
         assert code == 0
-        doc = json.loads(open(os.path.join(out_dir, "result.json")).read())
+        doc = json.loads(Path(out_dir, "result.json").read_text())
         assert doc["meta"]["B"] == 120  # flag wins
         assert doc["meta"]["bootstrap"] == "parametric"
 
@@ -214,7 +214,7 @@ class TestSimulate:
             capsys, ["simulate", "--config", str(cfg_path), "--out", out_dir]
         )
         assert code == 0
-        lines = open(os.path.join(out_dir, "study.csv")).read().strip().splitlines()
+        lines = Path(out_dir, "study.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + wild + parametric
         assert "wild" in lines[1] and "parametric" in lines[2]
 

@@ -91,3 +91,29 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_analysis_never_imports_scipy_special():
+    """Importing the package and one run_mctp leave scipy.special unloaded.
+
+    Only a study's binomial intervals need it (about 50 ms and 3.6 MB to
+    load).  Run in a fresh interpreter, because the tests themselves load it.
+    """
+    code = """
+import sys
+import numpy as np
+import bootmctp
+rng = np.random.default_rng(1)
+ds = bootmctp.Dataset.from_group_blocks(
+    ["a", "b"], [rng.standard_normal((8, 2)), rng.standard_normal((9, 2))])
+bootmctp.run_mctp(ds, bootmctp.two_sample(2, 2),
+                  bootmctp.BootstrapConfig("wild", 50, 1), 0.05)
+print("scipy.special" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -19,6 +19,7 @@ from bootmctp import (
 from bootmctp import bootstrap, simgen
 from bootmctp.simgen import (
     _binomial_ci,
+    _block_bounds,
     default_nu,
     gen_covariates,
     gen_dataset,
@@ -209,6 +210,43 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_study([SimScenario(k=2, d=2, contrast_family="two_sample")],
                       runs=2, B=20, alpha=0.05, seed=1, workers=workers)
+
+    def test_huge_run_count_needs_no_memory_per_run(self, monkeypatch):
+        """runs = 2**62 starts its first run at once, with no per-run list."""
+
+        class FirstRun(Exception):
+            pass
+
+        def gen_dataset_stopping(scenario, rng):
+            raise FirstRun
+
+        monkeypatch.setattr(simgen, "gen_dataset", gen_dataset_stopping)
+        with pytest.raises(FirstRun):
+            run_study([SimScenario(k=2, d=2, contrast_family="two_sample")],
+                      runs=2**62, B=20, alpha=0.05, seed=1, workers=1)
+
+    @pytest.mark.parametrize("runs, count", [(16, 8), (12, 8), (3, 3), (7, 1), (1, 1)])
+    def test_block_bounds_split_as_array_split(self, runs, count):
+        want = [(int(b[0]), int(b[-1]) + 1)
+                for b in np.array_split(np.arange(runs), count)]
+        assert _block_bounds(runs, count) == want
+
+    def test_single_block_study_runs_without_a_pool(self, monkeypatch):
+        """One scenario and one run: no pool, the same result as workers=1."""
+        pools = []
+
+        class CountedPool(simgen.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simgen, "ProcessPoolExecutor", CountedPool)
+        sc = SimScenario(k=3, d=2, contrast_family="dunnett", alternative="shift",
+                         delta=2.0)
+        seq = run_study([sc], runs=1, B=60, alpha=0.05, seed=5, workers=1)
+        par = run_study([sc], runs=1, B=60, alpha=0.05, seed=5, workers=2)
+        assert pools == []
+        assert par == seq
 
     def test_smoke_two_methods(self, tmp_path):
         sc = SimScenario(k=2, d=2, contrast_family="two_sample")
