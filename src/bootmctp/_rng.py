@@ -12,7 +12,7 @@ determined by its key, its counter and its output buffer, so
 pairs from one Philox by assigning that state in place (re-keying), which
 avoids building a bit generator and its unused entropy-seeded
 ``SeedSequence`` per stream.  The bootstrap builds one such generator per
-run and re-keys it for each chunk of replicates.
+thread and re-keys it for each replicate it draws.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ def substream(seed: int, index: int, attempt: int = 0) -> np.random.Generator:
 def replicate_streams(generator: np.random.Generator, seed: int, index, attempt):
     """Yield the streams of the pairs (index[j], attempt[j]) under `seed`, in order.
 
+    `attempt` is an array like `index` or one integer for every index.
     `generator` is any Generator over a Philox bit generator; its state is
     overwritten, so one generator serves any number of calls.  For each pair
     the key is set to ``(seed, attempt << 32 | index)``, the counter to zero,

@@ -11,26 +11,24 @@ independent of execution order, chunk size and thread count, bit for bit.
 Replicates whose studentizer degenerates (zero bootstrap variance for some
 contrast) are redrawn from the next attempt substream and counted.
 
-The replicates still to draw are two integer arrays, index and attempt,
-processed in rounds of up to ``CHUNK`` replicates, a share of
-``CHUNK // T`` for each of T threads.  Each thread owns an engine: its
-Philox generator, its scratch buffer and its response buffer of one chunk
-of ``min(CHUNK // T, CHUNK_CELLS // (n*d))`` replicates, and at least one,
-so no chunk buffer holds more than ``CHUNK_CELLS`` doubles (1 MiB) unless
-a single replicate does.  The buffers are allocated by the calling thread
-before any work starts and reused for every chunk, so they are not
-faulted in chunk after chunk.  An engine runs its share in near-equal
-chunks: rounds as small as a chunk would add a thread hand-off per chunk,
-and made two-thread parametric bootstraps at n = 400, d = 5 about 7%
-slower.
-A chunk is drawn from ``_rng.replicate_streams``, which re-keys the
-engine's generator to each pair's substream as that row is drawn.
-Parametric normals for a chunk are drawn into one buffer and each group's
-covariance root is applied once per chunk.  The calling thread runs the
-first share of a round itself and a thread pool the others; it then takes
-the results in submission order and alone writes ``A_star``, queues the
-redraws and makes the abort checks.  With T = 1 the same loop runs each
-share inline and starts no pool.
+A bootstrap runs in passes, one per redraw attempt: pass a splits the
+replicate indexes still invalid (all B in pass 0) into T near-equal parts,
+runs the first part on the calling thread and the others on a thread pool,
+and the invalid indexes form the next pass.  The abort checks run once per
+pass, so the result and the abort error do not depend on T or the chunk
+size; with T = 1 no pool starts.  Each thread owns an engine: its Philox
+generator, its scratch buffer and its response buffer of one chunk of
+``min(CHUNK // T, CHUNK_CELLS // (n*d), ceil(B / T))`` replicates, and at
+least one, so no chunk buffer holds more than ``CHUNK_CELLS`` doubles
+(1 MiB) unless a single replicate does.  The calling thread allocates the
+buffers before any work starts and each engine reuses them for every chunk
+of its part, so they are not faulted in chunk after chunk.  An engine runs
+its part in near-equal chunks (a short last chunk costs more per
+replicate): it draws a chunk from ``_rng.replicate_streams``, which
+re-keys its generator to each replicate's substream as that row is drawn,
+refits it and writes its rows into ``A_star``.  Parametric normals for a
+chunk are drawn into one buffer and each group's covariance root is
+applied once per chunk.
 
 T is ``min(MAX_THREADS, usable CPUs)`` when a replicate carries enough
 work that releases the GIL, that is when n*d reaches the scheme's
@@ -56,6 +54,7 @@ single replicate is bitwise identical to batched execution
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -184,7 +183,7 @@ class _Engine:
     """
 
     def __init__(self, kind: str, dm: DesignMatrices, fit: FitResult,
-                 cov: CovarianceEstimate, H: np.ndarray, chunk: int = 0):
+                 cov: CovarianceEstimate, H: np.ndarray, chunk: int):
         self.n, self.k, self.d = dm.n, dm.k, dm.d
         self.XG = np.ascontiguousarray((dm.gram_inv @ dm.X.T).T)
         self.Xt = np.ascontiguousarray(dm.X.T)
@@ -207,24 +206,24 @@ class _Engine:
             self.group_slices = group_slices(dm.n_i)
             self.roots = [psd_sqrt(S) for S in cov.group_sigmas]
 
-    def replicates(self, seed: int, index: np.ndarray,
-                   attempt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(statistics, validity) of the replicates (index[j], attempt[j]).
+    def replicates(self, seed: int, index: np.ndarray, attempt: int,
+                   A_star: np.ndarray) -> np.ndarray:
+        """Write the replicates (index[j], attempt) into ``A_star[index]``.
 
         Draws them from their substreams under `seed` with this engine's
         generator into its response buffer and refits them, in as few
-        chunks as the buffer allows, of near-equal size: a short last chunk
-        costs more per replicate.
+        chunks as the buffer allows, of near-equal size.  Returns their
+        validity; an invalid row holds whatever the refit gave.
         """
         n, d = self.n, self.d
         count = -(-index.size // (self._Y.size // (n * d)))
-        parts = []
-        for b, a in zip(np.array_split(index, count), np.array_split(attempt, count)):
-            rngs = replicate_streams(self._rng, seed, b, a)
+        valid = []
+        for b in np.array_split(index, count):
+            rngs = replicate_streams(self._rng, seed, b, attempt)
             out = self._Y[: n * b.size * d].reshape(n, b.size, d)
-            parts.append(self.statistics(self.draw(rngs, out)))
-        A, valid = zip(*parts)
-        return np.concatenate(A), np.concatenate(valid)
+            A_star[b], ok = self.statistics(self.draw(rngs, out))
+            valid.append(ok)
+        return np.concatenate(valid)
 
     def draw(self, rngs, out: np.ndarray) -> np.ndarray:
         """Draw one chunk of responses into `out`; returns `out`.
@@ -236,12 +235,6 @@ class _Engine:
             return self._draw_wild(rngs, out)
         return self._draw_parametric(rngs, out)
 
-    def _scratch(self, size: int) -> np.ndarray:
-        """A flat buffer of `size` floats, reused by every later chunk."""
-        if self._work.size < size:
-            self._work = np.empty(size)
-        return self._work[:size]
-
     def _draw_wild(self, rngs, out: np.ndarray) -> np.ndarray:
         """Write wild-multiplier responses for one chunk into `out`.
 
@@ -250,7 +243,7 @@ class _Engine:
         rescaled by 1/sqrt(1-p).  Returns `out`, the (n, m, d) responses.
         """
         n, m = out.shape[:2]
-        t = _wild_signs(rngs, self._scratch(m * n).reshape(m, n))
+        t = _wild_signs(rngs, self._work[: m * n].reshape(m, n))
         t *= self.wild_scale
         for j in range(self.d):  # one product per entry, n*m long loops
             np.multiply(t.T, self.residuals[:, j, None], out=out[:, :, j])
@@ -267,7 +260,7 @@ class _Engine:
         responses.
         """
         n, m, d = out.shape
-        normals = self._scratch(m * n * d).reshape(m, n, d)
+        normals = self._work[: m * n * d].reshape(m, n, d)
         for rows, rng in zip(normals, rngs, strict=True):
             rng.standard_normal(out=rows)
         for sl, L in zip(self.group_slices, self.roots):
@@ -288,7 +281,7 @@ class _Engine:
         Yq = Ystar.reshape(n, m * d)
         beta = np.einsum("np,nq->pq", self.XG, Yq)
         # Fitted values, turned into squared residuals in the same buffer.
-        resid_sq = self._scratch(n * m * d).reshape(n, m * d)
+        resid_sq = self._work[: n * m * d].reshape(n, m * d)
         np.einsum("pn,pq->nq", self.Xt, beta, out=resid_sq)
         np.subtract(Yq, resid_sq, out=resid_sq)
         np.square(resid_sq, out=resid_sq)
@@ -320,6 +313,42 @@ def _thread_count(kind: str, n: int, d: int) -> int:
     return min(MAX_THREADS, cpus)
 
 
+def _run_passes(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
+                cov: CovarianceEstimate, H: np.ndarray, A_star: np.ndarray) -> int:
+    """Fill `A_star` with valid replicates, one pass per attempt; return the redraws.
+
+    The engines and their chunk buffers live only for this call, so they
+    are freed before :class:`BootstrapDraws` sorts its copy of |A_star|: a
+    copy allocated above them kept the heap from shrinking, which raised
+    the peak memory of a study process by about 3 MB (n=400, d=5, r=30).
+    """
+    B = cfg.B
+    T = _thread_count(cfg.kind, dm.n, dm.d)
+    chunk = max(1, min(CHUNK // T, CHUNK_CELLS // (dm.n * dm.d), -(-B // T)))
+    engines = [_Engine(cfg.kind, dm, fit, cov, H, chunk) for _ in range(T)]
+    index, invalid_total = np.arange(B), 0
+    with ThreadPoolExecutor(T - 1) if T > 1 else contextlib.nullcontext() as pool:
+        for attempt in range(MAX_ATTEMPTS):
+            parts = np.array_split(index, min(T, index.size))
+            futures = [pool.submit(e.replicates, cfg.seed, part, attempt, A_star)
+                       for e, part in zip(engines[1:], parts[1:])]
+            valid = [engines[0].replicates(cfg.seed, parts[0], attempt, A_star)]
+            index = index[~np.concatenate(valid + [f.result() for f in futures])]
+            if not index.size:
+                return invalid_total
+            invalid_total += index.size
+            if invalid_total > INVALID_ABORT_FRACTION * B:
+                raise EstimationError(
+                    "degenerate bootstrap distribution: more than "
+                    f"{INVALID_ABORT_FRACTION:.0%} of replicates invalid "
+                    f"({invalid_total} redraws for B={B})"
+                )
+    raise EstimationError(
+        "degenerate bootstrap distribution: replicate "
+        f"{index[0]} invalid after {MAX_ATTEMPTS} attempts"
+    )
+
+
 def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
                   cov: CovarianceEstimate, contrasts: ContrastMatrix) -> BootstrapDraws:
     """Draw B bootstrap replicates of the studentized contrast statistics.
@@ -342,46 +371,8 @@ def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
             f"expected k*d = {dm.k * dm.d}"
         )
     B = cfg.B
-    T = _thread_count(cfg.kind, dm.n, dm.d)
-    step = max(1, CHUNK // T)  # one thread's share of a round
-    chunk = max(1, min(step, CHUNK_CELLS // (dm.n * dm.d)))
-    engines = [_Engine(cfg.kind, dm, fit, cov, contrasts.H, min(B, chunk))
-               for _ in range(T)]
     A_star = np.empty((B, contrasts.H.shape[0]))
-    invalid_total = 0
-    index, attempt = np.arange(B), np.zeros(B, dtype=np.int64)
-    with ThreadPoolExecutor(T - 1) if T > 1 else contextlib.nullcontext() as pool:
-        while index.size:
-            shares = [(index[j:j + step], attempt[j:j + step])
-                      for j in range(0, min(index.size, T * step), step)]
-            index, attempt = index[len(shares) * step:], attempt[len(shares) * step:]
-            futures = [pool.submit(e.replicates, cfg.seed, b, a)
-                       for e, (b, a) in zip(engines[1:], shares[1:])]
-            results = [engines[0].replicates(cfg.seed, *shares[0])]
-            results += [f.result() for f in futures]
-            for (b, a), (A, valid) in zip(shares, results):
-                A_star[b[valid]] = A[valid]
-                if valid.all():
-                    continue
-                b, a = b[~valid], a[~valid] + 1
-                invalid_total += b.size
-                if a.max() >= MAX_ATTEMPTS:
-                    raise EstimationError(
-                        "degenerate bootstrap distribution: replicate "
-                        f"{b[a >= MAX_ATTEMPTS][0]} invalid after {MAX_ATTEMPTS} attempts"
-                    )
-                if invalid_total > INVALID_ABORT_FRACTION * B:
-                    raise EstimationError(
-                        "degenerate bootstrap distribution: more than "
-                        f"{INVALID_ABORT_FRACTION:.0%} of replicates invalid "
-                        f"({invalid_total} redraws for B={B})"
-                    )
-                index, attempt = np.concatenate((index, b)), np.concatenate((attempt, a))
-
-    # Free the chunk buffers before BootstrapDraws sorts its copy of |A_star|:
-    # a copy allocated above them keeps the heap from shrinking, which raised
-    # the peak memory of a study process by about 3 MB (n=400, d=5, r=30).
-    del engines, futures, results, A, valid
+    invalid_total = _run_passes(cfg, dm, fit, cov, contrasts.H, A_star)
     warnings = ()
     if invalid_total > INVALID_WARN_FRACTION * B:
         warnings = (
@@ -398,8 +389,11 @@ def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
 
 
 def save_draws_csv(draws: BootstrapDraws, path, labels=None) -> None:
-    """Dump the replicate matrix to CSV for audit (one row per replicate)."""
-    header = ",".join(labels) if labels else ",".join(
-        f"contrast_{s + 1}" for s in range(draws.r)
-    )
-    np.savetxt(path, draws.A_star, delimiter=",", header=header, comments="")
+    """Dump the replicate matrix to CSV for audit (one row per replicate).
+
+    The header goes through :mod:`csv`, which quotes labels with commas.
+    """
+    labels = labels or [f"contrast_{s + 1}" for s in range(draws.r)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(labels)
+        np.savetxt(fh, draws.A_star, delimiter=",")

@@ -1,3 +1,4 @@
+import csv
 import gc
 import os
 import sys
@@ -48,7 +49,7 @@ def zero_residual_fit(seed):
 
 def replicate(kind, dm, fit, cov, H, rng):
     """One replicate from the stream `rng`: (statistics, validity)."""
-    engine = _Engine(kind, dm, fit, cov, H)
+    engine = _Engine(kind, dm, fit, cov, H, 1)
     A, valid = engine.statistics(engine.draw([rng], np.empty((dm.n, 1, dm.d))))
     return A[0], bool(valid[0])
 
@@ -87,16 +88,20 @@ LAYOUTS = ((1, bootstrap.CHUNK_CELLS), (7, bootstrap.CHUNK_CELLS),
            (256, bootstrap.CHUNK_CELLS), (256, 1500), (256, 7 * 1500))
 
 
-def runs_by_layout(monkeypatch, cfg, dm, fit, cov, cm):
-    """run_bootstrap at T in {1, 2} x LAYOUTS, keyed by (T, CHUNK, CHUNK_CELLS)."""
-    runs = {}
+def each_layout(monkeypatch):
+    """Set T in {1, 2} x LAYOUTS in turn; yield each (T, CHUNK, CHUNK_CELLS)."""
     for T in (1, 2):
         force_threads(monkeypatch, T)
         for chunk, cells in LAYOUTS:
             monkeypatch.setattr(bootstrap, "CHUNK", chunk)
             monkeypatch.setattr(bootstrap, "CHUNK_CELLS", cells)
-            runs[T, chunk, cells] = run_bootstrap(cfg, dm, fit, cov, cm)
-    return runs
+            yield T, chunk, cells
+
+
+def runs_by_layout(monkeypatch, cfg, dm, fit, cov, cm):
+    """run_bootstrap at T in {1, 2} x LAYOUTS, keyed by (T, CHUNK, CHUNK_CELLS)."""
+    return {layout: run_bootstrap(cfg, dm, fit, cov, cm)
+            for layout in each_layout(monkeypatch)}
 
 
 def assert_same_draws(runs, context):
@@ -141,7 +146,7 @@ class TestDeterminism:
         ds, dm, fit, cov = fitted_small
         H = two_sample(2, 2).H
         for kind in ("wild", "parametric"):
-            engine = _Engine(kind, dm, fit, cov, H)
+            engine = _Engine(kind, dm, fit, cov, H, 9)
             buf = np.full((dm.n, 9, dm.d), np.nan)
             for lo in (0, 9):
                 rngs = [substream(4, b, 0) for b in range(lo, lo + 9)]
@@ -212,17 +217,17 @@ class TestDeterminism:
         real = _Engine.replicates
         calls = []
 
-        def replicates(self, seed, index, attempt):
+        def replicates(self, seed, index, attempt, A_star):
             calls.append(index[0])
-            if index[0] == bootstrap.CHUNK // 2:  # the second share of round 1
+            if index[0] == 500:  # the second part of pass 0, ceil(B / 2)
                 raise MemoryError("pool thread")
-            return real(self, seed, index, attempt)
+            return real(self, seed, index, attempt, A_star)
 
         force_threads(monkeypatch, 2)
         monkeypatch.setattr(_Engine, "replicates", replicates)
         with pytest.raises(MemoryError, match="pool thread"):
             run_bootstrap(BootstrapConfig("wild", 1000, 3), dm, fit, cov, two_sample(2, 5))
-        assert sorted(calls) == [0, bootstrap.CHUNK // 2]
+        assert sorted(calls) == [0, 500]
 
     @pytest.mark.parametrize("kind", ["wild", "parametric"])
     @pytest.mark.parametrize("cells", [1000, 7 * 1500, bootstrap.CHUNK_CELLS])
@@ -260,7 +265,7 @@ class TestEngineLifetime:
         ds, dm, fit, cov = fitted_small
         gc.disable()
         try:
-            engine = _Engine(kind, dm, fit, cov, two_sample(2, 2).H)
+            engine = _Engine(kind, dm, fit, cov, two_sample(2, 2).H, 1)
             engine.draw([substream(1, 0, 0)], np.empty((dm.n, 1, dm.d)))
             ref = weakref.ref(engine)
             del engine
@@ -282,7 +287,7 @@ class TestRefitOrder:
         ds, dm, fit, cov = fitted(random_dataset(10 * k + c + d, k=k, d=d, c=c,
                                                  n_i=(7, 9, 8)[:k]))
         H = build_family("tukey", k, d).H
-        engine = _Engine("wild", dm, fit, cov, H)
+        engine = _Engine("wild", dm, fit, cov, H, 256)
         rng = np.random.default_rng(d)
         for m in (1, 7, 256):
             Y = rng.standard_normal((dm.n, m, d))
@@ -304,7 +309,7 @@ class TestObservedIsReplicate:
         ds, dm, fit, cov = fitted(random_dataset(10 * k + c + d, k=k, d=d, c=c,
                                                  n_i=(7, 9, 8)[:k]))
         cm = build_family("tukey", k, d)
-        engine = _Engine("wild", dm, fit, cov, cm.H)
+        engine = _Engine("wild", dm, fit, cov, cm.H, 1)
         A, valid = engine.statistics(np.ascontiguousarray(ds.Y[:, None, :]))
         assert valid[0]
         assert np.allclose(A[0], observed_statistics(fit, cov, cm), rtol=1e-12, atol=0)
@@ -323,7 +328,7 @@ class TestWild:
     def test_sign_flip_leaves_abs_invariant(self, fitted_small):
         ds, dm, fit, cov = fitted_small
         cm = two_sample(2, 2)
-        engine = _Engine("wild", dm, fit, cov, cm.H)
+        engine = _Engine("wild", dm, fit, cov, cm.H, 1)
         rng = substream(21, 0, 0)
         t = rng.integers(0, 2, size=dm.n) * 2.0 - 1.0
         Y = (t * engine.wild_scale)[:, None] * fit.residuals
@@ -359,6 +364,18 @@ class TestWild:
         dm, zero_fit, cov = zero_residual_fit(31)
         with pytest.raises(EstimationError, match="degenerate bootstrap"):
             run_bootstrap(BootstrapConfig("wild", 200, 2), dm, zero_fit, cov, two_sample(2, 1))
+
+    def test_abort_message_does_not_depend_on_threads_or_chunk_size(self, monkeypatch):
+        """Pass 0 finds all B replicates invalid at any T and chunk size."""
+        dm, zero_fit, cov = zero_residual_fit(31)
+        cfg, cm = BootstrapConfig("wild", 2000, 2), two_sample(2, 1)
+        messages = set()
+        for _ in each_layout(monkeypatch):
+            with pytest.raises(EstimationError) as raised:
+                run_bootstrap(cfg, dm, zero_fit, cov, cm)
+            messages.add(str(raised.value))
+        assert messages == {"degenerate bootstrap distribution: more than 1% of "
+                            "replicates invalid (2000 redraws for B=2000)"}
 
     def test_replicate_invalid_on_every_attempt_raises(self, monkeypatch):
         # Without the 1% abort, replicate 0 is redrawn until MAX_ATTEMPTS.
@@ -467,7 +484,7 @@ class TestParametric:
             wU1sq=np.ones((dm.n, 2)),
             group_sigmas=(np.eye(2), np.eye(2)),
         )
-        engine = _Engine("parametric", dm, None, cov, two_sample(2, 2).H)
+        engine = _Engine("parametric", dm, None, cov, two_sample(2, 2).H, 1000)
         rngs = [substream(3, b, 0) for b in range(1000)]
         Y = engine.draw(rngs, np.empty((dm.n, 1000, 2)))
         pooled = Y.reshape(-1, 2)
@@ -489,7 +506,7 @@ class TestParametric:
         cov = CovarianceEstimate(
             D=np.ones(4), wU1sq=np.ones((dm.n, 2)), group_sigmas=(sigma, sigma)
         )
-        engine = _Engine("parametric", dm, None, cov, two_sample(2, 2).H)
+        engine = _Engine("parametric", dm, None, cov, two_sample(2, 2).H, 1000)
         rngs = [substream(4, b, 0) for b in range(1000)]
         Y = engine.draw(rngs, np.empty((dm.n, 1000, 2))).reshape(-1, 2)  # 1e5 draws
         emp = np.cov(Y.T)
@@ -508,7 +525,7 @@ class TestParametric:
         cov = sandwich(dm, fit)
         for sigma in cov.group_sigmas:
             assert np.linalg.matrix_rank(sigma, tol=1e-10) == 1
-        engine = _Engine("parametric", dm, fit, cov, two_sample(2, 2).H)
+        engine = _Engine("parametric", dm, fit, cov, two_sample(2, 2).H, 50)
         Y = engine.draw([substream(5, b, 0) for b in range(50)],
                         np.empty((dm.n, 50, 2)))
         null_dir = np.array([2.0, -1.0]) / np.sqrt(5.0)  # orthogonal to (1, 2)
@@ -558,5 +575,8 @@ class TestConfigAndDump:
         draws = run_bootstrap(BootstrapConfig("wild", 20, 1), dm, fit, cov, cm)
         path = tmp_path / "draws.csv"
         save_draws_csv(draws, str(path), labels=cm.labels)
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert next(csv.reader(fh)) == list(cm.labels)
+        assert all(", " in label for label in cm.labels)
         loaded = np.loadtxt(str(path), delimiter=",", skiprows=1)
         assert np.allclose(loaded, draws.A_star, rtol=1e-15)

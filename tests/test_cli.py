@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -78,6 +79,10 @@ class TestAnalyze:
             os.path.join(out_dir, "draws.csv"), delimiter=",", skiprows=1
         )
         assert draws.shape == (50, 5)
+        doc = json.loads(Path(out_dir, "result.json").read_text())
+        with open(os.path.join(out_dir, "draws.csv"), newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+        assert header == [c["label"] for c in doc["contrasts"]]
 
     def test_missing_input_exits_1(self, capsys):
         code, _, err = run_cli(
