@@ -34,6 +34,8 @@ class ContrastMatrix:
         if len(self.labels) != H.shape[0]:
             raise ContrastError("one label per contrast row required")
         for s, row in enumerate(H):
+            if not np.all(np.isfinite(row)):
+                raise ContrastError(f"contrast row {s + 1} has a non-finite entry")
             scale = np.max(np.abs(row))
             if scale == 0.0:
                 raise ContrastError(f"contrast row {s + 1} is all-zero")

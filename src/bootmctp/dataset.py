@@ -55,24 +55,18 @@ class Dataset:
     n_i : tuple of int
         Per-group sample sizes.
     Y : ndarray, shape (n, d)
-        Outcomes, rows sorted by group.
+        Outcomes: n_1 rows of group 1, then n_2 of group 2, and so on, as
+        :meth:`from_group_blocks` and :func:`load_csv` build them.
     Z : ndarray, shape (n, c)
         Covariates, same row order as Y; c may be 0.
-    row_group : ndarray, shape (n,)
-        Group index of each row (nondecreasing).
-    source_rows : ndarray or None
-        For CSV-loaded data, the original 0-based data-row index of each
-        stored row, for reporting back in file order.
     """
 
     groups: tuple[str, ...]
     n_i: tuple[int, ...]
     Y: np.ndarray
     Z: np.ndarray
-    row_group: np.ndarray
     outcome_names: tuple[str, ...] = ()
     covariate_names: tuple[str, ...] = ()
-    source_rows: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
@@ -82,7 +76,6 @@ class Dataset:
         if Z.ndim == 1:
             Z = Z.reshape(len(Z), 0) if Z.size == 0 else Z.reshape(-1, 1)
         Z = np.ascontiguousarray(Z)
-        row_group = np.ascontiguousarray(np.asarray(self.row_group, dtype=np.intp))
         if Y.ndim != 2 or Y.shape[1] < 1:
             raise DataError("Y must be a 2-d matrix with at least one column")
         k = len(self.groups)
@@ -93,11 +86,8 @@ class Dataset:
         if any(m < 1 for m in self.n_i):
             raise DataError("every group must contain at least one row")
         n = sum(self.n_i)
-        if Y.shape[0] != n or Z.shape[0] != n or row_group.shape[0] != n:
-            raise DataError("row counts of Y, Z and row_group must equal sum(n_i)")
-        expected = np.repeat(np.arange(k), self.n_i)
-        if not np.array_equal(row_group, expected):
-            raise DataError("rows must be contiguous per group, in group order")
+        if Y.shape[0] != n or Z.shape[0] != n:
+            raise DataError("row counts of Y and Z must equal sum(n_i)")
         if not np.all(np.isfinite(Y)) or not np.all(np.isfinite(Z)):
             raise DataError("non-finite values in Y or Z")
         if not self.outcome_names:
@@ -114,11 +104,10 @@ class Dataset:
             raise DataError("outcome_names length must equal d")
         if len(self.covariate_names) != Z.shape[1]:
             raise DataError("covariate_names length must equal c")
-        for arr in (Y, Z, row_group):
+        for arr in (Y, Z):
             arr.setflags(write=False)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "row_group", row_group)
 
     @property
     def k(self) -> int:
@@ -154,13 +143,11 @@ class Dataset:
             Z = np.empty((Y.shape[0], 0))
         else:
             Z = np.vstack([np.atleast_2d(np.asarray(b, dtype=float)) for b in Z_blocks])
-        row_group = np.repeat(np.arange(len(groups)), n_i)
         return cls(
             groups=groups,
             n_i=n_i,
             Y=Y,
             Z=Z,
-            row_group=row_group,
             outcome_names=tuple(outcome_names),
             covariate_names=tuple(covariate_names),
         )
@@ -199,9 +186,9 @@ def _parse_cell(raw: str, column: str, line_no: int) -> float:
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Load a dataset from a UTF-8 CSV file with a header row.
 
-    Rows are regrouped so that each group's rows are contiguous; groups are
-    ordered by first appearance in the file.  The original data-row index of
-    each stored row is kept in ``source_rows``.
+    Rows are regrouped so that each group's rows are contiguous, in file
+    order within each group; groups are ordered by first appearance in the
+    file.  The file row order is not kept.
 
     Raises
     ------
@@ -253,17 +240,13 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     order = np.argsort([groups.index(lbl) for lbl in labels], kind="stable")
     Y = np.asarray(rows_y, dtype=float)[order]
     Z = np.asarray(rows_z, dtype=float).reshape(len(labels), len(schema.covariates))[order]
-    sorted_labels = [labels[i] for i in order]
-    n_i = tuple(sorted_labels.count(g) for g in groups)
     return Dataset(
         groups=tuple(groups),
-        n_i=n_i,
+        n_i=tuple(labels.count(g) for g in groups),
         Y=Y,
         Z=Z,
-        row_group=np.repeat(np.arange(len(groups)), n_i),
         outcome_names=schema.outcomes,
         covariate_names=schema.covariates,
-        source_rows=np.asarray(order, dtype=np.intp),
     )
 
 
@@ -312,7 +295,8 @@ def validate(ds: Dataset) -> ValidationReport:
 
 def _group_indicators(ds: Dataset) -> np.ndarray:
     M = np.zeros((ds.n, ds.k))
-    M[np.arange(ds.n), ds.row_group] = 1.0
+    for i, sl in enumerate(group_slices(ds.n_i)):
+        M[sl, i] = 1.0
     return M
 
 

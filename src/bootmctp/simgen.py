@@ -93,6 +93,8 @@ class SimScenario:
             raise SimulationError("sample-size multiplier must be >= 1")
         if self.alternative not in ALTERNATIVES:
             raise SimulationError(f"unknown alternative '{self.alternative}'")
+        if not np.isfinite(self.delta):
+            raise SimulationError("delta must be finite")
         if (self.delta == 0.0) != (self.alternative == "null"):
             raise SimulationError(
                 "delta must be 0 exactly for the null alternative and positive "

@@ -17,10 +17,16 @@ References and the package functions they check:
 - ``scan_p_values``: ``mctp.local_p_values``, by direct count;
 - ``welch_type_statistic``: ``mctp.test_statistics``;
 - ``sequential_refit``: the refit in ``bootstrap._Engine.statistics``,
-  including the order in which it sums.
+  including the order in which it sums;
+- ``exact_statistics``: the observed statistics A_n of ``mctp._fit``, in
+  40-digit decimal arithmetic, so that it checks the value of the statistic
+  where float64 loses digits.
 """
 
 from __future__ import annotations
+
+import decimal
+from decimal import Decimal
 
 import numpy as np
 
@@ -183,3 +189,62 @@ def sequential_refit(XG, X, wU1sq, Y):
                 mu[r, a * d + col] = beta[a][col]
                 D[r, a * d + col] = n * acc
     return mu, D
+
+
+def _gauss_jordan_inverse(A):
+    """Inverse of a square Decimal matrix (list of rows), partial pivoting."""
+    m = len(A)
+    aug = [list(row) + [Decimal(int(i == j)) for j in range(m)]
+           for i, row in enumerate(A)]
+    for col in range(m):
+        pivot = max(range(col, m), key=lambda i: abs(aug[i][col]))
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = aug[col][col]
+        aug[col] = [v / lead for v in aug[col]]
+        for i in range(m):
+            if i != col:
+                f = aug[i][col]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
+    return [row[m:] for row in aug]
+
+
+def exact_statistics(ds, H) -> np.ndarray:
+    """A_n = sqrt(n) h'mu / sqrt(h'Dh) per row h of H, in 40-digit decimal.
+
+    Every double of the data and of H converts to Decimal exactly.  The
+    (k+c) Gram matrix of X = [group indicators | Z] is inverted by
+    Gauss-Jordan elimination; then come the leverages p = diag(X G X'), the
+    weights (1 - p) ** (-min(4, p / mean p)) (Decimal takes non-integer
+    powers), the adjusted means G X'Y, the residuals, D = n sum_j w_j
+    (XG)[j, a]^2 e[j, l]^2 and the square roots.  Only the returned
+    statistics are rounded to float64.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        n, k, d = ds.n, ds.k, ds.d
+        group = [i for i, m in enumerate(ds.n_i) for _ in range(m)]
+        X = [[Decimal(int(a == g)) for a in range(k)] + [Decimal(z) for z in row]
+             for g, row in zip(group, ds.Z.tolist())]
+        Y = [[Decimal(y) for y in row] for row in ds.Y.tolist()]
+        P = len(X[0])
+        gram = [[sum(x[a] * x[b] for x in X) for b in range(P)] for a in range(P)]
+        G = _gauss_jordan_inverse(gram)
+        XG = [[sum(x[b] * G[b][a] for b in range(P)) for a in range(P)] for x in X]
+        p = [sum(xg[a] * x[a] for a in range(P)) for x, xg in zip(X, XG)]
+        mean_p = sum(p) / n
+        w = [(1 - pj) ** (-min(Decimal(4), pj / mean_p)) for pj in p]
+        beta = [[sum(XG[j][a] * Y[j][col] for j in range(n)) for col in range(d)]
+                for a in range(P)]
+        resid = [[Y[j][col] - sum(X[j][a] * beta[a][col] for a in range(P))
+                  for col in range(d)] for j in range(n)]
+        mu = [beta[a][col] for a in range(k) for col in range(d)]
+        D = [n * sum(w[j] * XG[j][a] ** 2 * resid[j][col] ** 2 for j in range(n))
+             for a in range(k) for col in range(d)]
+        root_n = Decimal(n).sqrt()
+        out = []
+        for h in np.asarray(H, dtype=float).tolist():
+            h = [Decimal(v) for v in h]
+            hmu = sum(hc * mc for hc, mc in zip(h, mu))
+            hDh = sum(hc * hc * Dc for hc, Dc in zip(h, D))
+            out.append(float(root_n * hmu / hDh.sqrt()))
+    return np.array(out)

@@ -128,6 +128,23 @@ class TestAnalyze:
         assert code == 2
         assert "rank deficiency" in err
 
+    def test_non_finite_custom_contrast_exits_2_before_any_report(self, capsys,
+                                                                  tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("group,y\n" + "".join(f"{g},{v}\n" for g in "ab"
+                                              for v in (0.1, 0.7, 0.4)))
+        contrast = tmp_path / "c.csv"
+        contrast.write_text("label,c1,c2\nx,1,nan\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, [
+            "analyze", "--input", str(data), "--group-col", "group",
+            "--outcomes", "y", "--contrast", f"custom:{contrast}",
+            "--B", "200", "--out", str(out_dir),
+        ])
+        assert code == 2
+        assert err.splitlines() == ["error: contrast row 1 has a non-finite entry"]
+        assert out == "" and not out_dir.exists()
+
     def test_config_file_with_flag_override(self, capsys, tmp_path, hrv_path):
         cfg = {
             "input": hrv_path,
@@ -237,6 +254,20 @@ class TestSimulate:
         code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
         assert code == 1
         assert err.splitlines() == ["error: unknown distribution 'foo'"]
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_delta_exits_1_before_any_run(self, capsys, tmp_path,
+                                                     monkeypatch, literal):
+        def no_study(*args, **kwargs):
+            raise AssertionError("run_study was called")
+
+        monkeypatch.setattr("bootmctp.cli.run_study", no_study)
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text('{"scenarios": [{"k": 2, "d": 2, "alternative": '
+                            f'"shift", "delta": {literal}}}]}}')
+        code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
+        assert code == 1
+        assert err.splitlines() == ["error: delta must be finite"]
 
     def test_unknown_config_key_exits_1(self, capsys, tmp_path):
         cfg_path = tmp_path / "grid.json"

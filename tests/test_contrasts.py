@@ -139,6 +139,11 @@ class TestCustom:
         with pytest.raises(ContrastError, match="all-zero"):
             custom([[0.0, 0.0]])
 
+    @pytest.mark.parametrize("row", [[1.0, float("nan")], [float("inf"), -1.0]])
+    def test_non_finite_coefficient_rejected(self, row):
+        with pytest.raises(ContrastError, match="row 2 has a non-finite entry"):
+            custom([[1.0, -1.0], row])
+
 
 class TestFromCsv:
     def test_roundtrip_with_labels(self, tmp_path):

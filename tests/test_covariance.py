@@ -104,9 +104,7 @@ class TestSandwich:
         ds = random_dataset(6, k=2, d=3, c=2, n_i=(9, 9))
         _, _, _, cov = pipeline(ds)
         lam = 3.0
-        ds2 = Dataset(
-            groups=ds.groups, n_i=ds.n_i, Y=lam * ds.Y, Z=ds.Z, row_group=ds.row_group
-        )
+        ds2 = Dataset(groups=ds.groups, n_i=ds.n_i, Y=lam * ds.Y, Z=ds.Z)
         _, _, _, cov2 = pipeline(ds2)
         assert np.allclose(cov2.D, lam**2 * cov.D, rtol=1e-10)
 

@@ -46,12 +46,12 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "shuffled.csv", SMALL_HEADER, shuffled)
         ds = load_csv(path, SMALL_SCHEMA)
         assert (ds.k, ds.d, ds.c) == (2, 2, 1)
-        assert sorted(ds.n_i) == [2, 3]
-        # rows contiguous per group, original positions recorded
-        assert np.array_equal(np.diff(ds.row_group) >= 0, [True] * (ds.n - 1))
-        assert sorted(ds.source_rows.tolist()) == list(range(5))
         # first-appearance order: group 'b' came first in the shuffled file
-        assert ds.groups[0] == "b"
+        assert ds.groups == ("b", "a") and ds.n_i == (3, 2)
+        # each group's rows hold that group's file rows, in file order
+        for label, sl in zip(ds.groups, group_slices(ds.n_i)):
+            rows = [row[1:] for row in shuffled if row[0] == label]
+            assert np.array_equal(np.hstack([ds.Y[sl], ds.Z[sl]]), rows)
 
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path, "m.csv", SMALL_HEADER, SMALL_ROWS)
@@ -91,16 +91,6 @@ class TestDatasetInvariants:
     def test_requires_two_groups(self):
         with pytest.raises(DataError, match="k >= 2"):
             Dataset.from_group_blocks(["a"], [np.ones((3, 1))])
-
-    def test_rejects_non_contiguous_rows(self):
-        with pytest.raises(DataError, match="contiguous"):
-            Dataset(
-                groups=("a", "b"),
-                n_i=(1, 1),
-                Y=np.ones((2, 1)),
-                Z=np.empty((2, 0)),
-                row_group=np.array([1, 0]),
-            )
 
     def test_rejects_non_finite(self):
         with pytest.raises(DataError, match="non-finite"):

@@ -84,9 +84,7 @@ class TestFitOls:
         shift = np.array([2.5, -1.0])
         Y2 = ds.Y.copy()
         Y2[group_slices(ds.n_i)[1]] += shift
-        ds2 = Dataset(
-            groups=ds.groups, n_i=ds.n_i, Y=Y2, Z=ds.Z, row_group=ds.row_group
-        )
+        ds2 = Dataset(groups=ds.groups, n_i=ds.n_i, Y=Y2, Z=ds.Z)
         fit2 = fit_ols(build_design(ds2), ds2)
         assert np.allclose(fit2.mu_hat[1], fit.mu_hat[1] + shift, rtol=1e-10, atol=1e-10)
         assert np.allclose(fit2.mu_hat[0], fit.mu_hat[0], rtol=1e-10, atol=1e-10)
@@ -98,9 +96,7 @@ class TestFitOls:
         dm, fit = fitted(ds)
         Z2 = ds.Z.copy()
         Z2[:, 0] += 5.0
-        ds2 = Dataset(
-            groups=ds.groups, n_i=ds.n_i, Y=ds.Y, Z=Z2, row_group=ds.row_group
-        )
+        ds2 = Dataset(groups=ds.groups, n_i=ds.n_i, Y=ds.Y, Z=Z2)
         dm2 = build_design(ds2)
         fit2 = fit_ols(dm2, ds2)
         assert np.allclose(dm2.leverages, dm.leverages, rtol=1e-10, atol=1e-12)

@@ -53,9 +53,7 @@ class TestTestStatistics:
         fit = fit_ols(dm, ds)
         cov = sandwich(dm, fit)
         A = studentized_statistics(fit, cov, two_sample(2, 2))
-        ds2 = Dataset(
-            groups=ds.groups, n_i=ds.n_i, Y=2.0 * ds.Y, Z=ds.Z, row_group=ds.row_group
-        )
+        ds2 = Dataset(groups=ds.groups, n_i=ds.n_i, Y=2.0 * ds.Y, Z=ds.Z)
         dm2 = build_design(ds2)
         fit2 = fit_ols(dm2, ds2)
         cov2 = sandwich(dm2, fit2)
@@ -280,9 +278,7 @@ class TestConfidenceIntervals:
         ds, dm, fit, cov, cm, draws = self.make(21)
         gamma = adjust_level(draws, 0.05)
         ci = confidence_intervals(fit, cov, draws, gamma, cm)
-        ds2 = Dataset(
-            groups=ds.groups, n_i=ds.n_i, Y=2.0 * ds.Y, Z=ds.Z, row_group=ds.row_group
-        )
+        ds2 = Dataset(groups=ds.groups, n_i=ds.n_i, Y=2.0 * ds.Y, Z=ds.Z)
         dm2 = build_design(ds2)
         fit2 = fit_ols(dm2, ds2)
         cov2 = sandwich(dm2, fit2)

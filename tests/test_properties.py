@@ -37,7 +37,7 @@ def designs(draw, min_c=0):
 
 def with_data(ds, Y=None, Z=None) -> Dataset:
     return Dataset(groups=ds.groups, n_i=ds.n_i, Y=ds.Y if Y is None else Y,
-                   Z=ds.Z if Z is None else Z, row_group=ds.row_group)
+                   Z=ds.Z if Z is None else Z)
 
 
 def statistics(ds, cm) -> np.ndarray:

@@ -144,6 +144,11 @@ class TestScenario:
         with pytest.raises(SimulationError, match="delta"):
             SimScenario(k=3, d=2, alternative="null", delta=1.0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(SimulationError, match="delta must be finite"):
+            SimScenario(k=3, d=2, alternative="shift", delta=delta)
+
     def test_default_nu_pattern(self):
         assert np.array_equal(default_nu(2), [[-0.5, -1.0], [1.5, 3.0]])
         assert np.array_equal(
