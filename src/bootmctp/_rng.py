@@ -8,8 +8,8 @@ are reproducible bit for bit regardless of chunking or process scheduling.
 :func:`substream` builds the stream for one (seed, index, attempt) as a new
 generator; it is the reference definition.  A Philox stream is fully
 determined by its key, its counter and its output buffer, so
-:func:`replicate_streams` yields the same streams for many (index, attempt)
-pairs from one Philox by assigning that state in place (re-keying), which
+:func:`replicate_streams` yields the same streams for many indexes of one
+attempt from one Philox by assigning that state in place (re-keying), which
 avoids building a bit generator and its unused entropy-seeded
 ``SeedSequence`` per stream.  The bootstrap builds one such generator per
 thread and re-keys it for each replicate it draws.
@@ -22,16 +22,15 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def _stream_key(seed: int, index, attempt) -> list:
+def _stream_key(seed: int, index, attempt: int) -> list:
     """Philox key ``[seed, attempt << 32 | index]``; for arrays, word 2 is a list.
 
-    Raises ValueError unless every index and attempt lies in [0, 2**32).
+    Raises ValueError unless `attempt` and every index lie in [0, 2**32).
     """
-    index, attempt = np.asarray(index), np.asarray(attempt)
-    for v in (index, attempt):
-        if not (0 <= v.min() and v.max() < 1 << 32):
-            raise ValueError("stream index/attempt out of range")
-    words = attempt.astype(np.uint64) << np.uint64(32) | index.astype(np.uint64)
+    index = np.asarray(index)
+    if not (0 <= index.min() and index.max() < 1 << 32 and 0 <= attempt < 1 << 32):
+        raise ValueError("stream index/attempt out of range")
+    words = index.astype(np.uint64) | np.uint64(attempt << 32)
     return [seed & _MASK64, words.tolist()]
 
 
@@ -46,16 +45,16 @@ def substream(seed: int, index: int, attempt: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def replicate_streams(generator: np.random.Generator, seed: int, index, attempt):
-    """Yield the streams of the pairs (index[j], attempt[j]) under `seed`, in order.
+def replicate_streams(generator: np.random.Generator, seed: int, index,
+                      attempt: int):
+    """Yield the streams of the pairs (index[j], attempt) under `seed`, in order.
 
-    `attempt` is an array like `index` or one integer for every index.
     `generator` is any Generator over a Philox bit generator; its state is
-    overwritten, so one generator serves any number of calls.  For each pair
-    the key is set to ``(seed, attempt << 32 | index)``, the counter to zero,
-    both output buffers are emptied and `generator` is yielded.  Until the
-    next pair is taken, it draws exactly the numbers of
-    ``substream(seed, index[j], attempt[j])``.
+    overwritten, so one generator serves any number of calls.  For each
+    index the key is set to ``(seed, attempt << 32 | index[j])``, the
+    counter to zero, both output buffers are emptied and `generator` is
+    yielded.  Until the next index is taken, it draws exactly the numbers
+    of ``substream(seed, index[j], attempt)``.
     """
     seed_word, words = _stream_key(seed, index, attempt)
     key = [seed_word, 0]

@@ -96,6 +96,11 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise EstimationError(f"unknown bootstrap kind '{self.kind}'")
+        for name, value in (("B", self.B), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise EstimationError(
+                    f"bootstrap {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.B < 1:
             raise EstimationError("bootstrap replicate count B must be >= 1")
         if self.B > 1 << 32:  # replicate b draws from stream index b < 2**32
@@ -273,8 +278,8 @@ class _Engine:
         Each refit einsum contracts the leading axis of both operands,
         which numpy sums as ``acc += a_i * b_i`` in index order for every
         chunk size (``tests/oracles.sequential_refit`` pins this).  A
-        replicate is valid when every contrast's h'Dh is positive and every
-        statistic finite.
+        replicate is valid when every statistic is finite, which
+        :func:`covariance.studentize` allows only for a positive, finite h'Dh.
         """
         n, k, d = self.n, self.k, self.d
         m = Ystar.shape[1]
@@ -286,10 +291,9 @@ class _Engine:
         np.subtract(Yq, resid_sq, out=resid_sq)
         np.square(resid_sq, out=resid_sq)
         D = _sandwich_diagonal(self.wU1sq, resid_sq)
-        A, hDh = studentize(_replicate_rows(beta[:k], m, d),
-                            _replicate_rows(D, m, d), self.H, n)
-        valid = (hDh > 0.0).all(axis=1) & np.isfinite(A).all(axis=1)
-        return A, valid
+        A, _ = studentize(_replicate_rows(beta[:k], m, d),
+                          _replicate_rows(D, m, d), self.H, n)
+        return A, np.isfinite(A).all(axis=1)
 
 
 def _replicate_rows(V: np.ndarray, m: int, d: int) -> np.ndarray:

@@ -237,13 +237,8 @@ def _cmd_simulate(args) -> int:
     if not isinstance(cfg["scenarios"], list) or not cfg["scenarios"]:
         raise ConfigError("config must define a non-empty 'scenarios' list")
     scenarios = [_scenario_from_dict(i, s) for i, s in enumerate(cfg["scenarios"])]
-    try:
-        results = run_study(scenarios, runs=cfg["runs"], B=cfg["B"],
-                            alpha=cfg["alpha"], seed=cfg["seed"],
-                            workers=cfg["workers"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid study settings: {exc}") from None
-
+    results = run_study(scenarios, runs=cfg["runs"], B=cfg["B"], alpha=cfg["alpha"],
+                        seed=cfg["seed"], workers=cfg["workers"])
     for res in results:
         sc = res.scenario
         print(

@@ -109,13 +109,14 @@ def studentize(mu: np.ndarray, D: np.ndarray, H: np.ndarray,
 
     `mu` and `D` are (m, k*d) adjusted means and studentizer diagonals, one
     row per response; `H` is the r x kd contrast matrix.  Returns the
-    (m, r) statistics and the (m, r) variances h'Dh; a statistic whose
-    h'Dh is not positive is not finite.
+    (m, r) statistics and the (m, r) variances h'Dh, without a warning.  A
+    statistic is finite only if its h'Dh is positive and finite.
     """
-    hDh = np.einsum("mc,rc->mr", D, H**2)
-    hmu = np.einsum("mc,rc->mr", mu, H)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hDh = np.einsum("mc,rc->mr", D, H**2)
+        hmu = np.einsum("mc,rc->mr", mu, H)
         A = np.sqrt(n) * hmu / np.sqrt(hDh)
+    A[hDh == np.inf] = np.nan  # h'mu / inf would read 0
     return A, hDh
 
 

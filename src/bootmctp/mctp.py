@@ -44,17 +44,19 @@ def test_statistics(fit: FitResult, cov: CovarianceEstimate,
     Raises
     ------
     EstimationError
-        If some contrast's studentizer h'Dh is not positive (names the
-        contrast label).
+        If some contrast's studentizer h'Dh is not positive and finite, or
+        its statistic is not finite (names the contrast label).
     """
     A, hDh = studentize(fit.mu_vec[None], cov.D[None], contrasts.H,
                         fit.residuals.shape[0])
-    bad = np.nonzero(hDh[0] <= 0.0)[0]
+    bad = np.nonzero(~np.isfinite(A[0]))[0]
     if bad.size:
-        raise EstimationError(
-            f"zero variance for contrast '{contrasts.labels[bad[0]]}': "
-            "studentizer h'Dh is not positive"
-        )
+        label = contrasts.labels[bad[0]]
+        if hDh[0, bad[0]] <= 0.0:
+            raise EstimationError(f"zero variance for contrast '{label}': "
+                                  "studentizer h'Dh is not positive")
+        raise EstimationError(f"contrast '{label}' overflows: its studentizer "
+                              "h'Dh or its statistic is not finite")
     return A[0]
 
 

@@ -10,12 +10,14 @@ empirical global rejection rates with exact binomial confidence intervals.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -242,16 +244,17 @@ def gen_dataset(scenario: SimScenario, rng: np.random.Generator) -> Dataset:
     )
 
 
-def _global_rejections(scenario: SimScenario, start: int, stop: int, B: int,
-                       alpha: float, seed: int, scenario_index: int) -> tuple[int, int]:
-    """Global rejection counts (wild, parametric) over the runs start..stop-1.
+def _global_rejections(scenario: SimScenario, scenario_index: int,
+                       block: tuple[int, int], B: int, alpha: float,
+                       seed: int) -> tuple[int, int]:
+    """Global rejection counts (wild, parametric) over the runs of `block`.
 
     An EstimationError in one run is re-raised, chained, as a SimulationError
     that names the scenario index, the run index and the dataset seed.
     """
     hits = [0, 0]
     H = build_family(scenario.contrast_family, scenario.k, scenario.d)
-    for ri in range(start, stop):
+    for ri in range(*block):
         data_seed = derive_seed(seed, scenario_index, ri, 0)
         try:
             ds = gen_dataset(scenario, substream(data_seed, 0))
@@ -288,17 +291,6 @@ def _block_bounds(runs: int, count: int) -> list[tuple[int, int]]:
     return list(zip(starts[:-1], starts[1:]))
 
 
-def _block_hits(future, scenario_index: int, block: tuple[int, int]) -> tuple[int, int]:
-    """The pooled result of one block; a dead worker is named by the block."""
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        raise SimulationError(
-            f"scenario {scenario_index}, runs {block[0]}-{block[1] - 1}: a worker "
-            f"process died before this block finished ({exc})"
-        ) from exc
-
-
 def _serial_bootstraps() -> None:
     """Pool initializer: the pool's processes already fill the CPUs."""
     bootstrap.MAX_THREADS = 1
@@ -311,44 +303,41 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     Each run draws a fresh dataset and applies both bootstrap schemes to it;
     the reported rate is the share of runs with a global rejection, in
     percent, with an exact 95% binomial confidence interval.  Deterministic
-    in `seed` regardless of `workers`.  With `workers` > 1, one process
-    pool runs the blocks of runs of every scenario; a failed run is raised
-    as in the serial order, and the blocks not yet started are cancelled.
-    A worker process that dies is raised as a SimulationError naming the
-    first block, in that order, that did not finish.  Pool workers run
-    their bootstraps on one thread; see :mod:`bootmctp.bootstrap`.  A study
-    of a single block (one scenario, one run) runs in this process, whose
-    bootstraps may use threads.  Memory does not grow with `runs`.
+    in `seed` regardless of `workers`.  The runs of each scenario are split
+    into min(4 * workers, runs) blocks, and one list of (scenario, block)
+    tasks is mapped in this process, or on one process pool when `workers`
+    > 1 and there is more than one task.  Either way a failed run is raised
+    as in the serial order, and on the pool the tasks not yet started are
+    cancelled; a worker process that dies is raised as a SimulationError
+    naming the first block, in that order, that did not finish.  Pool
+    workers run their bootstraps on one thread, while a study run in this
+    process may use threads; see :mod:`bootmctp.bootstrap`.  Memory does
+    not grow with `runs`.
     """
     if runs < 1:
         raise SimulationError("runs must be >= 1")
     if runs > sys.maxsize:
-        raise ValueError(f"runs must be <= {sys.maxsize}")
+        raise SimulationError(f"runs must be <= {sys.maxsize}")
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise SimulationError("workers must be >= 1")
     scenarios = list(scenarios)
     blocks = _block_bounds(runs, min(workers * 4, runs))
-    if workers > 1 and len(scenarios) * len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_serial_bootstraps) as pool:
-            futures = [
-                [pool.submit(_global_rejections, scenario, *blk, B, alpha, seed, si)
-                 for blk in blocks]
-                for si, scenario in enumerate(scenarios)
-            ]
+    tasks = [(si, block) for si in range(len(scenarios)) for block in blocks]
+    run_block = partial(_global_rejections, B=B, alpha=alpha, seed=seed)
+    cell_hits = [[0, 0] for _ in scenarios]
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_serial_bootstraps)
+          if workers > 1 and len(tasks) > 1 else contextlib.nullcontext()) as pool:
+        block_hits = (pool.map if pool else map)(
+            run_block, [scenarios[si] for si, _ in tasks], *zip(*tasks))
+        for si, block in tasks:
             try:
-                cell_hits = [
-                    [sum(col) for col in
-                     zip(*(_block_hits(f, si, blk) for f, blk in zip(row, blocks)))]
-                    for si, row in enumerate(futures)
-                ]
-            finally:
-                pool.shutdown(cancel_futures=True)
-    else:
-        cell_hits = [
-            _global_rejections(scenario, 0, runs, B, alpha, seed, si)
-            for si, scenario in enumerate(scenarios)
-        ]
+                for col, count in enumerate(next(block_hits)):
+                    cell_hits[si][col] += count
+            except BrokenProcessPool as exc:
+                raise SimulationError(
+                    f"scenario {si}, runs {block[0]}-{block[1] - 1}: a worker "
+                    f"process died before this block finished ({exc})"
+                ) from exc
     results: list[StudyResult] = []
     for scenario, cell in zip(scenarios, cell_hits):
         for method, hits in zip(("wild", "parametric"), cell):

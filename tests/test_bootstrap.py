@@ -1,7 +1,9 @@
 import csv
 import gc
+import itertools
 import os
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -349,7 +351,9 @@ class TestWild:
         index, attempt = [0, 1, 2**32 - 1, 3], [0, 0, 0, 5]
         rng = np.random.Generator(np.random.Philox(0))
         for n in range(1, 71):
-            t = _wild_signs(replicate_streams(rng, seed, index, attempt), np.empty((4, n)))
+            rngs = itertools.chain(replicate_streams(rng, seed, index[:3], 0),
+                                   replicate_streams(rng, seed, index[3:], 5))
+            t = _wild_signs(rngs, np.empty((4, n)))
             want = [substream(seed, b, a).integers(0, 2, size=n) * 2.0 - 1.0
                     for b, a in zip(index, attempt)]
             assert np.array_equal(t, np.array(want)), n
@@ -358,6 +362,15 @@ class TestWild:
         dm, zero_fit, cov = zero_residual_fit(30)
         a, valid = replicate("wild", dm, zero_fit, cov, two_sample(2, 1).H,
                              substream(1, 0, 0))
+        assert not valid
+
+    def test_overflowing_contrast_replicate_invalid_without_warning(self, fitted_small):
+        """h'Dh = inf makes a replicate invalid, as it fails the observed fit."""
+        _, dm, fit, cov = fitted_small
+        H = np.array([[1e308, 0.0, -1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, valid = replicate("wild", dm, fit, cov, H, substream(1, 0, 0))
         assert not valid
 
     def test_zero_residuals_bootstrap_aborts(self):
@@ -561,6 +574,21 @@ class TestConfigAndDump:
     def test_invalid_b(self):
         with pytest.raises(EstimationError, match="B must be >= 1"):
             BootstrapConfig("wild", 0, 1)
+
+    @pytest.mark.parametrize("B, seed", [(100.0, 1), (True, 1), (np.float64(100), 1),
+                                         (100, 1.0), (100, False), (100, "1")])
+    def test_non_integer_b_or_seed_rejected(self, B, seed):
+        with pytest.raises(EstimationError, match="must be an integer, got"):
+            BootstrapConfig("wild", B, seed)
+
+    def test_numpy_integers_give_the_python_integer_run(self, fitted_small):
+        _, dm, fit, cov = fitted_small
+        cfg = BootstrapConfig("wild", np.int64(60), np.int64(-3))
+        assert (type(cfg.B), type(cfg.seed)) == (int, int)
+        want = run_bootstrap(BootstrapConfig("wild", 60, -3), dm, fit, cov,
+                             two_sample(2, 2))
+        got = run_bootstrap(cfg, dm, fit, cov, two_sample(2, 2))
+        assert got.A_star.tobytes() == want.A_star.tobytes()
 
     def test_b_beyond_stream_range(self):
         """Replicate b draws from stream index b, which must be below 2**32."""

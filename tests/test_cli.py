@@ -3,6 +3,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,25 @@ class TestAnalyze:
         assert code == 2
         assert err.splitlines() == ["error: contrast row 1 has a non-finite entry"]
         assert out == "" and not out_dir.exists()
+
+    def test_overflowing_custom_contrast_exits_2_at_the_observed_fit(self, capsys,
+                                                                     tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("group,y\na,1.0\na,2.5\nb,0.3\nb,4.0\n")
+        contrast = tmp_path / "c.csv"
+        contrast.write_text("label,c1,c2\nx,1e308,-1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "analyze", "--input", str(data), "--group-col", "group",
+                "--outcomes", "y", "--contrast", f"custom:{contrast}", "--B", "20",
+            ])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: contrast 'x' overflows: its studentizer h'Dh or its statistic "
+            "is not finite"
+        ]
 
     def test_config_file_with_flag_override(self, capsys, tmp_path, hrv_path):
         cfg = {
@@ -322,7 +342,20 @@ class TestSimulate:
         code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
         assert code == 1
         assert out == ""
-        assert err.splitlines() == [f"error: invalid study settings: {message}"]
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_error_inside_a_run_is_not_a_config_error(self, tmp_path, monkeypatch):
+        """A fault in the program is raised as itself, not as invalid settings."""
+
+        def gen_dataset_broken(scenario, rng):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("bootmctp.simgen.gen_dataset", gen_dataset_broken)
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({"runs": 2, "B": 20,
+                                        "scenarios": [{"k": 2, "d": 2}]}))
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            main(["simulate", "--config", str(cfg_path)])
 
     def test_missing_config_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, ["simulate", "--config", "/nope.json"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,18 @@ class TestTestStatistics:
         cm = two_sample(2, 2, group_names=ds.groups, outcome_names=ds.outcome_names)
         with pytest.raises(EstimationError, match="flat"):
             studentized_statistics(fit, cov, cm)
+
+    def test_overflowing_contrast_names_contrast_without_warning(self):
+        """Finite coefficients whose h'Dh overflows fail at the observed fit."""
+        ds = random_dataset(4, k=2, d=1, c=0, n_i=(5, 6))
+        dm = build_design(ds)
+        fit = fit_ols(dm, ds)
+        cov = sandwich(dm, fit)
+        cm = custom([[1e308, -1e308]], labels=["huge"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="contrast 'huge' overflows"):
+                studentized_statistics(fit, cov, cm)
 
 
 def column_quantile(values, gamma: float) -> float:

@@ -212,7 +212,7 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(SimulationError, match="workers must be >= 1"):
             run_study([SimScenario(k=2, d=2, contrast_family="two_sample")],
                       runs=2, B=20, alpha=0.05, seed=1, workers=workers)
 
