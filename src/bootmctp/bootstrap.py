@@ -32,13 +32,15 @@ applied once per chunk.
 
 T is ``min(MAX_THREADS, usable CPUs)`` when a replicate carries enough
 work that releases the GIL, that is when n*d reaches the scheme's
-``THREAD_MIN_CELLS``, and 1 otherwise.  numpy releases the GIL in every
-per-row ``random_raw`` or ``standard_normal`` call, so on small rows two
-threads mostly hand the GIL back and forth.  At B=1000 and k=4 on two
-CPUs, two threads were slower than one up to n*d = 400 in both schemes;
-the wild scheme was mixed up to n*d = 1200 and faster from 1300, the
-parametric one faster from 600, and they were about 1.3 and 1.6 times
-as fast at n = 400, d = 5.
+``THREAD_MIN_CELLS``, and 1 otherwise or in any process that
+multiprocessing started (a ``run_study`` pool worker), which shares the
+CPUs with its siblings.  numpy releases the GIL in every per-row
+``random_raw`` or ``standard_normal`` call, so on small rows two threads
+mostly hand the GIL back and forth.  At B=1000 and k=4 on two CPUs, two
+threads were slower than one up to n*d = 400 in both schemes; the wild
+scheme was mixed up to n*d = 1200 and faster from 1300, the parametric
+one faster from 600, and they were about 1.3 and 1.6 times as fast at
+n = 400, d = 5.
 
 A chunk of m replicates is stored subject-major, as an (n, m, d) array that
 the refit views as (n, q) with q = m*d: all replicates share the design, so
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -160,16 +163,15 @@ class BootstrapDraws:
 def _wild_signs(rngs, out: np.ndarray) -> np.ndarray:
     """Rademacher signs into the (m, n) array `out`, one row per stream.
 
-    The rows are zipped with the iterable of fresh streams `rngs`.  Row j is
+    Row j, from the j-th fresh stream ``rng`` of the iterable `rngs`, is
     ``rng.integers(0, 2, size=n) * 2.0 - 1.0``, read from
     ``random_raw(ceil(n/2))``: numpy maps each 32-bit draw to {0, 1} by its
     top bit and splits each 64-bit word low half first, so bits 31 and 63 of
     each word give two consecutive signs.  Returns `out`.
     """
     m, n = out.shape
-    words = np.empty((m, (n + 1) // 2), dtype="<u8")
-    for row, rng in zip(words, rngs, strict=True):
-        row[:] = rng.bit_generator.random_raw(words.shape[1])
+    w = (n + 1) // 2
+    words = np.fromiter((r.bit_generator.random_raw(w) for r in rngs), ("<u8", w), m)
     np.right_shift(words.view("<u4")[:, :n], 31, out=out)  # low half first
     out *= 2.0
     out -= 1.0
@@ -305,10 +307,10 @@ def _replicate_rows(V: np.ndarray, m: int, d: int) -> np.ndarray:
 def _thread_count(kind: str, n: int, d: int) -> int:
     """Threads for a bootstrap of `kind` on n subjects and d outcomes.
 
-    One below the scheme's gate on n*d, else ``MAX_THREADS`` capped by the
-    CPUs this process may run on.
+    One below the scheme's gate on n*d or in a process that multiprocessing
+    started, else ``MAX_THREADS`` capped by the CPUs this process may run on.
     """
-    if n * d < THREAD_MIN_CELLS[kind]:
+    if n * d < THREAD_MIN_CELLS[kind] or multiprocessing.parent_process() is not None:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))

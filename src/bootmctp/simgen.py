@@ -21,7 +21,6 @@ from functools import partial
 
 import numpy as np
 
-from . import bootstrap
 from .bootstrap import BootstrapConfig
 from .contrasts import build_family
 from .covariance import psd_sqrt
@@ -250,7 +249,8 @@ def _global_rejections(scenario: SimScenario, scenario_index: int,
     """Global rejection counts (wild, parametric) over the runs of `block`.
 
     An EstimationError in one run is re-raised, chained, as a SimulationError
-    that names the scenario index, the run index and the dataset seed.
+    that names the scenario index, the run index and the dataset seed; any
+    other exception keeps its type and gets them as a note (Python >= 3.11).
     """
     hits = [0, 0]
     H = build_family(scenario.contrast_family, scenario.k, scenario.d)
@@ -265,11 +265,13 @@ def _global_rejections(scenario: SimScenario, scenario_index: int,
                 )
                 *_, reject = _calibrate(cfg, dm, fit, cov, H, A_n, alpha)
                 hits[col] += bool(reject.any())
-        except EstimationError as exc:
-            raise SimulationError(
-                f"scenario {scenario_index}, run {ri} (dataset seed {data_seed}) "
-                f"failed: {exc}"
-            ) from exc
+        except Exception as exc:
+            where = f"scenario {scenario_index}, run {ri} (dataset seed {data_seed})"
+            if isinstance(exc, EstimationError):
+                raise SimulationError(f"{where} failed: {exc}") from exc
+            if hasattr(exc, "add_note"):
+                exc.add_note(where)
+            raise
     return hits[0], hits[1]
 
 
@@ -291,11 +293,6 @@ def _block_bounds(runs: int, count: int) -> list[tuple[int, int]]:
     return list(zip(starts[:-1], starts[1:]))
 
 
-def _serial_bootstraps() -> None:
-    """Pool initializer: the pool's processes already fill the CPUs."""
-    bootstrap.MAX_THREADS = 1
-
-
 def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
               workers: int = 1) -> list[StudyResult]:
     """Monte Carlo study over scenarios; returns one result per method.
@@ -305,14 +302,14 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     percent, with an exact 95% binomial confidence interval.  Deterministic
     in `seed` regardless of `workers`.  The runs of each scenario are split
     into min(4 * workers, runs) blocks, and one list of (scenario, block)
-    tasks is mapped in this process, or on one process pool when `workers`
-    > 1 and there is more than one task.  Either way a failed run is raised
-    as in the serial order, and on the pool the tasks not yet started are
-    cancelled; a worker process that dies is raised as a SimulationError
-    naming the first block, in that order, that did not finish.  Pool
-    workers run their bootstraps on one thread, while a study run in this
-    process may use threads; see :mod:`bootmctp.bootstrap`.  Memory does
-    not grow with `runs`.
+    tasks is mapped in this process, or on a pool of min(`workers`, tasks)
+    processes when that is more than one.  Either way a failed run is
+    raised as in the serial order, and on the pool the tasks not yet
+    started are cancelled; a worker process that dies is raised as a
+    SimulationError naming the first block, in that order, that did not
+    finish.  Pool workers, as any process that multiprocessing started,
+    run their bootstraps on one thread; see :mod:`bootmctp.bootstrap`.
+    Memory does not grow with `runs`.
     """
     if runs < 1:
         raise SimulationError("runs must be >= 1")
@@ -325,8 +322,8 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     tasks = [(si, block) for si in range(len(scenarios)) for block in blocks]
     run_block = partial(_global_rejections, B=B, alpha=alpha, seed=seed)
     cell_hits = [[0, 0] for _ in scenarios]
-    with (ProcessPoolExecutor(max_workers=workers, initializer=_serial_bootstraps)
-          if workers > 1 and len(tasks) > 1 else contextlib.nullcontext()) as pool:
+    procs = min(workers, len(tasks))
+    with ProcessPoolExecutor(procs) if procs > 1 else contextlib.nullcontext() as pool:
         block_hits = (pool.map if pool else map)(
             run_block, [scenarios[si] for si, _ in tasks], *zip(*tasks))
         for si, block in tasks:

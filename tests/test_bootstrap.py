@@ -1,6 +1,7 @@
 import csv
 import gc
 import itertools
+import multiprocessing
 import os
 import sys
 import warnings
@@ -188,6 +189,12 @@ class TestDeterminism:
         assert bootstrap._thread_count("wild", 45, 5) == 1  # the HRV data
         monkeypatch.setattr(bootstrap, "MAX_THREADS", 1)
         assert bootstrap._thread_count("parametric", 10**4, 5) == 1
+
+    def test_thread_count_in_a_multiprocessing_child(self, monkeypatch):
+        """A process that multiprocessing started shares the CPUs: one thread."""
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        assert bootstrap._thread_count("parametric", 10**4, 5) == 1
+        assert bootstrap.MAX_THREADS == 2
 
     def test_thread_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")

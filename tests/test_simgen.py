@@ -1,6 +1,8 @@
 import math
 import multiprocessing
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -310,6 +312,20 @@ class TestRunStudy:
         assert len(par) == 4
         assert par == seq
 
+    def test_pool_has_no_more_processes_than_tasks(self, monkeypatch):
+        sizes = []
+
+        class ThreadBackedPool(ThreadPoolExecutor):  # starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simgen, "ProcessPoolExecutor", ThreadBackedPool)
+        sc = SimScenario(k=2, d=2, contrast_family="two_sample")
+        par = run_study([sc], runs=2, B=20, alpha=0.05, seed=3, workers=10**5)
+        assert sizes == [2]  # one scenario of two runs: two tasks
+        assert par == run_study([sc], runs=2, B=20, alpha=0.05, seed=3, workers=1)
+
     def test_pool_workers_bootstrap_on_one_thread(self, monkeypatch):
         """A threaded cell gives the same rates through single-threaded workers."""
         probes = []
@@ -348,6 +364,26 @@ class TestRunStudy:
         assert str(info.value).startswith(
             f"scenario 1, run 1 (dataset seed {data_seed}) failed: zero variance"
         )
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="exception notes are new in Python 3.11")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_other_fault_keeps_its_type_and_notes_its_run(self, monkeypatch, workers):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched gen_dataset reaches workers only by fork")
+        data_seed = derive_seed(7, 1, 1, 0)
+        key = substream(data_seed, 0).bit_generator.state["state"]["key"]
+
+        def gen_dataset_broken_for_key(scenario, rng):
+            if np.array_equal(rng.bit_generator.state["state"]["key"], key):
+                raise ValueError("operands could not be broadcast together")
+            return gen_dataset(scenario, rng)
+
+        monkeypatch.setattr(simgen, "gen_dataset", gen_dataset_broken_for_key)
+        sc = SimScenario(k=2, d=2, contrast_family="two_sample")
+        with pytest.raises(ValueError, match="could not be broadcast") as info:
+            run_study([sc, sc], runs=3, B=50, alpha=0.05, seed=7, workers=workers)
+        assert info.value.__notes__ == [f"scenario 1, run 1 (dataset seed {data_seed})"]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched gen_dataset reaches workers only by fork")
