@@ -16,7 +16,7 @@ import typing
 
 from . import contrasts as contrasts_mod
 from .bootstrap import KINDS, BootstrapConfig, save_draws_csv
-from .dataset import CsvSchema, load_csv, validate
+from .dataset import CsvSchema, _read_text, load_csv, validate
 from .exceptions import (
     ConfigError,
     ContrastError,
@@ -125,11 +125,10 @@ def _settings(args: argparse.Namespace, settings) -> dict:
     cfg = {}
     if args.config:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
+            cfg = json.loads(_read_text(args.config, ConfigError, "config"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(
                 f"invalid JSON in config file {args.config}: {exc}") from None
         if not isinstance(cfg, dict):

@@ -8,11 +8,11 @@ pattern; comparisons are ordered with outcome components varying fastest.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _read_csv
 from .exceptions import ContrastError
 
 ROW_SUM_TOL = 1e-12
@@ -117,46 +117,33 @@ def custom(H_raw, labels=None) -> ContrastMatrix:
 def from_csv(path, k: int, d: int) -> ContrastMatrix:
     """Load custom contrasts from CSV: k*d numeric columns, optional 'label'.
 
+    The file is read as :func:`~bootmctp.dataset.load_csv` reads data: UTF-8
+    with or without a BOM, a stripped header, and blank rows skipped.
     The label column is recognized by the header name 'label' (case
     insensitive); all remaining columns are contrast coefficients in
     group-major order.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ContrastError(f"empty contrast file: {path}") from None
-        label_col = next(
-            (j for j, h in enumerate(header) if h.lower() == "label"), None
+    header, rows = _read_csv(path, ContrastError, "contrast")
+    label_col = next(
+        (j for j, h in enumerate(header) if h.lower() == "label"), None
+    )
+    coef_cols = [j for j in range(len(header)) if j != label_col]
+    if len(coef_cols) != k * d:
+        raise ContrastError(
+            f"contrast file has {len(coef_cols)} coefficient columns, "
+            f"expected k*d = {k * d}"
         )
-        coef_cols = [j for j in range(len(header)) if j != label_col]
-        if len(coef_cols) != k * d:
+    H = []
+    for line_no, row in rows:
+        try:
+            H.append([float(row[j]) for j in coef_cols])
+        except ValueError:
             raise ContrastError(
-                f"contrast file has {len(coef_cols)} coefficient columns, "
-                f"expected k*d = {k * d}"
-            )
-        rows = []
-        labels = []
-        for line_no, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ContrastError(
-                    f"inconsistent row length at contrast row {line_no}"
-                )
-            try:
-                rows.append([float(row[j]) for j in coef_cols])
-            except ValueError:
-                raise ContrastError(
-                    f"non-numeric coefficient at contrast row {line_no}"
-                ) from None
-            labels.append(
-                row[label_col].strip() if label_col is not None else f"contrast {line_no}"
-            )
-    if not rows:
-        raise ContrastError(f"no contrast rows in {path}")
-    return ContrastMatrix(H=np.asarray(rows), labels=tuple(labels))
+                f"non-numeric coefficient at contrast row {line_no}"
+            ) from None
+    labels = [row[label_col].strip() if label_col is not None else f"contrast {line_no}"
+              for line_no, row in rows]
+    return ContrastMatrix(H=np.asarray(H), labels=tuple(labels))
 
 
 def build_family(

@@ -8,6 +8,7 @@ group order, so that group-wise computations are plain index ranges.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,13 +179,46 @@ def _parse_cell(raw: str, column: str, line_no: int) -> float:
         ) from None
     if not np.isfinite(value):
         raise DataError(
-            f"missing value (non-finite) in column '{column}' at data row {line_no}"
+            f"non-finite value '{text}' in column '{column}' at data row {line_no}"
         )
     return value
 
 
+def _read_text(path, error, what: str) -> str:
+    """The text of a UTF-8 file without its BOM, which the offset in `error` counts."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} file {path} is not UTF-8 at byte {exc.start}") from None
+
+
+def _read_csv(path, error, what: str):
+    """The stripped header and the non-blank rows, numbered from 1, of a CSV file.
+
+    Raises `error`, naming `what`, on an empty file, a ragged row or no rows.
+    """
+    reader = csv.reader(io.StringIO(_read_text(path, error, what), newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
+        rows = [(line_no, row) for line_no, row in enumerate(reader, start=1)
+                if any(cell.strip() for cell in row)]
+    except StopIteration:
+        raise error(f"empty {what} file: {path}") from None
+    except csv.Error as exc:
+        raise error(f"{what} file {path}, line {reader.line_num}: {exc}") from None
+    for line_no, row in rows:
+        if len(row) != len(header):
+            raise error(f"inconsistent row length at {what} row {line_no}: "
+                        f"expected {len(header)} fields, got {len(row)}")
+    if not rows:
+        raise error(f"no {what} rows in {path}")
+    return header, rows
+
+
 def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Load a dataset from a UTF-8 CSV file with a header row.
+    """Load a dataset from a UTF-8 CSV file, BOM optional, with a header row.
 
     Rows are regrouped so that each group's rows are contiguous, in file
     order within each group; groups are ordered by first appearance in the
@@ -193,58 +227,41 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     Raises
     ------
     DataError
-        On a missing column, a non-numeric or empty cell, an inconsistent
-        row length, an empty group label, or fewer than two groups.
+        On a file that is not UTF-8, a missing or repeated column, a
+        non-numeric, empty or non-finite cell, an inconsistent row length,
+        an empty group label, or fewer than two groups.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty CSV file: {path}") from None
-        header = [h.strip() for h in header]
-        col_idx = {}
-        for name in (schema.group, *schema.outcomes, *schema.covariates):
-            if name not in header:
-                raise DataError(f"missing column '{name}' in {path}")
-            col_idx[name] = header.index(name)
+    header, rows = _read_csv(path, DataError, "data")
+    columns = (*schema.outcomes, *schema.covariates)
+    col_idx = {}
+    for name in (schema.group, *columns):
+        if name not in header:
+            raise DataError(f"missing column '{name}' in {path}")
+        if header.count(name) > 1:
+            raise DataError(f"repeated column '{name}' in {path}")
+        col_idx[name] = header.index(name)
 
-        labels: list[str] = []
-        rows_y: list[list[float]] = []
-        rows_z: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"inconsistent row length at data row {line_no}: "
-                    f"expected {len(header)} fields, got {len(row)}"
-                )
-            label = row[col_idx[schema.group]].strip()
-            if label == "":
-                raise DataError(f"empty group label at data row {line_no}")
-            labels.append(label)
-            rows_y.append(
-                [_parse_cell(row[col_idx[c]], c, line_no) for c in schema.outcomes]
-            )
-            rows_z.append(
-                [_parse_cell(row[col_idx[c]], c, line_no) for c in schema.covariates]
-            )
+    labels: list[str] = []
+    values: list[list[float]] = []
+    for line_no, row in rows:
+        label = row[col_idx[schema.group]].strip()
+        if label == "":
+            raise DataError(f"empty group label at data row {line_no}")
+        labels.append(label)
+        values.append([_parse_cell(row[col_idx[c]], c, line_no) for c in columns])
 
-    if not labels:
-        raise DataError(f"no data rows in {path}")
     groups = list(dict.fromkeys(labels))  # first-appearance order
     if len(groups) < 2:
         raise DataError("k >= 2 required: found a single group")
 
     order = np.argsort([groups.index(lbl) for lbl in labels], kind="stable")
-    Y = np.asarray(rows_y, dtype=float)[order]
-    Z = np.asarray(rows_z, dtype=float).reshape(len(labels), len(schema.covariates))[order]
+    cells = np.asarray(values, dtype=float)[order]
+    d = len(schema.outcomes)
     return Dataset(
         groups=tuple(groups),
         n_i=tuple(labels.count(g) for g in groups),
-        Y=Y,
-        Z=Z,
+        Y=cells[:, :d],
+        Z=cells[:, d:],
         outcome_names=schema.outcomes,
         covariate_names=schema.covariates,
     )

@@ -165,6 +165,49 @@ class TestAnalyze:
             "is not finite"
         ]
 
+    def test_repeated_outcome_column_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("group,y1,y1,z\n" + "".join(f"{g},{v},{-v},{v * v}\n"
+                                                   for g in "ab" for v in (1, 2, 4)))
+        code, out, err = run_cli(capsys, ["analyze", "--input", str(data),
+                                          "--group-col", "group", "--outcomes", "y1"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: repeated column 'y1' in {data}"]
+
+    @pytest.mark.parametrize("which, code", [("data", 2), ("contrast", 2), ("config", 1)])
+    def test_latin1_byte_is_one_error_line(self, capsys, tmp_path, which, code):
+        texts = {"data": "group,y\n" + "".join(f"{g},{v}\n" for g in "ab"
+                                              for v in (0.1, 0.7, 0.4)),
+                 "contrast": "label,c1,c2\nb - a,-1,1\n",
+                 "config": json.dumps({"alpha": 0.05})}
+        paths = {name: tmp_path / f"{name}.txt" for name in texts}
+        for name, text in texts.items():  # a trailing Latin-1 byte in one file
+            paths[name].write_bytes((text + "\u00e9" * (name == which)).encode("latin-1"))
+        code_, out, err = run_cli(capsys, [
+            "analyze", "--input", str(paths["data"]), "--group-col", "group",
+            "--outcomes", "y", "--contrast", f"custom:{paths['contrast']}",
+            "--config", str(paths["config"]),
+        ])
+        assert (code_, out) == (code, "")
+        assert err.splitlines() == [f"error: {which} file {paths[which]} is not UTF-8 "
+                                    f"at byte {len(texts[which])}"]
+
+    def test_config_with_bom_is_read(self, capsys, tmp_path, hrv_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input": hrv_path, "group-col": "group",
+                                        "outcomes": "SDNN", "B": 20}),
+                            encoding="utf-8-sig")
+        code, _, err = run_cli(capsys, ["analyze", "--config", str(cfg_path)])
+        assert code == 0, err
+
+    def test_deeply_nested_config_exits_1(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[" * 10**5 + "]" * 10**5)
+        code, out, err = run_cli(capsys, ["analyze", "--config", str(cfg_path)])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: invalid JSON in config file {cfg_path}: ")
+
     def test_config_file_with_flag_override(self, capsys, tmp_path, hrv_path):
         cfg = {
             "input": hrv_path,

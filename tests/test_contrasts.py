@@ -1,3 +1,6 @@
+import codecs
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +155,28 @@ class TestFromCsv:
         cm = from_csv(str(path), k=2, d=2)
         assert cm.labels == ("first", "second")
         assert np.array_equal(cm.H, np.array([[1, -1, 0, 0], [0, 0, 1, -1]], dtype=float))
+
+    def test_utf8_bom_keeps_the_label_column(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"label,c1,c2\nfirst,1,-1\n")
+        cm = from_csv(str(path), k=2, d=1)
+        assert cm.labels == ("first",)
+        assert np.array_equal(cm.H, [[1.0, -1.0]])
+
+    def test_bytes_that_are_not_utf8_are_a_contrast_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("label,c1,c2\nd\u00e9j\u00e0,1,-1\n".encode("latin-1"))
+        with pytest.raises(ContrastError, match=(
+                f"^contrast file {re.escape(str(path))} is not UTF-8 at byte 13$")):
+            from_csv(str(path), k=2, d=1)
+
+    def test_ragged_row_counts_its_fields(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("c1,c2\n1,-1\n\n1,-1,0\n")
+        with pytest.raises(ContrastError, match=(
+                "^inconsistent row length at contrast row 3: expected 2 fields, "
+                "got 3$")):
+            from_csv(str(path), k=2, d=1)
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"

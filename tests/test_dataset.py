@@ -1,3 +1,7 @@
+import codecs
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +28,14 @@ SMALL_ROWS = [
     ["b", 0.25, 0.75, -0.4],
 ]
 SMALL_SCHEMA = CsvSchema(group="group", outcomes=("y1", "y2"), covariates=("z1",))
+
+
+def same_dataset(a: Dataset, b: Dataset) -> bool:
+    """Equal labels, sizes and names, and bitwise equal arrays."""
+    return ((a.groups, a.n_i, a.outcome_names, a.covariate_names)
+            == (b.groups, b.n_i, b.outcome_names, b.covariate_names)
+            and a.Y.tobytes() == b.Y.tobytes() and a.Z.tobytes() == b.Z.tobytes()
+            and a.Y.shape == b.Y.shape and a.Z.shape == b.Z.shape)
 
 
 class TestLoadCsv:
@@ -78,6 +90,60 @@ class TestLoadCsv:
         path.write_text("group,y1,y2,z1\na,1,2,0.3\na,1,2\nb,0,1,0.1\n")
         with pytest.raises(DataError, match="inconsistent row length"):
             load_csv(str(path), SMALL_SCHEMA)
+
+    @pytest.mark.parametrize("cell", ["1e400", "inf", "-Infinity", "nan", " NaN "])
+    def test_non_finite_cell_named_as_such(self, tmp_path, cell):
+        rows = [list(r) for r in SMALL_ROWS]
+        rows[3][2] = cell
+        path = write_csv(tmp_path, "inf.csv", SMALL_HEADER, rows)
+        with pytest.raises(DataError, match=(
+                f"^non-finite value '{cell.strip()}' in column 'y2' at data row 4$")):
+            load_csv(path, SMALL_SCHEMA)
+
+    def test_repeated_schema_column_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "rep.csv", ["group", "y1", "y1", "z1"], SMALL_ROWS)
+        with pytest.raises(DataError, match=f"^repeated column 'y1' in {re.escape(path)}$"):
+            load_csv(path, CsvSchema(group="group", outcomes=("y1",)))
+
+    def test_repeated_column_outside_the_schema_allowed(self, tmp_path):
+        header = ["note", "group", "y1", "y2", "z1", "note"]
+        rows = [["x", *row, "y"] for row in SMALL_ROWS]
+        ds = load_csv(write_csv(tmp_path, "notes.csv", header, rows), SMALL_SCHEMA)
+        plain = load_csv(write_csv(tmp_path, "plain.csv", SMALL_HEADER, SMALL_ROWS),
+                         SMALL_SCHEMA)
+        assert same_dataset(ds, plain)
+
+    def test_utf8_bom_loads_the_same_dataset(self, tmp_path):
+        path = Path(write_csv(tmp_path, "plain.csv", SMALL_HEADER, SMALL_ROWS))
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert same_dataset(load_csv(str(bom), SMALL_SCHEMA),
+                            load_csv(str(path), SMALL_SCHEMA))
+
+    @pytest.mark.parametrize("prefix", [b"", codecs.BOM_UTF8])
+    def test_bytes_that_are_not_utf8_name_file_and_offset(self, tmp_path, prefix):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(prefix + "group,y1\nx,1\nb\u00e9,2\n".encode("latin-1"))
+        offset = len(prefix) + len(b"group,y1\nx,1\nb")
+        with pytest.raises(DataError, match=(
+                f"^data file {re.escape(str(path))} is not UTF-8 at byte {offset}$")):
+            load_csv(str(path), CsvSchema(group="group", outcomes=("y1",)))
+
+    def test_field_beyond_the_csv_limit_is_a_data_error(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("group,y1\na,1\nb," + "1" * 200_000 + "\n")
+        with pytest.raises(DataError, match="line 3: field larger than field limit"):
+            load_csv(str(path), CsvSchema(group="group", outcomes=("y1",)))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty data file"),
+        ("group,y1\n\n , \n", "no data rows"),
+    ])
+    def test_empty_file_and_no_rows(self, tmp_path, text, message):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{message}"):
+            load_csv(str(path), CsvSchema(group="group", outcomes=("y1",)))
 
     def test_deterministic_reload(self, tmp_path):
         path = write_csv(tmp_path, "det.csv", SMALL_HEADER, SMALL_ROWS)

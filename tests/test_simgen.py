@@ -343,7 +343,7 @@ class TestRunStudy:
         par = run_study([sc], runs=4, B=300, alpha=0.05, seed=9, workers=2)
         assert [probe.result() for probe in probes] == [1]
         assert par == seq
-        assert bootstrap.MAX_THREADS == 2  # only the pool's processes were set
+        assert bootstrap.MAX_THREADS == 2  # each worker chose 1; the cap is untouched
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched gen_dataset reaches workers only by fork")
