@@ -304,19 +304,22 @@ def _replicate_rows(V: np.ndarray, m: int, d: int) -> np.ndarray:
     return V.reshape(k, m, d).transpose(1, 0, 2).reshape(m, k * d)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _thread_count(kind: str, n: int, d: int) -> int:
     """Threads for a bootstrap of `kind` on n subjects and d outcomes.
 
     One below the scheme's gate on n*d or in a process that multiprocessing
-    started, else ``MAX_THREADS`` capped by the CPUs this process may run on.
+    started, else ``MAX_THREADS`` capped by :func:`_usable_cpus`.
     """
     if n * d < THREAD_MIN_CELLS[kind] or multiprocessing.parent_process() is not None:
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on macOS or Windows
-        cpus = os.cpu_count() or 1
-    return min(MAX_THREADS, cpus)
+    return min(MAX_THREADS, _usable_cpus())
 
 
 def _run_passes(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,

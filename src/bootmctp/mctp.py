@@ -8,12 +8,12 @@ values is the (gamma*B + 1)-th largest.  With this convention the p-value /
 critical-value duality holds exactly for finite B, ties included:
 p_s <= gamma  iff  |A_n(h_s)| exceeds the contrast's quantile.
 
-Gamma, the quantiles and the p-values all read the one ranking of the
-draws that :class:`BootstrapDraws` makes (a raw B x r array is ranked on
-the spot).  Gamma comes from each replicate's tail counts, B minus its left
-ranks; the quantile at grid index g is row B-1-g of the sorted |A_star|; a
-p-value is B minus the ``searchsorted`` position of |A_n(h_s)|, over B.
-The counts are exact integers.
+Gamma, the quantiles and the p-values take a :class:`BootstrapDraws` and
+read the one ranking of the draws that it makes on construction.  Gamma
+comes from each replicate's tail counts, B minus its left ranks; the
+quantile at grid index g is row B-1-g of the sorted |A_star|; a p-value is
+B minus the ``searchsorted`` position of |A_n(h_s)|, over B.  The counts
+are exact integers.
 
 :func:`run_mctp` and each simulated run in ``simgen`` share one core:
 :func:`_fit` (fit, sandwich studentizer, observed statistics) and
@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapDraws, _rank_abs, run_bootstrap
+from .bootstrap import BootstrapConfig, BootstrapDraws, run_bootstrap
 from .contrasts import ContrastMatrix
 from .covariance import CovarianceEstimate, sandwich, studentize
 from .dataset import Dataset, validate
@@ -60,13 +60,6 @@ def test_statistics(fit: FitResult, cov: CovarianceEstimate,
     return A[0]
 
 
-def _ranked(draws) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted_abs, ranks) of the draws; a raw B x r array is ranked here."""
-    if isinstance(draws, BootstrapDraws):
-        return draws.sorted_abs, draws.ranks
-    return _rank_abs(np.atleast_2d(np.asarray(draws, dtype=float)))
-
-
 def gamma_index(gamma: float, B: int) -> int:
     """Map a grid value gamma in {0, 1/B, ..., (B-1)/B} to its integer index."""
     g = int(round(gamma * B))
@@ -77,21 +70,21 @@ def gamma_index(gamma: float, B: int) -> int:
     return g
 
 
-def adjust_level(draws, alpha: float) -> float:
+def adjust_level(draws: BootstrapDraws, alpha: float) -> float:
     """Largest grid gamma whose estimated family-wise error rate is <= alpha.
 
-    Uses the rank shortcut: a replicate exceeds its column quantile at grid
-    index g exactly when fewer than g+1 replicates are >= it in that column,
-    so the error-rate curve is the cumulative distribution of the minimum
-    per-column tail count.  This agrees with the definitional grid scan of
-    the estimated error rate for every input, ties included.
+    Uses the rank shortcut on the ``ranks`` of the :class:`BootstrapDraws`:
+    a replicate exceeds its column quantile at grid index g exactly when
+    fewer than g+1 replicates are >= it in that column, so the error-rate
+    curve is the cumulative distribution of the minimum per-column tail
+    count.  This agrees with the definitional grid scan of the estimated
+    error rate for every input, ties included.
     """
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    _, ranks = _ranked(draws)
-    B = ranks.shape[0]
+    B = draws.B
     # Per replicate: min over contrasts of #{b': |A_b's| >= |A_bs|}, in 1..B.
-    m = B - ranks.max(axis=1)
+    m = B - draws.ranks.max(axis=1)
     hist = np.bincount(m, minlength=B + 1)
     cum = np.cumsum(hist)  # cum[g] = #{b: m_b <= g}
     ok = cum[:B].astype(float) / B <= alpha  # prefix of the grid
@@ -99,21 +92,21 @@ def adjust_level(draws, alpha: float) -> float:
     return g_star / B
 
 
-def local_p_values(draws, A_n: np.ndarray) -> np.ndarray:
-    """Share of replicates with |bootstrap statistic| >= |observed statistic|."""
-    S, _ = _ranked(draws)
-    B = S.shape[0]
+def local_p_values(draws: BootstrapDraws, A_n: np.ndarray) -> np.ndarray:
+    """Share of replicates with |bootstrap statistic| >= |observed statistic|:
+    ``searchsorted`` in each column of the :class:`BootstrapDraws`' ``sorted_abs``."""
+    S, B = draws.sorted_abs, draws.B
     absA_n = np.abs(np.asarray(A_n, dtype=float))
     below = [np.searchsorted(S[:, s], absA_n[s], side="left")
              for s in range(S.shape[1])]
     return (B - np.array(below)) / B
 
 
-def contrast_quantiles(draws, gamma: float) -> np.ndarray:
-    """Per-contrast (1-gamma)-quantiles of the absolute bootstrap statistics."""
-    S, _ = _ranked(draws)
-    B = S.shape[0]
-    return S[B - 1 - gamma_index(gamma, B)].copy()
+def contrast_quantiles(draws: BootstrapDraws, gamma: float) -> np.ndarray:
+    """Per-contrast (1-gamma)-quantiles of the absolute bootstrap statistics:
+    row B-1-g, g gamma's grid index, of the :class:`BootstrapDraws`' ``sorted_abs``."""
+    B = draws.B
+    return draws.sorted_abs[B - 1 - gamma_index(gamma, B)].copy()
 
 
 def confidence_intervals(fit: FitResult, cov: CovarianceEstimate, draws,

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig
+from .bootstrap import BootstrapConfig, _usable_cpus
 from .contrasts import build_family
 from .covariance import psd_sqrt
 from .dataset import Dataset
@@ -302,8 +302,8 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     percent, with an exact 95% binomial confidence interval.  Deterministic
     in `seed` regardless of `workers`.  The runs of each scenario are split
     into min(4 * workers, runs) blocks, and one list of (scenario, block)
-    tasks is mapped in this process, or on a pool of min(`workers`, tasks)
-    processes when that is more than one.  Either way a failed run is
+    tasks is mapped in this process, or on a pool of min(`workers`, tasks,
+    usable CPUs) processes when that is more than one.  Either way a failed run is
     raised as in the serial order, and on the pool the tasks not yet
     started are cancelled; a worker process that dies is raised as a
     SimulationError naming the first block, in that order, that did not
@@ -322,7 +322,7 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     tasks = [(si, block) for si in range(len(scenarios)) for block in blocks]
     run_block = partial(_global_rejections, B=B, alpha=alpha, seed=seed)
     cell_hits = [[0, 0] for _ in scenarios]
-    procs = min(workers, len(tasks))
+    procs = min(workers, len(tasks), _usable_cpus())
     with ProcessPoolExecutor(procs) if procs > 1 else contextlib.nullcontext() as pool:
         block_hits = (pool.map if pool else map)(
             run_block, [scenarios[si] for si, _ in tasks], *zip(*tasks))

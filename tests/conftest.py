@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))  # make oracles importable
 
-from bootmctp import CsvSchema, Dataset
+from bootmctp import BootstrapDraws, CsvSchema, Dataset
 
 try:
     from hypothesis import settings
@@ -49,3 +49,11 @@ def random_dataset(seed, k=3, d=2, c=2, n_i=(8, 8, 8), mu=None) -> Dataset:
     return Dataset.from_group_blocks(
         groups=[f"g{i + 1}" for i in range(k)], Y_blocks=Y_blocks, Z_blocks=Z_blocks
     )
+
+
+def draws_of(A_star) -> BootstrapDraws:
+    """A B x r array of bootstrap statistics as BootstrapDraws.
+
+    The array is copied, because BootstrapDraws freezes the one it holds.
+    """
+    return BootstrapDraws(A_star=np.array(A_star, dtype=float), kind="wild", seed=0)

@@ -20,7 +20,9 @@ References and the package functions they check:
   including the order in which it sums;
 - ``exact_statistics``: the observed statistics A_n of ``mctp._fit``, in
   40-digit decimal arithmetic, so that it checks the value of the statistic
-  where float64 loses digits.
+  where float64 loses digits;
+- ``exact_replicate``: one row of ``bootstrap.run_bootstrap``, drawn from
+  the documented replicate stream and refit as ``exact_statistics`` fits.
 """
 
 from __future__ import annotations
@@ -208,43 +210,113 @@ def _gauss_jordan_inverse(A):
     return [row[m:] for row in aug]
 
 
+def _exact_design(ds):
+    """X = [group indicators | Z], XG = X G, the leverages p and the weights w.
+
+    In Decimal, within the caller's context: G is the Gauss-Jordan inverse
+    of the (k+c) Gram matrix, p = diag(X G X') and w = (1 - p) **
+    (-min(4, p / mean p)) (Decimal takes non-integer powers).
+    """
+    group = [i for i, m in enumerate(ds.n_i) for _ in range(m)]
+    X = [[Decimal(int(a == g)) for a in range(ds.k)] + [Decimal(z) for z in row]
+         for g, row in zip(group, ds.Z.tolist())]
+    P = len(X[0])
+    gram = [[sum(x[a] * x[b] for x in X) for b in range(P)] for a in range(P)]
+    G = _gauss_jordan_inverse(gram)
+    XG = [[sum(x[b] * G[b][a] for b in range(P)) for a in range(P)] for x in X]
+    p = [sum(xg[a] * x[a] for a in range(P)) for x, xg in zip(X, XG)]
+    mean_p = sum(p) / len(X)
+    w = [(1 - pj) ** (-min(Decimal(4), pj / mean_p)) for pj in p]
+    return X, XG, p, w
+
+
+def _exact_ols(X, XG, Y):
+    """beta = G X'Y and the residuals Y - X beta of the Decimal response Y."""
+    n, d, P = len(Y), len(Y[0]), len(X[0])
+    beta = [[sum(XG[j][a] * Y[j][col] for j in range(n)) for col in range(d)]
+            for a in range(P)]
+    resid = [[Y[j][col] - sum(X[j][a] * beta[a][col] for a in range(P))
+              for col in range(d)] for j in range(n)]
+    return beta, resid
+
+
+def _exact_refit(design, Y, k, H) -> np.ndarray:
+    """sqrt(n) h'mu / sqrt(h'Dh) per row h of H for the Decimal response Y.
+
+    mu are the first k rows of beta = G X'Y, and D = n sum_j w_j (XG)[j,
+    a]^2 e[j, l]^2 with e the residuals.  Only the returned statistics are
+    rounded to float64.
+    """
+    X, XG, _, w = design
+    n, d = len(Y), len(Y[0])
+    beta, resid = _exact_ols(X, XG, Y)
+    mu = [beta[a][col] for a in range(k) for col in range(d)]
+    D = [n * sum(w[j] * XG[j][a] ** 2 * resid[j][col] ** 2 for j in range(n))
+         for a in range(k) for col in range(d)]
+    root_n = Decimal(n).sqrt()
+    out = []
+    for h in np.asarray(H, dtype=float).tolist():
+        h = [Decimal(v) for v in h]
+        hmu = sum(hc * mc for hc, mc in zip(h, mu))
+        hDh = sum(hc * hc * Dc for hc, Dc in zip(h, D))
+        out.append(float(root_n * hmu / hDh.sqrt()))
+    return np.array(out)
+
+
 def exact_statistics(ds, H) -> np.ndarray:
     """A_n = sqrt(n) h'mu / sqrt(h'Dh) per row h of H, in 40-digit decimal.
 
     Every double of the data and of H converts to Decimal exactly.  The
     (k+c) Gram matrix of X = [group indicators | Z] is inverted by
     Gauss-Jordan elimination; then come the leverages p = diag(X G X'), the
-    weights (1 - p) ** (-min(4, p / mean p)) (Decimal takes non-integer
-    powers), the adjusted means G X'Y, the residuals, D = n sum_j w_j
-    (XG)[j, a]^2 e[j, l]^2 and the square roots.  Only the returned
-    statistics are rounded to float64.
+    weights (1 - p) ** (-min(4, p / mean p)), the adjusted means G X'Y, the
+    residuals, D = n sum_j w_j (XG)[j, a]^2 e[j, l]^2 and the square roots.
+    Only the returned statistics are rounded to float64.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        n, k, d = ds.n, ds.k, ds.d
-        group = [i for i, m in enumerate(ds.n_i) for _ in range(m)]
-        X = [[Decimal(int(a == g)) for a in range(k)] + [Decimal(z) for z in row]
-             for g, row in zip(group, ds.Z.tolist())]
         Y = [[Decimal(y) for y in row] for row in ds.Y.tolist()]
-        P = len(X[0])
-        gram = [[sum(x[a] * x[b] for x in X) for b in range(P)] for a in range(P)]
-        G = _gauss_jordan_inverse(gram)
-        XG = [[sum(x[b] * G[b][a] for b in range(P)) for a in range(P)] for x in X]
-        p = [sum(xg[a] * x[a] for a in range(P)) for x, xg in zip(X, XG)]
-        mean_p = sum(p) / n
-        w = [(1 - pj) ** (-min(Decimal(4), pj / mean_p)) for pj in p]
-        beta = [[sum(XG[j][a] * Y[j][col] for j in range(n)) for col in range(d)]
-                for a in range(P)]
-        resid = [[Y[j][col] - sum(X[j][a] * beta[a][col] for a in range(P))
-                  for col in range(d)] for j in range(n)]
-        mu = [beta[a][col] for a in range(k) for col in range(d)]
-        D = [n * sum(w[j] * XG[j][a] ** 2 * resid[j][col] ** 2 for j in range(n))
-             for a in range(k) for col in range(d)]
-        root_n = Decimal(n).sqrt()
-        out = []
-        for h in np.asarray(H, dtype=float).tolist():
-            h = [Decimal(v) for v in h]
-            hmu = sum(hc * mc for hc, mc in zip(h, mu))
-            hDh = sum(hc * hc * Dc for hc, Dc in zip(h, D))
-            out.append(float(root_n * hmu / hDh.sqrt()))
-    return np.array(out)
+        return _exact_refit(_exact_design(ds), Y, ds.k, H)
+
+
+def exact_replicate(ds, H, kind, seed, b, attempt=0) -> np.ndarray:
+    """Row `b` of the bootstrap statistics, redraw `attempt`, in 40-digit decimal.
+
+    The response comes from the documented stream of replicate (b, attempt),
+    a fresh ``Philox(key=[seed mod 2**64, attempt << 32 | b])`` built here:
+
+    - wild: ``integers(0, 2, size=n)`` gives subject j the sign 2u_j - 1,
+      which multiplies the exact residuals of the observed fit, scaled by
+      1/sqrt(1 - p_j) with the exact leverage p_j;
+    - parametric: ``standard_normal((n, d))``, whose rows of group g are
+      multiplied by the package's ``psd_sqrt(cov.group_sigmas[g])``.  That
+      root is taken as float64 input, so this checks the refit and the
+      studentizer, not the group covariances or their eigendecomposition.
+
+    The response is refit as :func:`exact_statistics` fits the data.
+    """
+    key = np.array([seed & ((1 << 64) - 1), attempt << 32 | b], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        design = _exact_design(ds)
+        if kind == "wild":
+            X, XG, p, _ = design
+            _, resid = _exact_ols(X, XG, [[Decimal(y) for y in row]
+                                          for row in ds.Y.tolist()])
+            signs = rng.integers(0, 2, size=ds.n).tolist()
+            Y = [[(2 * u - 1) * e / (1 - pj).sqrt() for e in row]
+                 for u, pj, row in zip(signs, p, resid)]
+        else:
+            from bootmctp.covariance import psd_sqrt, sandwich
+            from bootmctp.design import build_design, fit_ols
+
+            dm = build_design(ds)
+            roots = [[[Decimal(v) for v in row] for row in psd_sqrt(S).tolist()]
+                     for S in sandwich(dm, fit_ols(dm, ds)).group_sigmas]
+            normals = rng.standard_normal((ds.n, ds.d)).tolist()
+            group = [i for i, m in enumerate(ds.n_i) for _ in range(m)]
+            Y = [[sum(Decimal(u) * L[a][col] for a, u in enumerate(row))
+                  for col in range(ds.d)]
+                 for row, L in zip(normals, (roots[g] for g in group))]
+        return _exact_refit(design, Y, ds.k, H)

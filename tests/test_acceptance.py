@@ -27,7 +27,7 @@ from bootmctp.dataset import group_slices
 from bootmctp.design import build_design, fit_ols
 from bootmctp.mctp import adjust_level, contrast_quantiles, local_p_values
 
-from conftest import HRV_OUTCOMES, random_dataset
+from conftest import HRV_OUTCOMES, draws_of, random_dataset
 from oracles import (
     adjusted_means_via_group_means,
     dense_ols,
@@ -182,7 +182,7 @@ def test_criterion_5_oracle_equivalences():
         r = int(rng2.integers(1, 6))
         A = rng2.integers(0, 7, size=(B, r)).astype(float) - 2.0  # many ties
         alpha = float(rng2.uniform(0.01, 0.4))
-        assert adjust_level(A, alpha) == scan_adjust_level(A, alpha)
+        assert adjust_level(draws_of(A), alpha) == scan_adjust_level(A, alpha)
         checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -203,9 +203,10 @@ def test_criterion_6_pvalue_duality_properties():
         A_star = rng.integers(0, 8, size=(B, r)).astype(float) - 3.0
         A_n = rng.integers(0, 8, size=r).astype(float) - 3.0
         alpha = float(rng.uniform(0.02, 0.5))
-        gamma = adjust_level(A_star, alpha)
-        q = contrast_quantiles(A_star, gamma)
-        p = local_p_values(A_star, A_n)
+        draws = draws_of(A_star)
+        gamma = adjust_level(draws, alpha)
+        q = contrast_quantiles(draws, gamma)
+        p = local_p_values(draws, A_n)
         reject = np.abs(A_n) > q
         if not np.array_equal(p <= gamma, reject):
             violations += 1

@@ -405,6 +405,49 @@ class TestSimulate:
         assert code == 1
 
 
+class TestLargeFamily:
+    """Tukey with k = 10 and d = 5: r = 45 * 5 = 225 contrasts end to end."""
+
+    K, D, R = 10, 5, 225
+
+    @pytest.mark.parametrize("kind", ["wild", "parametric"])
+    def test_analyze_reports_every_contrast(self, capsys, tmp_path, kind):
+        rng = np.random.default_rng(10)
+        path = tmp_path / "big.csv"
+        outcomes = [f"y{j + 1}" for j in range(self.D)]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["group", *outcomes, "z"])
+            for g in range(self.K):
+                for _ in range(6):
+                    writer.writerow([f"g{g + 1}", *rng.standard_normal(self.D + 1)])
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, [
+            "analyze", "--input", str(path), "--group-col", "group",
+            "--outcomes", ",".join(outcomes), "--covariates", "z",
+            "--contrast", "tukey", "--bootstrap", kind, "--B", "200",
+            "--out", str(out_dir),
+        ])
+        assert code == 0, err
+        rows = json.loads((out_dir / "result.json").read_text())["contrasts"]
+        assert len(rows) == self.R
+        assert all(np.isfinite([o["statistic"], o["quantile"], o["p_value"],
+                                o["ci_lower"], o["ci_upper"]]).all() for o in rows)
+        table = (out_dir / "result.txt").read_text().splitlines()
+        assert sum(ln.endswith((" reject", " retain")) for ln in table) == self.R
+
+    def test_study_gives_two_results(self):
+        from bootmctp import SimScenario, run_study
+
+        sc = SimScenario(k=self.K, d=self.D, contrast_family="tukey")
+        results = run_study([sc], runs=2, B=100, alpha=0.05, seed=11)
+        assert [r.method for r in results] == ["wild", "parametric"]
+        for r in results:
+            assert (r.runs, r.B) == (2, 100)
+            assert r.rate in (0.0, 50.0, 100.0)
+            assert 0.0 <= r.ci_lower <= r.rate <= r.ci_upper <= 100.0
+
+
 class TestContrastsCommand:
     def test_dunnett_prints_labeled_rows(self, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,6 @@ import pytest
 
 from bootmctp import (
     BootstrapConfig,
-    BootstrapDraws,
     ConfigError,
     Dataset,
     EstimationError,
@@ -23,7 +22,7 @@ from bootmctp.mctp import (
     local_p_values,
 )
 from bootmctp.mctp import test_statistics as studentized_statistics
-from conftest import random_dataset
+from conftest import draws_of, random_dataset
 from oracles import (
     descending_quantile,
     scan_adjust_level,
@@ -104,7 +103,7 @@ class TestTestStatistics:
 
 def column_quantile(values, gamma: float) -> float:
     """contrast_quantiles on one contrast: the (gamma*B + 1)-th largest |value|."""
-    (q,) = contrast_quantiles(np.asarray(values, dtype=float)[:, None], gamma)
+    (q,) = contrast_quantiles(draws_of(np.asarray(values)[:, None]), gamma)
     return float(q)
 
 
@@ -150,12 +149,12 @@ class TestAdjustLevel:
     def test_single_contrast_large_grid(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((2000, 1))
-        assert adjust_level(A, 0.05) == pytest.approx(0.05)
+        assert adjust_level(draws_of(A), 0.05) == pytest.approx(0.05)
 
     def test_alpha_below_grid_gives_zero(self):
         rng = np.random.default_rng(9)
         A = rng.standard_normal((10, 1))
-        assert adjust_level(A, 0.01) == 0.0
+        assert adjust_level(draws_of(A), 0.01) == 0.0
 
     def test_fast_path_equals_scan_with_ties(self):
         rng = np.random.default_rng(10)
@@ -164,41 +163,42 @@ class TestAdjustLevel:
             r = int(rng.integers(1, 5))
             A = tie_matrix(rng, B, r)
             alpha = float(rng.uniform(0.01, 0.3))
-            assert adjust_level(A, alpha) == scan_adjust_level(A, alpha), (trial, B, r)
+            gamma = adjust_level(draws_of(A), alpha)
+            assert gamma == scan_adjust_level(A, alpha), (trial, B, r)
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(11)
         A = tie_matrix(rng, 40, 3)
-        gammas = [adjust_level(A, a) for a in (0.01, 0.05, 0.1, 0.2, 0.5)]
+        gammas = [adjust_level(draws_of(A), a) for a in (0.01, 0.05, 0.1, 0.2, 0.5)]
         assert all(a <= b for a, b in zip(gammas, gammas[1:]))
 
     def test_duplicate_contrast_leaves_gamma_unchanged(self):
         rng = np.random.default_rng(12)
         A = rng.standard_normal((200, 3))
         A_dup = np.column_stack([A, A[:, 1]])
-        assert adjust_level(A, 0.05) == adjust_level(A_dup, 0.05)
+        assert adjust_level(draws_of(A), 0.05) == adjust_level(draws_of(A_dup), 0.05)
 
     def test_invalid_alpha(self):
         with pytest.raises(ConfigError):
-            adjust_level(np.ones((10, 1)), 1.5)
+            adjust_level(draws_of(np.ones((10, 1))), 1.5)
 
 
 class TestLocalPValues:
     def test_zero_statistic_gives_one(self):
         rng = np.random.default_rng(13)
         A = rng.standard_normal((50, 2)) + 0.1
-        p = local_p_values(A, np.zeros(2))
+        p = local_p_values(draws_of(A), np.zeros(2))
         assert np.all(p == 1.0)
 
     def test_dominating_statistic_gives_zero(self):
         rng = np.random.default_rng(14)
         A = rng.standard_normal((50, 2))
-        p = local_p_values(A, np.array([100.0, -100.0]))
+        p = local_p_values(draws_of(A), np.array([100.0, -100.0]))
         assert np.all(p == 0.0)
 
     def test_non_strict_inequality_counts_ties(self):
-        A = np.array([[1.0], [2.0], [3.0]])
-        assert local_p_values(A, np.array([2.0]))[0] == pytest.approx(2.0 / 3.0)
+        draws = draws_of([[1.0], [2.0], [3.0]])
+        assert local_p_values(draws, np.array([2.0]))[0] == pytest.approx(2.0 / 3.0)
 
 
 class TestPValueDuality:
@@ -207,10 +207,10 @@ class TestPValueDuality:
     def test_equivalences_on_random_and_tied_instances(self):
         """The ranked results equal the definitional oracles bit for bit.
 
-        gamma, the quantiles, the p-values and the intervals are compared
-        from a raw array and from BootstrapDraws, whose sorted copy and left
-        ranks are made on construction; the ranks are compared with their
-        definitional count.  Then p <= gamma exactly when |A_n| exceeds q.
+        gamma, the quantiles, the p-values and the intervals are read from
+        BootstrapDraws, whose sorted copy and left ranks are made on
+        construction; the ranks are compared with their definitional count.
+        Then p <= gamma exactly when |A_n| exceeds q.
         """
         models = {}
         for r in range(1, 5):
@@ -234,15 +234,15 @@ class TestPValueDuality:
             _, hDh = studentize(fit.mu_vec[None], cov.D[None], cm.H, n)
             est, half = cm.H @ fit.mu_vec, q_ref * np.sqrt(hDh[0] / n)
             ci_ref = np.column_stack([est - half, est + half])
-            for draws in (A_star, BootstrapDraws(A_star.copy(), "wild", 0)):
-                gamma = adjust_level(draws, alpha)
-                q = contrast_quantiles(draws, gamma)
-                p = local_p_values(draws, A_n)
-                ci = confidence_intervals(fit, cov, draws, gamma, cm)
-                assert gamma == gamma_ref, trial
-                for got, ref in ((q, q_ref), (p, p_ref), (ci, ci_ref)):
-                    assert got.dtype == ref.dtype and got.shape == ref.shape, trial
-                    assert got.tobytes() == ref.tobytes(), trial
+            draws = draws_of(A_star)
+            gamma = adjust_level(draws, alpha)
+            q = contrast_quantiles(draws, gamma)
+            p = local_p_values(draws, A_n)
+            ci = confidence_intervals(fit, cov, draws, gamma, cm)
+            assert gamma == gamma_ref, trial
+            for got, ref in ((q, q_ref), (p, p_ref), (ci, ci_ref)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape, trial
+                assert got.tobytes() == ref.tobytes(), trial
             absA = np.abs(A_star)  # ranks[b, s] = #{b': |A_b's| < |A_bs|}
             ranks_ref = (absA[None] < absA[:, None]).sum(axis=1)
             assert np.array_equal(draws.ranks, ranks_ref), trial
@@ -274,7 +274,7 @@ class TestConfidenceIntervals:
     def test_degenerate_quantile_gives_point_interval(self):
         ds, dm, fit, cov, cm, _ = self.make(17)
         zeros = np.zeros((10, 2))
-        ci = confidence_intervals(fit, cov, zeros, 0.0, cm)
+        ci = confidence_intervals(fit, cov, draws_of(zeros), 0.0, cm)
         est = cm.H @ fit.mu_vec
         assert np.allclose(ci[:, 0], est) and np.allclose(ci[:, 1], est)
 

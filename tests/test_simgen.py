@@ -206,6 +206,12 @@ class TestBinomialCi:
         assert got.tobytes() == np.column_stack([lo, hi]).tobytes()
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs for run_study, so that workers=2 opens a pool on any host."""
+    monkeypatch.setattr(simgen, "_usable_cpus", lambda: 2)
+
+
 class TestRunStudy:
     def test_zero_runs_rejected(self):
         with pytest.raises(SimulationError, match="runs"):
@@ -286,12 +292,14 @@ class TestRunStudy:
         )
         assert isinstance(info.value.__cause__, EstimationError)
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_workers_do_not_change_results(self):
         sc = SimScenario(k=2, d=2, contrast_family="two_sample")
         seq = run_study([sc], runs=12, B=60, alpha=0.05, seed=3, workers=1)
         par = run_study([sc], runs=12, B=60, alpha=0.05, seed=3, workers=2)
         assert [r.rate for r in seq] == [r.rate for r in par]
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_two_scenario_study_does_not_depend_on_workers(self, monkeypatch):
         pools = []
 
@@ -312,7 +320,12 @@ class TestRunStudy:
         assert len(par) == 4
         assert par == seq
 
-    def test_pool_has_no_more_processes_than_tasks(self, monkeypatch):
+    @pytest.mark.parametrize("cpus, runs, procs", [
+        (8, 2, 2),  # one scenario of two runs: two tasks
+        (3, 40, 3),  # 40 tasks on three usable CPUs
+    ])
+    def test_pool_has_no_more_processes_than_tasks_or_cpus(self, monkeypatch,
+                                                           cpus, runs, procs):
         sizes = []
 
         class ThreadBackedPool(ThreadPoolExecutor):  # starts no process
@@ -321,11 +334,13 @@ class TestRunStudy:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(simgen, "ProcessPoolExecutor", ThreadBackedPool)
+        monkeypatch.setattr(simgen, "_usable_cpus", lambda: cpus)
         sc = SimScenario(k=2, d=2, contrast_family="two_sample")
-        par = run_study([sc], runs=2, B=20, alpha=0.05, seed=3, workers=10**5)
-        assert sizes == [2]  # one scenario of two runs: two tasks
-        assert par == run_study([sc], runs=2, B=20, alpha=0.05, seed=3, workers=1)
+        par = run_study([sc], runs=runs, B=20, alpha=0.05, seed=3, workers=10**5)
+        assert sizes == [procs]
+        assert par == run_study([sc], runs=runs, B=20, alpha=0.05, seed=3, workers=1)
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_pool_workers_bootstrap_on_one_thread(self, monkeypatch):
         """A threaded cell gives the same rates through single-threaded workers."""
         probes = []
@@ -347,6 +362,7 @@ class TestRunStudy:
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched gen_dataset reaches workers only by fork")
+    @pytest.mark.usefixtures("two_cpus")
     def test_failed_run_is_named_through_the_pool(self, monkeypatch):
         flat = zero_residual_dataset()
         data_seed = derive_seed(7, 1, 1, 0)
@@ -368,6 +384,7 @@ class TestRunStudy:
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="exception notes are new in Python 3.11")
     @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.usefixtures("two_cpus")
     def test_other_fault_keeps_its_type_and_notes_its_run(self, monkeypatch, workers):
         if workers > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patched gen_dataset reaches workers only by fork")
@@ -387,6 +404,7 @@ class TestRunStudy:
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched gen_dataset reaches workers only by fork")
+    @pytest.mark.usefixtures("two_cpus")
     def test_crashed_worker_is_named_through_the_pool(self, monkeypatch):
         key = substream(derive_seed(7, 0, 1, 0), 0).bit_generator.state["state"]["key"]
 
