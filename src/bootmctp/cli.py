@@ -16,7 +16,7 @@ import typing
 
 from . import contrasts as contrasts_mod
 from .bootstrap import KINDS, BootstrapConfig, save_draws_csv
-from .dataset import CsvSchema, _read_text, load_csv, validate
+from .dataset import CsvSchema, _read_text, load_csv
 from .exceptions import (
     ConfigError,
     ContrastError,
@@ -182,14 +182,6 @@ def _cmd_analyze(args) -> int:
         covariates=_split_names(cfg["covariates"]),
     )
     ds = load_csv(cfg["input"], schema)
-    report = validate(ds)
-    for w in report.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    if not report.ok:
-        for e in report.errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 2
-
     contrasts = _resolve_contrast(
         cfg["contrast"], ds.k, ds.d, ds.groups, ds.outcome_names
     )

@@ -49,7 +49,7 @@ class CovarianceEstimate:
                 s.setflags(write=False)
 
 
-def hc4_weights(leverages: np.ndarray, n: int) -> np.ndarray:
+def hc4_weights(leverages: np.ndarray) -> np.ndarray:
     """Per-subject weights (1-p)^(-delta), delta = min(4, p / mean leverage).
 
     Raises
@@ -66,7 +66,7 @@ def hc4_weights(leverages: np.ndarray, n: int) -> np.ndarray:
         )
     if np.any(p < 0):
         raise EstimationError("negative leverage encountered")
-    mean_lev = p.sum() / n
+    mean_lev = p.sum() / p.size
     delta = np.minimum(4.0, p / mean_lev)
     return (1.0 - p) ** (-delta)
 
@@ -80,7 +80,7 @@ def sandwich(dm: DesignMatrices, fit: FitResult) -> CovarianceEstimate:
     n * sum_j w_j U1[j, a]^2 E[j, l]^2 with U1 = (X G)[:, :k], so only the
     n x (k+c) univariate design is touched.
     """
-    weights = hc4_weights(dm.leverages, dm.n)
+    weights = hc4_weights(dm.leverages)
     U1 = (dm.X @ dm.gram_inv)[:, : dm.k]
     wU1sq = weights[:, None] * U1**2
     D = _sandwich_diagonal(wU1sq, fit.residuals**2)

@@ -272,16 +272,14 @@ def validate(ds: Dataset) -> ValidationReport:
 
     Errors (fatal): rank deficiency of the combined design
     [group indicators | covariates].  Warnings (advisory): an outcome
-    component that is constant within a group, and groups too small for
-    the group-wise covariance divisor n_i - c - 1.
+    component that is constant within a group, groups too small for the
+    group-wise covariance divisor n_i - c - 1, and groups of two without
+    covariates, whose wild bootstrap residuals vanish for half the sign draws.
     """
     errors: list[str] = []
     warnings: list[str] = []
 
-    X = np.hstack([_group_indicators(ds), ds.Z])
-    sv = np.linalg.svd(X, compute_uv=False)
-    tol = sv[0] * max(ds.n, ds.k + ds.c) * np.finfo(float).eps if sv.size else 0.0
-    rank = int(np.sum(sv > tol))
+    rank = np.linalg.matrix_rank(np.hstack([_group_indicators(ds), ds.Z]))
     full = ds.k + ds.c
     if rank < full:
         errors.append(
@@ -306,6 +304,10 @@ def validate(ds: Dataset) -> ValidationReport:
                 f"n_i <= c+1 in group {i + 1} ('{ds.groups[i]}'): "
                 f"n_i={m}, c={ds.c}; parametric bootstrap divisor n_i-c-1 <= 0"
             )
+        elif m == 2 and ds.c == 0:
+            warnings.append(f"n_i=2 and c=0 in group {i + 1} ('{ds.groups[i]}'): its "
+                            "residuals are e and -e, so half of the wild bootstrap's "
+                            "sign draws give it zero replicate residuals")
 
     return ValidationReport(errors=tuple(errors), warnings=tuple(warnings))
 

@@ -70,6 +70,11 @@ def gamma_index(gamma: float, B: int) -> int:
     return g
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def adjust_level(draws: BootstrapDraws, alpha: float) -> float:
     """Largest grid gamma whose estimated family-wise error rate is <= alpha.
 
@@ -80,8 +85,7 @@ def adjust_level(draws: BootstrapDraws, alpha: float) -> float:
     count.  This agrees with the definitional grid scan of the estimated
     error rate for every input, ties included.
     """
-    if not 0 < alpha < 1:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     B = draws.B
     # Per replicate: min over contrasts of #{b': |A_b's| >= |A_bs|}, in 1..B.
     m = B - draws.ranks.max(axis=1)
@@ -238,7 +242,8 @@ def run_mctp(ds: Dataset, contrasts: ContrastMatrix, cfg: BootstrapConfig,
     Parameters
     ----------
     ds : Dataset
-        Validated input data (validation is re-run; errors raise DataError).
+        Input data.  :func:`~bootmctp.dataset.validate` runs here, once: an
+        error raises DataError and the warnings go into the result.
     contrasts : ContrastMatrix
         The r contrasts to test simultaneously.
     cfg : BootstrapConfig
@@ -248,8 +253,7 @@ def run_mctp(ds: Dataset, contrasts: ContrastMatrix, cfg: BootstrapConfig,
     keep_draws : bool
         Attach the replicate matrix to the result (for audit dumps).
     """
-    if not 0 < alpha < 1:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     report = validate(ds)
     if not report.ok:
         raise DataError("dataset not admissible: " + "; ".join(report.errors))

@@ -25,15 +25,14 @@ from .bootstrap import BootstrapConfig, _usable_cpus
 from .contrasts import build_family
 from .covariance import psd_sqrt
 from .dataset import Dataset
-from .exceptions import EstimationError, SimulationError
-from .mctp import _calibrate, _fit
+from .exceptions import ContrastError, EstimationError, SimulationError
+from .mctp import _calibrate, _check_alpha, _fit
 from ._rng import derive_seed, substream
 
 DISTRIBUTIONS = ("normal", "t3", "chi2_3", "lognormal", "dexp")
 ALTERNATIVES = ("null", "shift", "one_point", "trend")
 COVARIANCES = (1, 2, 3)
 SAMPLE_PATTERNS = (1, 2, 3)
-SINGULAR_DIMS = (2, 3, 4)
 
 COVARIATE_MAX_TRIES = 1000
 COVARIATE_MIN_SD_FRACTION = 0.25
@@ -51,6 +50,7 @@ _SINGULAR_SIGMA = {
         ]
     ),
 }
+SINGULAR_DIMS = tuple(_SINGULAR_SIGMA)
 
 
 def default_nu(d: int) -> np.ndarray:
@@ -65,7 +65,7 @@ def default_nu(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimScenario:
-    """One cell of the simulation grid."""
+    """One cell of the simulation grid; construction checks every scenario rule."""
 
     k: int
     d: int
@@ -103,6 +103,11 @@ class SimScenario:
             )
         if self.delta < 0:
             raise SimulationError("delta must be >= 0")
+        try:
+            build_family(self.contrast_family, self.k, self.d)
+        except ContrastError as exc:
+            raise SimulationError(
+                f"contrast_family '{self.contrast_family}': {exc}") from exc
 
     @property
     def sample_sizes(self) -> tuple[int, ...]:
@@ -156,27 +161,22 @@ def standardized_errors(distribution: str, rows: int, d: int,
     raise SimulationError(f"unknown distribution '{distribution}'")
 
 
-def scenario_sigma(covariance: int, d: int, k: int):
-    """Group covariances and their symmetric square roots for a scenario.
+def scenario_sigma(scenario: SimScenario):
+    """Group covariances and their symmetric square roots for a valid scenario.
 
     1: all groups share unit variances with 0.5 cross-correlation;
     2: like 1 but the last group's variances are doubled;
-    3: the fixed exactly-singular matrices (d in {2, 3, 4}), all groups.
+    3: the fixed exactly-singular matrices (d in SINGULAR_DIMS), all groups.
     """
+    k, d = scenario.k, scenario.d
     compound = np.eye(d) + 0.5 * (np.ones((d, d)) - np.eye(d))
-    if covariance == 1:
+    if scenario.covariance == 1:
         sigmas = [compound.copy() for _ in range(k)]
-    elif covariance == 2:
+    elif scenario.covariance == 2:
         sigmas = [compound.copy() for _ in range(k - 1)]
         sigmas.append(2.0 * np.eye(d) + 0.5 * (np.ones((d, d)) - np.eye(d)))
-    elif covariance == 3:
-        if d not in _SINGULAR_SIGMA:
-            raise SimulationError(
-                f"singular covariance is only defined for d in {SINGULAR_DIMS}"
-            )
-        sigmas = [_SINGULAR_SIGMA[d].copy() for _ in range(k)]
     else:
-        raise SimulationError(f"unknown covariance scenario {covariance}")
+        sigmas = [_SINGULAR_SIGMA[d].copy() for _ in range(k)]
     roots = [psd_sqrt(S) for S in sigmas]
     return sigmas, roots
 
@@ -224,7 +224,7 @@ def gen_covariates(rows: int, rng: np.random.Generator) -> np.ndarray:
 
 def gen_dataset(scenario: SimScenario, rng: np.random.Generator) -> Dataset:
     """Draw one dataset from the scenario's data-generation process."""
-    _, roots = scenario_sigma(scenario.covariance, scenario.d, scenario.k)
+    _, roots = scenario_sigma(scenario)
     nu = default_nu(scenario.d)
     mu = scenario.group_means()
     sizes = scenario.sample_sizes
@@ -317,6 +317,7 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
         raise SimulationError(f"runs must be <= {sys.maxsize}")
     if workers < 1:
         raise SimulationError("workers must be >= 1")
+    _check_alpha(alpha)
     scenarios = list(scenarios)
     blocks = _block_bounds(runs, min(workers * 4, runs))
     tasks = [(si, block) for si in range(len(scenarios)) for block in blocks]

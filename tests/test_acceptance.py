@@ -171,7 +171,7 @@ def test_criterion_5_oracle_equivalences():
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
         cov = sandwich(dm, fit)
-        weights = hc4_weights(dm.leverages, dm.n)
+        weights = hc4_weights(dm.leverages)
         dense = dense_sandwich_block(ds.n_i, ds.Z, fit.residuals, weights)
         assert np.allclose(cov.D, np.diag(dense), rtol=1e-10, atol=1e-12)
 
@@ -228,7 +228,7 @@ def test_criterion_7_bootstrap_distribution_sanity():
     cm = two_sample(2, 1)
     h = cm.H[0]
     lam = dense_sandwich_block(ds.n_i, ds.Z, fit.residuals,
-                               hc4_weights(dm.leverages, dm.n))
+                               hc4_weights(dm.leverages))
     ratio = float((h @ lam @ h) / (cm.H[0] ** 2 @ cov.D))
     stats = {}
     for kind in ("wild", "parametric"):

@@ -127,7 +127,25 @@ class TestAnalyze:
             ],
         )
         assert code == 2
-        assert "rank deficiency" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: dataset not admissible: rank deficiency: ")
+
+    def test_validation_warning_printed_once_in_the_table(self, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("group,y\na,1.5\na,1.5\na,1.5\nb,0.2\nb,0.9\nb,0.4\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, [
+            "analyze", "--input", str(data), "--group-col", "group",
+            "--outcomes", "y", "--B", "200", "--out", str(out_dir),
+        ])
+        assert code == 0
+        assert err == ""
+        warning = "zero within-group variance in component 1 ('y') of group 1 ('a')"
+        assert out.count(warning) == 1
+        assert f"warning: {warning}" in out.splitlines()
+        assert (out_dir / "result.txt").read_text() == out
+        doc = json.loads((out_dir / "result.json").read_text())
+        assert doc["meta"]["warnings"].count(warning) == 1
 
     def test_non_finite_custom_contrast_exits_2_before_any_report(self, capsys,
                                                                   tmp_path):
@@ -317,6 +335,29 @@ class TestSimulate:
         code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
         assert code == 1
         assert err.splitlines() == ["error: unknown distribution 'foo'"]
+
+    @pytest.mark.parametrize("scenario, message", [
+        ({"k": 3, "d": 2, "contrast_family": "tukeyy"},
+         "contrast_family 'tukeyy': unknown contrast family 'tukeyy'"),
+        ({"k": 3, "d": 2, "contrast_family": "two_sample"},
+         "contrast_family 'two_sample': two-sample contrasts require k=2 groups, "
+         "got k=3"),
+    ])
+    def test_bad_contrast_family_exits_1_before_any_run(self, capsys, tmp_path,
+                                                        monkeypatch, scenario, message):
+        def no_study(*args, **kwargs):
+            raise AssertionError("run_study was called")
+
+        monkeypatch.setattr("bootmctp.cli.run_study", no_study)
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({"runs": 2, "B": 20, "scenarios": [scenario]}))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg_path),
+                                          "--out", str(out_dir)])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not (out_dir / "study.csv").exists()
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
     def test_non_finite_delta_exits_1_before_any_run(self, capsys, tmp_path,

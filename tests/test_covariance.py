@@ -15,18 +15,18 @@ from oracles import dense_hat_diagonal, dense_sandwich_block
 def pipeline(ds):
     dm = build_design(ds)
     fit = fit_ols(dm, ds)
-    return dm, fit, hc4_weights(dm.leverages, dm.n), sandwich(dm, fit)
+    return dm, fit, hc4_weights(dm.leverages), sandwich(dm, fit)
 
 
 class TestHc4Weights:
     def test_equal_leverages_give_simple_inverse(self):
         # balanced two groups, no covariates: every leverage equals the mean
         p = np.full(8, 0.25)
-        w = hc4_weights(p, 8)
+        w = hc4_weights(p)
         assert np.allclose(w, 1.0 / (1.0 - 0.25), atol=1e-14)
 
     def test_zero_leverage_gives_unit_weight(self):
-        w = hc4_weights(np.array([0.0, 0.5, 0.5]), 3)
+        w = hc4_weights(np.array([0.0, 0.5, 0.5]))
         assert w[0] == 1.0
 
     def test_unbalanced_two_group_hand_values(self):
@@ -40,7 +40,7 @@ class TestHc4Weights:
         assert np.allclose(dm.leverages, brute, atol=1e-12)
         assert np.allclose(dm.leverages[:4], 0.25, atol=1e-12)
         assert np.allclose(dm.leverages[4:], 1.0 / 12.0, atol=1e-12)
-        w = hc4_weights(dm.leverages, dm.n)
+        w = hc4_weights(dm.leverages)
         # delta = min(4, 2) = 2 and min(4, 2/3) = 2/3
         assert np.allclose(w[:4], 0.75 ** (-2.0), rtol=1e-12)
         assert np.allclose(w[4:], (11.0 / 12.0) ** (-2.0 / 3.0), rtol=1e-12)
@@ -53,7 +53,7 @@ class TestHc4Weights:
         )
         dm = build_design(ds)
         with pytest.raises(EstimationError, match="leverage at/above one"):
-            hc4_weights(dm.leverages, dm.n)
+            hc4_weights(dm.leverages)
 
 
 class TestSandwich:

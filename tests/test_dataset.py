@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bootmctp import CsvSchema, Dataset, DataError, load_csv, validate
+from bootmctp import (BootstrapConfig, CsvSchema, Dataset, DataError, load_csv,
+                      run_mctp, tukey, validate)
 from bootmctp.dataset import group_slices
 from bootmctp.simgen import gen_covariates
 
@@ -234,6 +235,18 @@ class TestValidate:
         )
         report = validate(ds)
         assert any("n_i <= c+1" in w for w in report.warnings)
+
+    def test_groups_of_two_without_covariates_warn_through_run_mctp(self):
+        ds = random_dataset(0, k=3, d=1, c=0, n_i=(2, 2, 8))
+        result = run_mctp(ds, tukey(3, 1), BootstrapConfig("wild", 200, 1), 0.05)
+        pairs = [w for w in result.warnings if w.startswith("n_i=2 and c=0")]
+        assert [w.split(":")[0] for w in pairs] == [
+            "n_i=2 and c=0 in group 1 ('g1')", "n_i=2 and c=0 in group 2 ('g2')"]
+        assert all("wild bootstrap" in w for w in pairs)
+
+    def test_groups_of_two_with_a_covariate_do_not_warn_of_the_signs(self):
+        ds = random_dataset(0, k=3, d=1, c=1, n_i=(2, 5, 8))
+        assert not any("n_i=2 and c=0" in w for w in validate(ds).warnings)
 
     def test_empty_errors_iff_admissible(self):
         ds = random_dataset(11)

@@ -98,7 +98,7 @@ def test_covariate_location_moves_the_diagonal_studentizer():
     for data in (ds, shifted):
         dm, fit, cov, A_n = _fit(data, cm)
         lam = dense_sandwich_block(data.n_i, data.Z, fit.residuals,
-                                   hc4_weights(dm.leverages, dm.n))
+                                   hc4_weights(dm.leverages))
         hLh.append(np.einsum("rc,cq,rq->r", cm.H, lam, cm.H))
         hDh.append(cm.H**2 @ cov.D)
         A.append(A_n)

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 from bootmctp import (
+    ConfigError,
     Dataset,
     EstimationError,
     SimScenario,
@@ -70,33 +71,29 @@ class TestStandardizedErrors:
 
 class TestScenarioSigma:
     def test_singular_d2_is_rank_one(self):
-        sigmas, _ = scenario_sigma(3, 2, 3)
+        sigmas, _ = scenario_sigma(SimScenario(k=3, d=2, covariance=3))
         for s in sigmas:
             assert np.linalg.det(s) == pytest.approx(0.0, abs=1e-12)
             assert np.array_equal(s, np.array([[1.0, 0.5], [0.5, 0.25]]))
 
     def test_homoscedastic_off_diagonals(self):
-        sigmas, _ = scenario_sigma(1, 3, 4)
+        sigmas, _ = scenario_sigma(SimScenario(k=4, d=3, covariance=1))
         for s in sigmas:
             assert np.allclose(np.diag(s), 1.0)
             off = s[~np.eye(3, dtype=bool)]
             assert np.allclose(off, 0.5)
 
     def test_heteroscedastic_last_group_inflated(self):
-        sigmas, _ = scenario_sigma(2, 2, 3)
+        sigmas, _ = scenario_sigma(SimScenario(k=3, d=2, covariance=2))
         assert np.allclose(np.diag(sigmas[0]), 1.0)
         assert np.allclose(np.diag(sigmas[-1]), 2.0)
         assert np.allclose(sigmas[-1][0, 1], 0.5)
 
     def test_square_root_reconstructs(self):
         for cov, d in ((1, 3), (2, 4), (3, 2), (3, 3), (3, 4)):
-            sigmas, roots = scenario_sigma(cov, d, 3)
+            sigmas, roots = scenario_sigma(SimScenario(k=3, d=d, covariance=cov))
             for s, L in zip(sigmas, roots):
                 assert np.abs(L @ L.T - s).max() < 1e-10
-
-    def test_unsupported_singular_dimension(self):
-        with pytest.raises(SimulationError, match="singular"):
-            scenario_sigma(3, 5, 2)
 
 
 class TestGenCovariates:
@@ -163,8 +160,23 @@ class TestScenario:
             SimScenario(k=2, d=1)
 
     def test_singular_dimension_guard(self):
-        with pytest.raises(SimulationError, match="singular"):
+        assert simgen.SINGULAR_DIMS == (2, 3, 4)
+        with pytest.raises(SimulationError, match=r"only defined for d in \(2, 3, 4\)"):
             SimScenario(k=3, d=5, covariance=3)
+
+    @pytest.mark.parametrize("family, message", [
+        ("tukeyy", "contrast_family 'tukeyy': unknown contrast family 'tukeyy'"),
+        ("two_sample", "contrast_family 'two_sample': two-sample contrasts "
+                       "require k=2 groups, got k=3"),
+    ])
+    def test_contrast_family_checked_against_k(self, family, message):
+        with pytest.raises(SimulationError) as info:
+            SimScenario(k=3, d=2, contrast_family=family)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("family", ["two_sample", "dunnett", "tukey", "grand_mean"])
+    def test_every_family_accepted_at_k2(self, family):
+        assert SimScenario(k=2, d=2, contrast_family=family).contrast_family == family
 
 
 class TestGenDataset:
@@ -213,6 +225,17 @@ def two_cpus(monkeypatch):
 
 
 class TestRunStudy:
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, math.nan])
+    def test_alpha_rejected_before_any_run(self, monkeypatch, alpha):
+        def no_dataset(scenario, rng):
+            raise AssertionError("gen_dataset was called")
+
+        monkeypatch.setattr(simgen, "gen_dataset", no_dataset)
+        with pytest.raises(ConfigError, match=r"alpha must be in \(0, 1\)") as info:
+            run_study([SimScenario(k=2, d=2, contrast_family="two_sample")],
+                      runs=2, B=20, alpha=alpha, seed=1)
+        assert not hasattr(info.value, "__notes__")
+
     def test_zero_runs_rejected(self):
         with pytest.raises(SimulationError, match="runs"):
             run_study([SimScenario(k=2, d=2, contrast_family="two_sample")],
