@@ -74,7 +74,7 @@ from .covariance import (
 )
 from .dataset import group_slices
 from .design import DesignMatrices, FitResult
-from .exceptions import EstimationError
+from .exceptions import ConfigError, EstimationError
 from ._rng import replicate_streams
 
 CHUNK = 256
@@ -90,7 +90,10 @@ THREAD_MIN_CELLS = {"wild": 1500, "parametric": 600}  # n*d, see the docstring
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Replicate count, scheme and seed for one bootstrap run."""
+    """Replicate count, scheme and seed for one bootstrap run.
+
+    Construction checks all three and raises ConfigError for a bad one.
+    """
 
     kind: str
     B: int
@@ -98,16 +101,16 @@ class BootstrapConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise EstimationError(f"unknown bootstrap kind '{self.kind}'")
+            raise ConfigError(f"unknown bootstrap kind '{self.kind}', "
+                              f"expected one of {', '.join(KINDS)}")
         for name, value in (("B", self.B), ("seed", self.seed)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise EstimationError(
-                    f"bootstrap {name} must be an integer, got {value!r}")
+                raise ConfigError(f"bootstrap {name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.B < 1:
-            raise EstimationError("bootstrap replicate count B must be >= 1")
+            raise ConfigError("bootstrap replicate count B must be >= 1")
         if self.B > 1 << 32:  # replicate b draws from stream index b < 2**32
-            raise EstimationError("bootstrap replicate count B must be <= 2**32")
+            raise ConfigError("bootstrap replicate count B must be <= 2**32")
 
 
 def _rank_abs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,12 +400,11 @@ def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
     )
 
 
-def save_draws_csv(draws: BootstrapDraws, path, labels=None) -> None:
+def save_draws_csv(draws: BootstrapDraws, path, labels) -> None:
     """Dump the replicate matrix to CSV for audit (one row per replicate).
 
-    The header goes through :mod:`csv`, which quotes labels with commas.
+    The header row, `labels`, goes through :mod:`csv`, which quotes commas.
     """
-    labels = labels or [f"contrast_{s + 1}" for s in range(draws.r)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(labels)
         np.savetxt(fh, draws.A_star, delimiter=",")

@@ -113,13 +113,13 @@ def contrast_quantiles(draws: BootstrapDraws, gamma: float) -> np.ndarray:
     return draws.sorted_abs[B - 1 - gamma_index(gamma, B)].copy()
 
 
-def confidence_intervals(fit: FitResult, cov: CovarianceEstimate, draws,
-                         gamma: float, contrasts: ContrastMatrix) -> np.ndarray:
-    """Simultaneous intervals h'mu -/+ q * sqrt(h'Dh) / sqrt(n), shape (r, 2)."""
+def confidence_intervals(est: np.ndarray, q: np.ndarray, fit: FitResult,
+                         cov: CovarianceEstimate, contrasts: ContrastMatrix):
+    """Simultaneous intervals est -/+ q * sqrt(h'Dh) / sqrt(n), shape (r, 2),
+    from the estimates est = h'mu and the quantiles q at the adjusted level."""
     n = fit.residuals.shape[0]
-    est = contrasts.H @ fit.mu_vec
     _, hDh = studentize(fit.mu_vec[None], cov.D[None], contrasts.H, n)
-    half = contrast_quantiles(draws, gamma) * np.sqrt(hDh[0] / n)
+    half = q * np.sqrt(hDh[0] / n)
     return np.column_stack([est - half, est + half])
 
 
@@ -266,8 +266,8 @@ def run_mctp(ds: Dataset, contrasts: ContrastMatrix, cfg: BootstrapConfig,
     dm, fit, cov, A_n = _fit(ds, contrasts)
     draws, gamma, q, reject = _calibrate(cfg, dm, fit, cov, contrasts, A_n, alpha)
     p = local_p_values(draws, A_n)
-    ci = confidence_intervals(fit, cov, draws, gamma, contrasts)
     est = contrasts.H @ fit.mu_vec
+    ci = confidence_intervals(est, q, fit, cov, contrasts)
 
     warnings = list(report.warnings) + list(draws.warnings)
     if cfg.B < COARSE_GRID_B:

@@ -16,12 +16,12 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, _usable_cpus
+from .bootstrap import KINDS, BootstrapConfig, _usable_cpus
 from .contrasts import build_family
 from .covariance import psd_sqrt
 from .dataset import Dataset
@@ -244,26 +244,29 @@ def gen_dataset(scenario: SimScenario, rng: np.random.Generator) -> Dataset:
 
 
 def _global_rejections(scenario: SimScenario, scenario_index: int,
-                       block: tuple[int, int], B: int, alpha: float,
-                       seed: int) -> tuple[int, int]:
-    """Global rejection counts (wild, parametric) over the runs of `block`.
+                       block: tuple[int, int], cfgs: tuple[BootstrapConfig, ...],
+                       alpha: float) -> list[int]:
+    """Global rejection counts, one per config of `cfgs`, over the runs of `block`.
 
-    An EstimationError in one run is re-raised, chained, as a SimulationError
-    that names the scenario index, the run index and the dataset seed; any
-    other exception keeps its type and gets them as a note (Python >= 3.11).
+    The configs carry the study seed: run ri draws its dataset under
+    ``derive_seed(seed, scenario_index, ri, 0)`` and runs config col under the
+    path ending ``1 + col``.  An EstimationError in one run is re-raised,
+    chained, as a SimulationError that names the scenario index, the run
+    index and the dataset seed; any other exception keeps its type and gets
+    them as a note (Python >= 3.11).
     """
-    hits = [0, 0]
+    seed = cfgs[0].seed
+    hits = [0] * len(cfgs)
     H = build_family(scenario.contrast_family, scenario.k, scenario.d)
     for ri in range(*block):
         data_seed = derive_seed(seed, scenario_index, ri, 0)
         try:
             ds = gen_dataset(scenario, substream(data_seed, 0))
             dm, fit, cov, A_n = _fit(ds, H)
-            for col, kind in enumerate(("wild", "parametric")):
-                cfg = BootstrapConfig(
-                    kind=kind, B=B, seed=derive_seed(seed, scenario_index, ri, 1 + col)
-                )
-                *_, reject = _calibrate(cfg, dm, fit, cov, H, A_n, alpha)
+            for col, cfg in enumerate(cfgs):
+                run_seed = derive_seed(seed, scenario_index, ri, 1 + col)
+                *_, reject = _calibrate(replace(cfg, seed=run_seed), dm, fit, cov, H,
+                                        A_n, alpha)
                 hits[col] += bool(reject.any())
         except Exception as exc:
             where = f"scenario {scenario_index}, run {ri} (dataset seed {data_seed})"
@@ -272,7 +275,7 @@ def _global_rejections(scenario: SimScenario, scenario_index: int,
             if hasattr(exc, "add_note"):
                 exc.add_note(where)
             raise
-    return hits[0], hits[1]
+    return hits
 
 
 def _binomial_ci(successes: int, trials: int, level: float = 0.95):
@@ -309,7 +312,8 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     SimulationError naming the first block, in that order, that did not
     finish.  Pool workers, as any process that multiprocessing started,
     run their bootstraps on one thread; see :mod:`bootmctp.bootstrap`.
-    Memory does not grow with `runs`.
+    Memory does not grow with `runs`.  Every argument is checked before any
+    dataset is drawn.
     """
     if runs < 1:
         raise SimulationError("runs must be >= 1")
@@ -318,11 +322,12 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     if workers < 1:
         raise SimulationError("workers must be >= 1")
     _check_alpha(alpha)
+    cfgs = tuple(BootstrapConfig(kind, B, seed) for kind in KINDS)
     scenarios = list(scenarios)
     blocks = _block_bounds(runs, min(workers * 4, runs))
     tasks = [(si, block) for si in range(len(scenarios)) for block in blocks]
-    run_block = partial(_global_rejections, B=B, alpha=alpha, seed=seed)
-    cell_hits = [[0, 0] for _ in scenarios]
+    run_block = partial(_global_rejections, cfgs=cfgs, alpha=alpha)
+    cell_hits = [[0] * len(cfgs) for _ in scenarios]
     procs = min(workers, len(tasks), _usable_cpus())
     with ProcessPoolExecutor(procs) if procs > 1 else contextlib.nullcontext() as pool:
         block_hits = (pool.map if pool else map)(
@@ -338,27 +343,26 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
                 ) from exc
     results: list[StudyResult] = []
     for scenario, cell in zip(scenarios, cell_hits):
-        for method, hits in zip(("wild", "parametric"), cell):
+        for cfg, hits in zip(cfgs, cell):
             lo, hi = _binomial_ci(hits, runs)
             results.append(
                 StudyResult(
                     scenario=scenario,
-                    method=method,
+                    method=cfg.kind,
                     rate=100.0 * hits / runs,
                     ci_lower=100.0 * lo,
                     ci_upper=100.0 * hi,
                     runs=runs,
-                    B=B,
-                    seed=seed,
+                    B=cfg.B,
+                    seed=cfg.seed,
                 )
             )
     return results
 
 
-STUDY_CSV_COLUMNS = (
-    "k", "d", "distribution", "covariance", "sample_pattern", "multiplier",
-    "contrast_family", "alternative", "delta", "method", "rate_percent",
-    "ci_lower_percent", "ci_upper_percent", "runs", "B", "seed",
+STUDY_CSV_COLUMNS = tuple(f.name for f in fields(SimScenario)) + (
+    "method", "rate_percent", "ci_lower_percent", "ci_upper_percent", "runs", "B",
+    "seed",
 )
 
 
@@ -368,12 +372,6 @@ def write_study_csv(results, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(STUDY_CSV_COLUMNS)
         for res in results:
-            sc = res.scenario
-            writer.writerow(
-                [
-                    sc.k, sc.d, sc.distribution, sc.covariance, sc.sample_pattern,
-                    sc.multiplier, sc.contrast_family, sc.alternative, sc.delta,
-                    res.method, repr(res.rate), repr(res.ci_lower),
-                    repr(res.ci_upper), res.runs, res.B, res.seed,
-                ]
-            )
+            writer.writerow([*astuple(res.scenario), res.method,
+                             repr(res.rate), repr(res.ci_lower), repr(res.ci_upper),
+                             res.runs, res.B, res.seed])

@@ -12,6 +12,7 @@ import pytest
 
 from bootmctp import (
     BootstrapConfig,
+    ConfigError,
     Dataset,
     EstimationError,
     build_family,
@@ -587,17 +588,17 @@ class TestParametric:
 
 class TestConfigAndDump:
     def test_invalid_kind(self):
-        with pytest.raises(EstimationError, match="unknown bootstrap kind"):
+        with pytest.raises(ConfigError, match="unknown bootstrap kind"):
             BootstrapConfig("jackknife", 10, 1)
 
     def test_invalid_b(self):
-        with pytest.raises(EstimationError, match="B must be >= 1"):
+        with pytest.raises(ConfigError, match="B must be >= 1"):
             BootstrapConfig("wild", 0, 1)
 
     @pytest.mark.parametrize("B, seed", [(100.0, 1), (True, 1), (np.float64(100), 1),
                                          (100, 1.0), (100, False), (100, "1")])
     def test_non_integer_b_or_seed_rejected(self, B, seed):
-        with pytest.raises(EstimationError, match="must be an integer, got"):
+        with pytest.raises(ConfigError, match="must be an integer, got"):
             BootstrapConfig("wild", B, seed)
 
     def test_numpy_integers_give_the_python_integer_run(self, fitted_small):
@@ -613,7 +614,7 @@ class TestConfigAndDump:
         """Replicate b draws from stream index b, which must be below 2**32."""
         assert BootstrapConfig("wild", 2**32, 1).B == 2**32
         for B in (2**32 + 1, 10**30):
-            with pytest.raises(EstimationError, match=r"B must be <= 2\*\*32"):
+            with pytest.raises(ConfigError, match=r"B must be <= 2\*\*32"):
                 BootstrapConfig("wild", B, 1)
 
     def test_draws_csv_roundtrip(self, fitted_small, tmp_path):

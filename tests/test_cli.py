@@ -275,7 +275,7 @@ class TestAnalyze:
         cfg_path.write_text(json.dumps({"input": hrv_path, "group-col": "group",
                                         "outcomes": "SDNN,RMSSD", "B": 10**30}))
         code, out, err = run_cli(capsys, ["analyze", "--config", str(cfg_path)])
-        assert code == 2
+        assert code == 1
         assert out == ""
         assert err.splitlines() == [
             "error: bootstrap replicate count B must be <= 2**32"]
@@ -288,7 +288,29 @@ class TestAnalyze:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [
-            "error: config value bootstrap must be one of wild, parametric, got 'Wild'"]
+            "error: unknown bootstrap kind 'Wild', expected one of wild, parametric"]
+
+    def test_bootstrap_kind_reads_the_same_as_flag_and_in_config(self, capsys, tmp_path,
+                                                                hrv_path):
+        args = ["analyze", "--input", hrv_path, "--group-col", "group",
+                "--outcomes", "SDNN,RMSSD"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bootstrap": "Wild"}))
+        from_flag = run_cli(capsys, args + ["--bootstrap", "Wild"])
+        from_config = run_cli(capsys, args + ["--config", str(cfg_path)])
+        assert from_flag == from_config
+        code, out, err = from_flag
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: unknown bootstrap kind 'Wild', expected one of wild, parametric"]
+
+    def test_bootstrap_settings_are_checked_before_the_data(self, capsys, hrv_path):
+        """B = 0 is reported, not the misspelt outcome column it comes with."""
+        code, out, err = run_cli(capsys, [
+            "analyze", "--input", hrv_path, "--group-col", "group",
+            "--outcomes", "SDNNN", "--B", "0"])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: bootstrap replicate count B must be >= 1"]
 
     def test_unknown_config_key_exits_1(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -356,6 +378,26 @@ class TestSimulate:
                                           "--out", str(out_dir)])
         assert code == 1
         assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not (out_dir / "study.csv").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"B": 0}, "bootstrap replicate count B must be >= 1"),
+        ({"B": 2**32 + 1}, "bootstrap replicate count B must be <= 2**32"),
+    ])
+    def test_bad_bootstrap_setting_exits_1_before_any_run(self, capsys, tmp_path,
+                                                          monkeypatch, setting, message):
+        def no_dataset(scenario, rng):
+            raise AssertionError("gen_dataset was called")
+
+        monkeypatch.setattr("bootmctp.simgen.gen_dataset", no_dataset)
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({"runs": 2, **setting,
+                                        "scenarios": [{"k": 3, "d": 2}]}))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg_path),
+                                          "--out", str(out_dir)])
+        assert (code, out) == (1, "")
         assert err.splitlines() == [f"error: {message}"]
         assert not (out_dir / "study.csv").exists()
 

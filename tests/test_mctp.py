@@ -238,7 +238,7 @@ class TestPValueDuality:
             gamma = adjust_level(draws, alpha)
             q = contrast_quantiles(draws, gamma)
             p = local_p_values(draws, A_n)
-            ci = confidence_intervals(fit, cov, draws, gamma, cm)
+            ci = confidence_intervals(cm.H @ fit.mu_vec, q, fit, cov, cm)
             assert gamma == gamma_ref, trial
             for got, ref in ((q, q_ref), (p, p_ref), (ci, ci_ref)):
                 assert got.dtype == ref.dtype and got.shape == ref.shape, trial
@@ -273,9 +273,8 @@ class TestConfidenceIntervals:
 
     def test_degenerate_quantile_gives_point_interval(self):
         ds, dm, fit, cov, cm, _ = self.make(17)
-        zeros = np.zeros((10, 2))
-        ci = confidence_intervals(fit, cov, draws_of(zeros), 0.0, cm)
         est = cm.H @ fit.mu_vec
+        ci = confidence_intervals(est, np.zeros(2), fit, cov, cm)
         assert np.allclose(ci[:, 0], est) and np.allclose(ci[:, 1], est)
 
     def test_zero_exclusion_duality(self):
@@ -284,14 +283,15 @@ class TestConfidenceIntervals:
             A_n = studentized_statistics(fit, cov, cm)
             gamma = adjust_level(draws, 0.05)
             q = contrast_quantiles(draws, gamma)
-            ci = confidence_intervals(fit, cov, draws, gamma, cm)
+            ci = confidence_intervals(cm.H @ fit.mu_vec, q, fit, cov, cm)
             excludes = (ci[:, 0] > 0) | (ci[:, 1] < 0)
             assert np.array_equal(excludes, np.abs(A_n) > q)
 
     def test_width_scales_with_outcome_scale(self):
         ds, dm, fit, cov, cm, draws = self.make(21)
         gamma = adjust_level(draws, 0.05)
-        ci = confidence_intervals(fit, cov, draws, gamma, cm)
+        q = contrast_quantiles(draws, gamma)
+        ci = confidence_intervals(cm.H @ fit.mu_vec, q, fit, cov, cm)
         ds2 = Dataset(groups=ds.groups, n_i=ds.n_i, Y=2.0 * ds.Y, Z=ds.Z)
         dm2 = build_design(ds2)
         fit2 = fit_ols(dm2, ds2)
@@ -300,7 +300,7 @@ class TestConfidenceIntervals:
 
         draws2 = run_bootstrap(BootstrapConfig("wild", 200, 21), dm2, fit2, cov2, cm)
         assert np.array_equal(draws2.A_star, draws.A_star)  # studentized: scale-free
-        ci2 = confidence_intervals(fit2, cov2, draws2, gamma, cm)
+        ci2 = confidence_intervals(cm.H @ fit2.mu_vec, q, fit2, cov2, cm)
         width = ci[:, 1] - ci[:, 0]
         width2 = ci2[:, 1] - ci2[:, 0]
         assert np.allclose(width2, 2.0 * width, rtol=1e-12)
@@ -323,6 +323,21 @@ class TestRunMctp:
         for o in res1.contrasts:
             excludes = o.ci_lower > 0 or o.ci_upper < 0
             assert excludes == o.reject
+
+    def test_quantiles_are_read_once(self, monkeypatch):
+        """The intervals take the quantiles that decide, not a second reading."""
+        from bootmctp import mctp
+
+        calls = []
+
+        def counted(draws, gamma):
+            calls.append(gamma)
+            return contrast_quantiles(draws, gamma)
+
+        monkeypatch.setattr(mctp, "contrast_quantiles", counted)
+        ds = random_dataset(22, k=2, d=3, c=2, n_i=(12, 12))
+        res = run_mctp(ds, two_sample(2, 3), BootstrapConfig("wild", 200, 7), 0.05)
+        assert calls == [res.gamma]
 
     def test_rejects_invalid_alpha(self):
         ds = random_dataset(23)

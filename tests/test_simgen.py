@@ -236,6 +236,30 @@ class TestRunStudy:
                       runs=2, B=20, alpha=alpha, seed=1)
         assert not hasattr(info.value, "__notes__")
 
+    @pytest.mark.parametrize("B, seed, message", [
+        (0, 1, "bootstrap replicate count B must be >= 1"),
+        (20, 1.5, "bootstrap seed must be an integer, got 1.5"),
+        (20.0, 1, "bootstrap B must be an integer, got 20.0"),
+    ])
+    def test_bootstrap_settings_rejected_before_any_run(self, monkeypatch, B, seed,
+                                                         message):
+        def no_dataset(scenario, rng):
+            raise AssertionError("gen_dataset was called")
+
+        monkeypatch.setattr(simgen, "gen_dataset", no_dataset)
+        with pytest.raises(ConfigError) as info:
+            run_study([SimScenario(k=2, d=2, contrast_family="two_sample")],
+                      runs=2, B=B, alpha=0.05, seed=seed)
+        assert str(info.value) == message
+        assert not hasattr(info.value, "__notes__")
+
+    def test_numpy_integer_seed_and_b_give_the_python_integer_study(self):
+        sc = SimScenario(k=2, d=2, contrast_family="two_sample")
+        want = run_study([sc], runs=2, B=30, alpha=0.05, seed=5)
+        got = run_study([sc], runs=2, B=np.int64(30), alpha=0.05, seed=np.int64(5))
+        assert got == want
+        assert {(type(r.B), type(r.seed)) for r in got} == {(int, int)}
+
     def test_zero_runs_rejected(self):
         with pytest.raises(SimulationError, match="runs"):
             run_study([SimScenario(k=2, d=2, contrast_family="two_sample")],
@@ -295,6 +319,22 @@ class TestRunStudy:
         write_study_csv(results, str(path))
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 method rows
+
+    def test_study_csv_columns(self, tmp_path):
+        """The scenario columns are SimScenario's fields, in their order."""
+        sc = SimScenario(k=3, d=2, distribution="t3", covariance=2, sample_pattern=3,
+                         multiplier=2, contrast_family="tukey", alternative="shift",
+                         delta=0.5)
+        res = simgen.StudyResult(scenario=sc, method="wild", rate=12.5, ci_lower=0.1,
+                                 ci_upper=1 / 3, runs=8, B=40, seed=9)
+        path = tmp_path / "study.csv"
+        write_study_csv([res], str(path))
+        assert path.read_text().splitlines() == [
+            "k,d,distribution,covariance,sample_pattern,multiplier,contrast_family,"
+            "alternative,delta,method,rate_percent,ci_lower_percent,ci_upper_percent,"
+            "runs,B,seed",
+            "3,2,t3,2,3,2,tukey,shift,0.5,wild,12.5,0.1,0.3333333333333333,8,40,9",
+        ]
 
     def test_failed_run_names_scenario_run_and_seed(self, monkeypatch):
         flat = zero_residual_dataset()
