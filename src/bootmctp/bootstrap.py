@@ -68,7 +68,7 @@ from .contrasts import ContrastMatrix
 from .covariance import (
     CovarianceEstimate,
     _sandwich_diagonal,
-    check_group_divisors,
+    groupwise_cov,
     psd_sqrt,
     studentize,
 )
@@ -88,6 +88,13 @@ MAX_THREADS = 2
 THREAD_MIN_CELLS = {"wild": 1500, "parametric": 600}  # n*d, see the docstring
 
 
+def _integer(value, what: str, error: type[Exception]) -> int:
+    """`value` as a Python int; raises `error` for a bool or a non-integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Replicate count, scheme and seed for one bootstrap run.
@@ -103,10 +110,8 @@ class BootstrapConfig:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown bootstrap kind '{self.kind}', "
                               f"expected one of {', '.join(KINDS)}")
-        for name, value in (("B", self.B), ("seed", self.seed)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"bootstrap {name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "B", _integer(self.B, "bootstrap B", ConfigError))
+        object.__setattr__(self, "seed", _integer(self.seed, "bootstrap seed", ConfigError))
         if self.B < 1:
             raise ConfigError("bootstrap replicate count B must be >= 1")
         if self.B > 1 << 32:  # replicate b draws from stream index b < 2**32
@@ -158,10 +163,6 @@ class BootstrapDraws:
     def B(self) -> int:
         return self.A_star.shape[0]
 
-    @property
-    def r(self) -> int:
-        return self.A_star.shape[1]
-
 
 def _wild_signs(rngs, out: np.ndarray) -> np.ndarray:
     """Rademacher signs into the (m, n) array `out`, one row per stream.
@@ -207,14 +208,9 @@ class _Engine:
             self.residuals = fit.residuals
             self.wild_scale = 1.0 / np.sqrt(1.0 - dm.leverages)
         else:
-            if cov.group_sigmas is None:
-                check_group_divisors(dm.n_i, dm.c)
-                raise EstimationError(
-                    "parametric bootstrap needs the group covariances, "
-                    "which the covariance estimate does not carry"
-                )
             self.group_slices = group_slices(dm.n_i)
-            self.roots = [psd_sqrt(S) for S in cov.group_sigmas]
+            sigmas = cov.group_sigmas or groupwise_cov(fit, dm.n_i, dm.c)
+            self.roots = [psd_sqrt(S) for S in sigmas]
 
     def replicates(self, seed: int, index: np.ndarray, attempt: int,
                    A_star: np.ndarray) -> np.ndarray:
@@ -361,6 +357,13 @@ def _run_passes(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
     )
 
 
+def _check_width(contrasts: ContrastMatrix, k: int, d: int) -> None:
+    """Raise EstimationError unless the contrasts have k*d columns."""
+    if contrasts.H.shape[1] != k * d:
+        raise EstimationError(f"contrast matrix has {contrasts.H.shape[1]} columns, "
+                              f"expected k*d = {k * d}")
+
+
 def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
                   cov: CovarianceEstimate, contrasts: ContrastMatrix) -> BootstrapDraws:
     """Draw B bootstrap replicates of the studentized contrast statistics.
@@ -377,11 +380,7 @@ def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
     BootstrapDraws
         B x r statistics, deterministic given (kind, B, seed).
     """
-    if contrasts.H.shape[1] != dm.k * dm.d:
-        raise EstimationError(
-            f"contrast matrix has {contrasts.H.shape[1]} columns, "
-            f"expected k*d = {dm.k * dm.d}"
-        )
+    _check_width(contrasts, dm.k, dm.d)
     B = cfg.B
     A_star = np.empty((B, contrasts.H.shape[0]))
     invalid_total = _run_passes(cfg, dm, fit, cov, contrasts.H, A_star)
@@ -391,13 +390,8 @@ def run_bootstrap(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
             f"{invalid_total} invalid bootstrap replicates redrawn "
             f"(more than {INVALID_WARN_FRACTION:.1%} of B={B})",
         )
-    return BootstrapDraws(
-        A_star=A_star,
-        kind=cfg.kind,
-        seed=cfg.seed,
-        invalid_redraws=invalid_total,
-        warnings=warnings,
-    )
+    return BootstrapDraws(A_star=A_star, kind=cfg.kind, seed=cfg.seed,
+                          invalid_redraws=invalid_total, warnings=warnings)
 
 
 def save_draws_csv(draws: BootstrapDraws, path, labels) -> None:

@@ -24,7 +24,7 @@ from .exceptions import (
     EstimationError,
     SimulationError,
 )
-from .mctp import format_result_table, run_mctp
+from .mctp import _check_alpha, format_result_table, run_mctp
 from .simgen import SimScenario, run_study, write_study_csv
 
 # Each setting of `analyze` and `simulate`, declared once: its name (the
@@ -167,6 +167,7 @@ def _resolve_contrast(spec: str, k: int, d: int, group_names, outcome_names):
 def _cmd_analyze(args) -> int:
     cfg = _settings(args, ANALYZE_SETTINGS)
     boot = BootstrapConfig(kind=cfg["bootstrap"], B=cfg["B"], seed=cfg["seed"])
+    _check_alpha(cfg["alpha"])
     if not os.path.exists(cfg["input"]):
         raise ConfigError(f"input file not found: {cfg['input']}")
 

@@ -13,6 +13,7 @@ means and D into statistics for the observed data and every replicate alike.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,9 @@ class CovarianceEstimate:
     ``D`` is the diagonal of the kd x kd upper-left sandwich block (stored
     as a group-major vector), ``wU1sq`` the n x k leverage-weighted squared
     adjusted-mean rows that D contracts with the squared residuals, and
-    ``group_sigmas`` the group-wise residual covariances with divisor
-    n_i - c - 1 (None when some group is too small to form them; they are
-    only needed by the parametric bootstrap).
+    ``group_sigmas`` the parametric bootstrap's :func:`groupwise_cov` (None
+    when some group is too small; the bootstrap then asks that function,
+    which alone states the divisor rule and raises its error).
     """
 
     D: np.ndarray
@@ -44,9 +45,8 @@ class CovarianceEstimate:
     def __post_init__(self):
         self.D.setflags(write=False)
         self.wU1sq.setflags(write=False)
-        if self.group_sigmas is not None:
-            for s in self.group_sigmas:
-                s.setflags(write=False)
+        for s in self.group_sigmas or ():
+            s.setflags(write=False)
 
 
 def hc4_weights(leverages: np.ndarray) -> np.ndarray:
@@ -85,11 +85,9 @@ def sandwich(dm: DesignMatrices, fit: FitResult) -> CovarianceEstimate:
     wU1sq = weights[:, None] * U1**2
     D = _sandwich_diagonal(wU1sq, fit.residuals**2)
 
-    sigmas: tuple[np.ndarray, ...] | None
-    if all(m > dm.c + 1 for m in dm.n_i):
+    sigmas = None
+    with contextlib.suppress(EstimationError):
         sigmas = groupwise_cov(fit, dm.n_i, dm.c)
-    else:
-        sigmas = None
     return CovarianceEstimate(D=D.reshape(-1), wU1sq=wU1sq, group_sigmas=sigmas)
 
 
@@ -126,30 +124,18 @@ def groupwise_cov(fit: FitResult, n_i, c: int) -> tuple[np.ndarray, ...]:
     Raises
     ------
     EstimationError
-        If some group has n_i <= c + 1 (nonpositive divisor).
+        If some group has n_i <= c + 1 (nonpositive divisor).  The package
+        states this rule only here; ``dataset.validate`` merely warns of it.
     """
-    n_i = tuple(int(m) for m in n_i)
-    check_group_divisors(n_i, c)
     out = []
-    for m, sl in zip(n_i, group_slices(n_i)):
+    for i, (m, sl) in enumerate(zip(n_i, group_slices(n_i))):
+        if m <= c + 1:
+            raise EstimationError(f"parametric bootstrap divisor nonpositive in "
+                                  f"group {i + 1}: n_i={m}, c={c}")
         E = fit.residuals[sl]
         S = (E.T @ E) / (m - c - 1)
         out.append((S + S.T) / 2.0)
     return tuple(out)
-
-
-def check_group_divisors(n_i, c: int) -> None:
-    """Raise EstimationError unless every group has n_i > c + 1.
-
-    The group-wise covariances used by the parametric bootstrap divide by
-    n_i - c - 1.
-    """
-    for i, m in enumerate(n_i):
-        if m <= c + 1:
-            raise EstimationError(
-                f"parametric bootstrap divisor nonpositive in group {i + 1}: "
-                f"n_i={m}, c={c}"
-            )
 
 
 def psd_sqrt(S: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapDraws, run_bootstrap
+from .bootstrap import BootstrapConfig, BootstrapDraws, _check_width, run_bootstrap
 from .contrasts import ContrastMatrix
 from .covariance import CovarianceEstimate, sandwich, studentize
 from .dataset import Dataset, validate
@@ -257,11 +257,7 @@ def run_mctp(ds: Dataset, contrasts: ContrastMatrix, cfg: BootstrapConfig,
     report = validate(ds)
     if not report.ok:
         raise DataError("dataset not admissible: " + "; ".join(report.errors))
-    if contrasts.H.shape[1] != ds.k * ds.d:
-        raise EstimationError(
-            f"contrast matrix has {contrasts.H.shape[1]} columns, "
-            f"expected k*d = {ds.k * ds.d}"
-        )
+    _check_width(contrasts, ds.k, ds.d)
 
     dm, fit, cov, A_n = _fit(ds, contrasts)
     draws, gamma, q, reject = _calibrate(cfg, dm, fit, cov, contrasts, A_n, alpha)

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .bootstrap import KINDS, BootstrapConfig, _usable_cpus
+from .bootstrap import KINDS, BootstrapConfig, _integer, _usable_cpus
 from .contrasts import build_family
 from .covariance import psd_sqrt
 from .dataset import Dataset
@@ -315,6 +315,8 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
     Memory does not grow with `runs`.  Every argument is checked before any
     dataset is drawn.
     """
+    runs = _integer(runs, "runs", SimulationError)
+    workers = _integer(workers, "workers", SimulationError)
     if runs < 1:
         raise SimulationError("runs must be >= 1")
     if runs > sys.maxsize:

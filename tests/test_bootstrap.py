@@ -579,11 +579,15 @@ class TestParametric:
         with pytest.raises(EstimationError, match="divisor nonpositive"):
             run_bootstrap(BootstrapConfig("parametric", 10, 1), dm, fit, cov, two_sample(2, 1))
 
-    def test_missing_group_covariances_raise(self, fitted_small):
+    def test_missing_group_covariances_are_derived(self, fitted_small):
+        # An estimate without covariances gets them from groupwise_cov, the
+        # same function sandwich asks, so the draws are the same bits.
         ds, dm, fit, cov = fitted_small
+        assert cov.group_sigmas is not None
         bare = CovarianceEstimate(D=cov.D, wU1sq=cov.wU1sq, group_sigmas=None)
-        with pytest.raises(EstimationError, match="group covariances"):
-            run_bootstrap(BootstrapConfig("parametric", 10, 1), dm, fit, bare, two_sample(2, 2))
+        cfg, cm = BootstrapConfig("parametric", 50, 1), two_sample(2, 2)
+        expected = run_bootstrap(cfg, dm, fit, cov, cm).A_star
+        assert np.array_equal(run_bootstrap(cfg, dm, fit, bare, cm).A_star, expected)
 
 
 class TestConfigAndDump:

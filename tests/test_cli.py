@@ -312,6 +312,14 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert err.splitlines() == ["error: bootstrap replicate count B must be >= 1"]
 
+    def test_alpha_is_checked_before_the_data(self, capsys, hrv_path):
+        """alpha = 2 is reported, not the misspelt outcome column it comes with."""
+        code, out, err = run_cli(capsys, [
+            "analyze", "--input", hrv_path, "--group-col", "group",
+            "--outcomes", "SDNNN", "--alpha", "2"])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: alpha must be in (0, 1), got 2.0"]
+
     def test_unknown_config_key_exits_1(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"inputt": "x.csv"}))

@@ -260,6 +260,34 @@ class TestRunStudy:
         assert got == want
         assert {(type(r.B), type(r.seed)) for r in got} == {(int, int)}
 
+    @pytest.mark.parametrize("runs, workers, message", [
+        (2.5, 1, "runs must be an integer, got 2.5"),
+        (True, 1, "runs must be an integer, got True"),
+        ("2", 1, "runs must be an integer, got '2'"),
+        (2, 1.5, "workers must be an integer, got 1.5"),
+        (2, True, "workers must be an integer, got True"),
+        (2, "2", "workers must be an integer, got '2'"),
+    ])
+    def test_non_integer_runs_or_workers_rejected_before_any_run(
+            self, monkeypatch, runs, workers, message):
+        def no_dataset(scenario, rng):
+            raise AssertionError("gen_dataset was called")
+
+        monkeypatch.setattr(simgen, "gen_dataset", no_dataset)
+        with pytest.raises(SimulationError) as info:
+            run_study([SimScenario(k=2, d=2, contrast_family="two_sample")],
+                      runs=runs, B=20, alpha=0.05, seed=1, workers=workers)
+        assert str(info.value) == message
+        assert not hasattr(info.value, "__notes__")
+
+    def test_numpy_integer_runs_and_workers_give_the_python_integer_study(self):
+        sc = SimScenario(k=2, d=2, contrast_family="two_sample")
+        want = run_study([sc], runs=2, B=30, alpha=0.05, seed=5)
+        got = run_study([sc], runs=np.int64(2), B=30, alpha=0.05, seed=5,
+                        workers=np.int32(1))
+        assert got == want
+        assert {type(r.runs) for r in got} == {int}
+
     def test_zero_runs_rejected(self):
         with pytest.raises(SimulationError, match="runs"):
             run_study([SimScenario(k=2, d=2, contrast_family="two_sample")],
