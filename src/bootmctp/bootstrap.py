@@ -8,8 +8,9 @@ replicate's squared residuals, and :func:`covariance.studentize` forms the
 statistics, as it does for the observed data.  Every replicate b draws from
 its own counter-based substream (seed, b, attempt), so results are
 independent of execution order, chunk size and thread count, bit for bit.
-Replicates whose studentizer degenerates (zero bootstrap variance for some
-contrast) are redrawn from the next attempt substream and counted.
+Replicates whose studentizer degenerates (some contrast's h'Dh is at most
+float64's eps times its observed value, so a zero variance up to rounding)
+are redrawn from the next attempt substream and counted.
 
 A bootstrap runs in passes, one per redraw attempt: pass a splits the
 replicate indexes still invalid (all B in pass 0) into T near-equal parts,
@@ -200,6 +201,8 @@ class _Engine:
         self.Xt = np.ascontiguousarray(dm.X.T)
         self.wU1sq = cov.wU1sq
         self.H = H
+        with np.errstate(over="ignore"):  # an infinite observed h'Dh fails every row
+            self.floor = np.finfo(float).eps * (H**2 @ cov.D)
         self.kind = kind
         self._work = np.empty(dm.n * chunk * dm.d)
         self._Y = np.empty(dm.n * chunk * dm.d)
@@ -279,8 +282,9 @@ class _Engine:
         Each refit einsum contracts the leading axis of both operands,
         which numpy sums as ``acc += a_i * b_i`` in index order for every
         chunk size (``tests/oracles.sequential_refit`` pins this).  A
-        replicate is valid when every statistic is finite, which
-        :func:`covariance.studentize` allows only for a positive, finite h'Dh.
+        replicate is valid when every statistic is finite and every h'Dh
+        exceeds ``floor``: float64's eps times the observed h'D-hat h of its
+        contrast.  Below that floor h'Dh is rounding noise of a zero variance.
         """
         n, k, d = self.n, self.k, self.d
         m = Ystar.shape[1]
@@ -292,9 +296,9 @@ class _Engine:
         np.subtract(Yq, resid_sq, out=resid_sq)
         np.square(resid_sq, out=resid_sq)
         D = _sandwich_diagonal(self.wU1sq, resid_sq)
-        A, _ = studentize(_replicate_rows(beta[:k], m, d),
-                          _replicate_rows(D, m, d), self.H, n)
-        return A, np.isfinite(A).all(axis=1)
+        A, hDh = studentize(_replicate_rows(beta[:k], m, d),
+                            _replicate_rows(D, m, d), self.H, n)
+        return A, np.isfinite(A).all(axis=1) & (hDh > self.floor).all(axis=1)
 
 
 def _replicate_rows(V: np.ndarray, m: int, d: int) -> np.ndarray:

@@ -27,8 +27,8 @@ class ContrastMatrix:
 
     def __post_init__(self):
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        if H.size == 0 or H.shape[0] < 1:
-            raise ContrastError("contrast matrix must have at least one row")
+        if H.ndim != 2 or H.size == 0:
+            raise ContrastError("contrast matrix must be 2-d with at least one row")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != H.shape[0]:

@@ -64,8 +64,6 @@ def hc4_weights(leverages: np.ndarray) -> np.ndarray:
             f"leverage at/above one for subject index {worst} (p={p[worst]:.6g}); "
             "the leverage-adjusted weights are undefined"
         )
-    if np.any(p < 0):
-        raise EstimationError("negative leverage encountered")
     mean_lev = p.sum() / p.size
     delta = np.minimum(4.0, p / mean_lev)
     return (1.0 - p) ** (-delta)

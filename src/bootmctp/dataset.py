@@ -73,12 +73,11 @@ class Dataset:
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "n_i", tuple(int(m) for m in self.n_i))
         Y = np.ascontiguousarray(np.asarray(self.Y, dtype=float))
-        Z = np.asarray(self.Z, dtype=float)
-        if Z.ndim == 1:
-            Z = Z.reshape(len(Z), 0) if Z.size == 0 else Z.reshape(-1, 1)
-        Z = np.ascontiguousarray(Z)
+        Z = np.ascontiguousarray(np.asarray(self.Z, dtype=float))
         if Y.ndim != 2 or Y.shape[1] < 1:
             raise DataError("Y must be a 2-d matrix with at least one column")
+        if Z.ndim != 2:
+            raise DataError("Z must be a 2-d matrix (n x c, c may be 0)")
         k = len(self.groups)
         if k < 2:
             raise DataError("k >= 2 required")
@@ -95,7 +94,7 @@ class Dataset:
             object.__setattr__(
                 self, "outcome_names", tuple(f"Y{j + 1}" for j in range(Y.shape[1]))
             )
-        if not self.covariate_names and Z.shape[1]:
+        if not self.covariate_names:
             object.__setattr__(
                 self, "covariate_names", tuple(f"Z{j + 1}" for j in range(Z.shape[1]))
             )

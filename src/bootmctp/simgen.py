@@ -96,13 +96,11 @@ class SimScenario:
             raise SimulationError(f"unknown alternative '{self.alternative}'")
         if not np.isfinite(self.delta):
             raise SimulationError("delta must be finite")
-        if (self.delta == 0.0) != (self.alternative == "null"):
+        if (self.delta == 0.0) != (self.alternative == "null") or self.delta < 0:
             raise SimulationError(
                 "delta must be 0 exactly for the null alternative and positive "
                 "otherwise"
             )
-        if self.delta < 0:
-            raise SimulationError("delta must be >= 0")
         try:
             build_family(self.contrast_family, self.k, self.d)
         except ContrastError as exc:
@@ -209,8 +207,6 @@ def gen_covariates(rows: int, rng: np.random.Generator) -> np.ndarray:
             [rng.uniform(0.0, 5.0, size=half), rng.uniform(-2.0, -1.0, size=rows - half)]
         )
         Z = np.column_stack([z1, z2])
-        if rows < 3:
-            return Z
         sds = Z.std(axis=0, ddof=1)
         if any(s < COVARIATE_MIN_SD_FRACTION * t for s, t in zip(sds, sd_targets)):
             continue

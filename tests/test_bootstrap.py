@@ -12,6 +12,7 @@ import pytest
 
 from bootmctp import (
     BootstrapConfig,
+    BootstrapDraws,
     ConfigError,
     Dataset,
     EstimationError,
@@ -305,7 +306,8 @@ class TestRefitOrder:
                                      Y.transpose(1, 0, 2))
             A, valid = engine.statistics(Y)
             A_ref, hDh = studentize(mu, D, H, dm.n)
-            valid_ref = (hDh > 0.0).all(axis=1) & np.isfinite(A_ref).all(axis=1)
+            floor = np.finfo(float).eps * (H**2 @ cov.D)
+            valid_ref = (hDh > floor).all(axis=1) & np.isfinite(A_ref).all(axis=1)
             assert np.array_equal(A, A_ref), m
             assert np.array_equal(valid, valid_ref), m
 
@@ -406,8 +408,6 @@ class TestWild:
                            match="replicate 0 invalid after 64 attempts"):
             run_bootstrap(BootstrapConfig("wild", 2, 2), dm, zero_fit, cov, two_sample(2, 1))
 
-    @pytest.mark.xfail(strict=True, reason="a replicate whose h'Dh is zero in exact "
-                       "arithmetic but rounding noise in float64 counts as valid")
     def test_groups_of_two_without_covariates_are_degenerate(self):
         # Residuals e and -e: half of the sign draws zero a group's replicate
         # residuals, so more than 1% of the replicates are degenerate.
@@ -498,6 +498,73 @@ class TestRedraws:
             a, valid = replicate("wild", dm, fit, cov, cm.H, substream(cfg.seed, b, 1))
             assert valid
             assert np.array_equal(draws.A_star[b], a), b
+
+
+@pytest.fixture(scope="module")
+def floor_case():
+    """A scalar two-group fit and the first-attempt h'Dh of its B=1000 replicates.
+
+    h'Dh comes from ``oracles.sequential_refit``, which sums as the engine
+    does, so these are the exact values the engine compares with its floor.
+    """
+    ds, dm, fit, cov = fitted(random_dataset(60, k=2, d=1, c=1, n_i=(10, 12)))
+    H, cfg = two_sample(2, 1).H, BootstrapConfig("wild", 1000, 3)
+    engine = _Engine("wild", dm, fit, cov, H, cfg.B)
+    rngs = replicate_streams(np.random.Generator(np.random.Philox(0)), cfg.seed,
+                             np.arange(cfg.B), 0)
+    Y = engine.draw(rngs, np.empty((dm.n, cfg.B, 1)))
+    mu, D = sequential_refit(engine.XG, dm.X, engine.wU1sq, Y.transpose(1, 0, 2))
+    hDh = studentize(mu, D, H, dm.n)[1][:, 0]
+    return dm, fit, cov, cfg, hDh
+
+
+def with_floor(cov, floor):
+    """`cov` whose observed D puts the replicate floor of the contrast (1, -1)
+    at `floor` exactly: eps * (D[0] + D[1]) with D[1] = 0 is exact."""
+    D = np.array([floor / np.finfo(float).eps, 0.0])
+    return CovarianceEstimate(D=D, wU1sq=cov.wU1sq, group_sigmas=cov.group_sigmas)
+
+
+class TestFloor:
+    """A replicate is valid only if its h'Dh exceeds eps times the observed one."""
+
+    def test_at_the_floor_is_redrawn_and_a_float_above_is_kept(self, floor_case):
+        dm, fit, cov, cfg, hDh = floor_case
+        cfg = BootstrapConfig("wild", 100, cfg.seed)
+        low = np.sort(hDh[:100])
+        b = int(np.argmin(hDh[:100]))
+        assert low[0] < low[1]
+        expected = run_bootstrap(cfg, dm, fit, cov, two_sample(2, 1)).A_star
+        kept = run_bootstrap(cfg, dm, fit, with_floor(cov, np.nextafter(low[0], 0)),
+                             two_sample(2, 1))
+        assert kept.invalid_redraws == 0
+        assert np.array_equal(kept.A_star, expected)
+        redrawn = run_bootstrap(cfg, dm, fit, with_floor(cov, low[0]), two_sample(2, 1))
+        assert redrawn.invalid_redraws == 1
+        others = np.arange(100) != b
+        assert np.array_equal(redrawn.A_star[others], expected[others])
+        assert not np.array_equal(redrawn.A_star[b], expected[b])
+
+    @pytest.mark.parametrize("B, redraws, error, warned", [
+        (100, 1, False, True),  # 1% of B: kept, with the warning
+        (100, 2, True, True),  # above 1%: aborted
+        (1000, 1, False, False),  # 0.1% of B: no warning
+        (1000, 2, False, True),  # above 0.1%: the warning
+    ])
+    def test_abort_and_warning_shares_are_strict(self, floor_case, B, redraws, error,
+                                                 warned):
+        dm, fit, cov, cfg, hDh = floor_case
+        low = np.sort(hDh[:B])
+        assert low[redraws - 1] < low[redraws]
+        cfg = BootstrapConfig("wild", B, cfg.seed)
+        floored = with_floor(cov, low[redraws - 1])
+        if error:
+            with pytest.raises(EstimationError, match=f"more than 1% .*{redraws} redraws"):
+                run_bootstrap(cfg, dm, fit, floored, two_sample(2, 1))
+            return
+        draws = run_bootstrap(cfg, dm, fit, floored, two_sample(2, 1))
+        assert draws.invalid_redraws == redraws
+        assert bool(draws.warnings) == warned
 
 
 class TestParametric:
@@ -591,6 +658,11 @@ class TestParametric:
 
 
 class TestConfigAndDump:
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_draws_rejected(self, value):
+        with pytest.raises(EstimationError, match="contain non-finite values"):
+            BootstrapDraws(A_star=np.array([[1.0], [value]]), kind="wild", seed=0)
+
     def test_invalid_kind(self):
         with pytest.raises(ConfigError, match="unknown bootstrap kind"):
             BootstrapConfig("jackknife", 10, 1)

@@ -569,12 +569,35 @@ class TestContrastsCommand:
         assert code == 2
         assert "row 2" in err
 
+    def test_missing_custom_file_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "absent.csv"
+        code, out, err = run_cli(
+            capsys, ["contrasts", "--contrast", f"custom:{path}", "--k", "2", "--d", "2"])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: custom contrast file not found: {path}"]
+
     def test_invalid_family_k_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, ["contrasts", "--contrast", "two-sample", "--k", "3", "--d", "2"]
         )
         assert code == 2
         assert "k=2" in err
+
+
+@pytest.mark.parametrize("argv, usage, message", [
+    (["analyze", "--bogus"], "usage: bootmctp [-h]", "unrecognized arguments: --bogus"),
+    (["simulate"], "usage: bootmctp simulate [-h] --config CONFIG",
+     "the following arguments are required: --config"),
+])
+def test_usage_error_exits_1_with_the_usage_line(capsys, argv, usage, message):
+    """argparse's usage errors exit 1, not argparse's 2 (the invalid-data code)."""
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    err = capsys.readouterr().err
+    assert raised.value.code == 1
+    assert err.startswith(usage)
+    assert err.splitlines()[-1].endswith(f"error: {message}")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("subcommand, settings", [("analyze", ANALYZE_SETTINGS),

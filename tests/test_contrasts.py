@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 
 from bootmctp import (
+    BootstrapConfig,
     ContrastError,
+    ContrastMatrix,
+    CsvSchema,
     build_family,
     custom,
     dunnett,
     grand_mean,
+    load_csv,
+    run_mctp,
     tukey,
     two_sample,
 )
-from bootmctp.contrasts import from_csv
+from bootmctp.contrasts import ROW_SUM_TOL, from_csv
 
 
 class TestTwoSample:
@@ -116,6 +121,17 @@ class TestFamilyProperties:
         H_u = cm.H[::d, ::d]
         assert np.allclose(cm.H, np.kron(H_u, np.eye(d)), atol=0)
 
+    @pytest.mark.parametrize("family", ["dunnett", "tukey", "grand_mean"])
+    def test_one_group_rejected(self, family):
+        with pytest.raises(ContrastError, match="contrasts require k>=2 groups, got k=1"):
+            build_family(family, 1, 2)
+
+    def test_wrong_number_of_names_rejected(self):
+        with pytest.raises(ContrastError, match="expected 3 group names, got 2"):
+            dunnett(3, 2, group_names=["a", "b"])
+        with pytest.raises(ContrastError, match="expected 2 outcome names, got 1"):
+            tukey(3, 2, outcome_names=["y"])
+
     def test_unknown_family(self):
         with pytest.raises(ContrastError, match="unknown contrast family"):
             build_family("williams", 3, 2)
@@ -130,6 +146,13 @@ class TestCustom:
         with pytest.raises(ContrastError, match="row 1 is not a contrast"):
             custom([[1.0, 0.0, 0.0, 0.0]])
 
+    def test_row_sum_tolerance_edge(self):
+        """A row sum of exactly ROW_SUM_TOL times max(1, scale) is a contrast;
+        one float more is not."""
+        assert custom([[1.0, -1.0, ROW_SUM_TOL]]).r == 1
+        with pytest.raises(ContrastError, match="row 1 is not a contrast"):
+            custom([[1.0, -1.0, np.nextafter(ROW_SUM_TOL, 1.0)]])
+
     def test_names_offending_row(self):
         with pytest.raises(ContrastError, match="row 2"):
             custom([[1.0, -1.0], [1.0, 1.0]])
@@ -137,6 +160,19 @@ class TestCustom:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ContrastError):
             custom(np.empty((0, 4)))
+
+    def test_one_label_per_row(self):
+        with pytest.raises(ContrastError, match="one label per contrast row"):
+            ContrastMatrix(H=np.array([[1.0, -1.0], [-1.0, 1.0]]), labels=("a",))
+
+    def test_three_dimensional_matrix_rejected(self, hrv_path):
+        """A 3-d H is a ContrastError, not numpy's einsum error inside run_mctp."""
+        H3 = np.array([[[1.0, -1.0], [0.0, 0.0]]])
+        with pytest.raises(ContrastError, match="must be 2-d with at least one row"):
+            custom(H3)
+        ds = load_csv(hrv_path, CsvSchema(group="group", outcomes=("SDNN",)))
+        with pytest.raises(ContrastError, match="must be 2-d with at least one row"):
+            run_mctp(ds, custom(H3), BootstrapConfig("wild", 20, 1), 0.05)
 
     def test_zero_row_rejected(self):
         with pytest.raises(ContrastError, match="all-zero"):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bootmctp import Dataset, EstimationError
-from bootmctp.covariance import groupwise_cov, hc4_weights, psd_sqrt, sandwich
+from bootmctp.covariance import (LEVERAGE_CEILING, PSD_REL_TOL, groupwise_cov,
+                                 hc4_weights, psd_sqrt, sandwich)
 from bootmctp.dataset import group_slices
 from bootmctp.design import DesignMatrices, FitResult, build_design, fit_ols
 from bootmctp.simgen import SimScenario, gen_dataset
@@ -44,6 +45,13 @@ class TestHc4Weights:
         # delta = min(4, 2) = 2 and min(4, 2/3) = 2/3
         assert np.allclose(w[:4], 0.75 ** (-2.0), rtol=1e-12)
         assert np.allclose(w[4:], (11.0 / 12.0) ** (-2.0 / 3.0), rtol=1e-12)
+
+    def test_leverage_ceiling_edge(self):
+        below = np.nextafter(LEVERAGE_CEILING, 0.0)
+        assert np.isfinite(hc4_weights(np.array([below, 0.5]))).all()
+        with pytest.raises(EstimationError, match="leverage at/above one for subject "
+                                                  "index 1"):
+            hc4_weights(np.array([0.5, LEVERAGE_CEILING]))
 
     def test_leverage_at_one_rejected(self):
         # a singleton group with no covariates has leverage exactly one
@@ -185,6 +193,15 @@ class TestPsdSqrt:
         S = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-14]])
         L = psd_sqrt(S)
         assert np.all(np.isfinite(L))
+
+    def test_tolerance_edge(self):
+        """An eigenvalue of exactly -PSD_REL_TOL times the scale is clamped;
+        one float below it is rejected."""
+        edge = -PSD_REL_TOL * 4.0
+        L = psd_sqrt(np.diag([edge, 4.0]))
+        assert np.array_equal(L, np.diag([0.0, 2.0]))
+        with pytest.raises(EstimationError, match="not PSD"):
+            psd_sqrt(np.diag([np.nextafter(edge, -1.0), 4.0]))
 
     def test_rejects_indefinite_matrix(self):
         with pytest.raises(EstimationError, match="not PSD"):

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bootmctp import (BootstrapConfig, CsvSchema, Dataset, DataError, load_csv,
-                      run_mctp, tukey, validate)
+from bootmctp import (BootstrapConfig, CsvSchema, Dataset, DataError, EstimationError,
+                      dunnett, load_csv, run_mctp, tukey, validate)
 from bootmctp.dataset import group_slices
 from bootmctp.simgen import gen_covariates
 
@@ -106,6 +106,22 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"^repeated column 'y1' in {re.escape(path)}$"):
             load_csv(path, CsvSchema(group="group", outcomes=("y1",)))
 
+    def test_empty_group_label_named_by_row(self, tmp_path):
+        rows = [row[:] for row in SMALL_ROWS]
+        rows[2][0] = " "
+        path = write_csv(tmp_path, "blank.csv", SMALL_HEADER, rows)
+        with pytest.raises(DataError, match="^empty group label at data row 3$"):
+            load_csv(path, SMALL_SCHEMA)
+
+    @pytest.mark.parametrize("outcomes, covariates, message", [
+        ((), (), "at least one outcome column"),
+        (("y1", "y1"), (), "schema columns must be distinct"),
+        (("y1",), ("group",), "schema columns must be distinct"),
+    ])
+    def test_schema_rules(self, outcomes, covariates, message):
+        with pytest.raises(DataError, match=message):
+            CsvSchema(group="group", outcomes=outcomes, covariates=covariates)
+
     def test_repeated_column_outside_the_schema_allowed(self, tmp_path):
         header = ["note", "group", "y1", "y2", "z1", "note"]
         rows = [["x", *row, "y"] for row in SMALL_ROWS]
@@ -162,6 +178,32 @@ class TestDatasetInvariants:
     def test_rejects_non_finite(self):
         with pytest.raises(DataError, match="non-finite"):
             Dataset.from_group_blocks(["a", "b"], [np.array([[np.nan]]), np.ones((1, 1))])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"Y": np.ones(5)}, "Y must be a 2-d matrix with at least one column"),
+        ({"Y": np.ones((5, 0))}, "Y must be a 2-d matrix with at least one column"),
+        ({"Z": np.ones(5)}, "Z must be a 2-d matrix"),
+        ({"n_i": (2, 2, 1)}, "groups and n_i must have the same length"),
+        ({"n_i": (5, 0)}, "every group must contain at least one row"),
+        ({"n_i": (2, 2)}, "row counts of Y and Z must equal sum"),
+        ({"Z": np.ones((4, 1))}, "row counts of Y and Z must equal sum"),
+        ({"Z": [[0.0]] * 4 + [[np.inf]]}, "non-finite values in Y or Z"),
+        ({"outcome_names": ("a",)}, "outcome_names length must equal d"),
+        ({"covariate_names": ("a", "b")}, "covariate_names length must equal c"),
+    ])
+    def test_direct_construction_rules(self, change, message):
+        fields = {"groups": ("a", "b"), "n_i": (2, 3), "Y": np.ones((5, 2)),
+                  "Z": np.zeros((5, 1))}
+        Dataset(**fields)
+        with pytest.raises(DataError, match=re.escape(message)):
+            Dataset(**{**fields, **change})
+
+    def test_default_names(self):
+        ds = Dataset(("a", "b"), (2, 3), np.ones((5, 2)), np.zeros((5, 3)))
+        assert ds.outcome_names == ("Y1", "Y2")
+        assert ds.covariate_names == ("Z1", "Z2", "Z3")
+        assert Dataset(("a", "b"), (2, 3), np.ones((5, 1)),
+                       np.zeros((5, 0))).covariate_names == ()
 
     def test_relabeling_keeps_sizes(self):
         ds = random_dataset(5, k=3, n_i=(4, 6, 5))
@@ -237,12 +279,18 @@ class TestValidate:
         assert any("n_i <= c+1" in w for w in report.warnings)
 
     def test_groups_of_two_without_covariates_warn_through_run_mctp(self):
-        ds = random_dataset(0, k=3, d=1, c=0, n_i=(2, 2, 8))
-        result = run_mctp(ds, tukey(3, 1), BootstrapConfig("wild", 200, 1), 0.05)
+        # Each Dunnett contrast also holds group 1's variance, so no replicate
+        # is degenerate; Tukey's g2 - g1 compares two groups of two and is.
+        ds = random_dataset(0, k=3, d=1, c=0, n_i=(8, 2, 2))
+        result = run_mctp(ds, dunnett(3, 1), BootstrapConfig("wild", 200, 1), 0.05)
         pairs = [w for w in result.warnings if w.startswith("n_i=2 and c=0")]
         assert [w.split(":")[0] for w in pairs] == [
-            "n_i=2 and c=0 in group 1 ('g1')", "n_i=2 and c=0 in group 2 ('g2')"]
+            "n_i=2 and c=0 in group 2 ('g2')", "n_i=2 and c=0 in group 3 ('g3')"]
         assert all("wild bootstrap" in w for w in pairs)
+        assert result.invalid_redraws == 0
+        with pytest.raises(EstimationError, match="degenerate bootstrap distribution"):
+            run_mctp(random_dataset(0, k=3, d=1, c=0, n_i=(2, 2, 8)), tukey(3, 1),
+                     BootstrapConfig("wild", 200, 1), 0.05)
 
     def test_groups_of_two_with_a_covariate_do_not_warn_of_the_signs(self):
         ds = random_dataset(0, k=3, d=1, c=1, n_i=(2, 5, 8))

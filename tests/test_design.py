@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bootmctp import Dataset, load_csv
+from bootmctp import Dataset, EstimationError, load_csv
 from bootmctp.dataset import group_slices
 from bootmctp.design import build_design, fit_ols
 
@@ -28,6 +28,13 @@ class TestBuildDesign:
         assert np.allclose(dm.leverages, 1.0 / 3.0, atol=1e-12)
         brute = dense_hat_diagonal(ds.n_i, ds.Z)
         assert np.allclose(dm.leverages, brute, atol=1e-12)
+
+    def test_singular_gram_raises(self):
+        # A covariate equal to group a's indicator, which validate() would reject.
+        ds = Dataset.from_group_blocks(["a", "b"], [np.ones((3, 1)), np.zeros((4, 1))],
+                                       [np.ones((3, 1)), np.zeros((4, 1))])
+        with pytest.raises(EstimationError, match="Gram matrix numerically singular"):
+            build_design(ds)
 
     def test_leverage_trace_is_projection_rank(self):
         for seed in range(5):

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -10,15 +11,20 @@ from bootmctp import (
     EstimationError,
     custom,
     format_result_table,
+    run_bootstrap,
     run_mctp,
+    tukey,
     two_sample,
 )
 from bootmctp.covariance import sandwich, studentize
 from bootmctp.design import build_design, fit_ols
 from bootmctp.mctp import (
+    _calibrate,
+    _fit,
     adjust_level,
     confidence_intervals,
     contrast_quantiles,
+    gamma_index,
     local_p_values,
 )
 from bootmctp.mctp import test_statistics as studentized_statistics
@@ -124,6 +130,14 @@ class TestBootstrapQuantile:
         with pytest.raises(EstimationError, match="not on the grid"):
             column_quantile(np.arange(4.0), 0.3)
 
+    def test_grid_tolerance_edge(self):
+        # gamma 1e-9 from a grid point reads as that point; beyond, it is off it
+        assert gamma_index(1e-9, 1) == 0
+        with pytest.raises(EstimationError, match="not on the grid"):
+            gamma_index(np.nextafter(1e-9, 1.0), 1)
+        with pytest.raises(EstimationError, match="not on the grid"):
+            gamma_index(1.0, 4)  # index B is past the grid's last point (B-1)/B
+
 
 class TestEstimatedFwer:
     def test_gamma_zero_gives_zero(self):
@@ -181,6 +195,11 @@ class TestAdjustLevel:
     def test_invalid_alpha(self):
         with pytest.raises(ConfigError):
             adjust_level(draws_of(np.ones((10, 1))), 1.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_interval_is_open(self, alpha):
+        with pytest.raises(ConfigError, match=r"alpha must be in \(0, 1\)"):
+            adjust_level(draws_of(np.ones((10, 1))), alpha)
 
 
 class TestLocalPValues:
@@ -249,6 +268,21 @@ class TestPValueDuality:
             reject = np.abs(A_n) > q
             assert np.array_equal(p <= gamma, reject), trial
             assert (p.min() <= gamma) == reject.any(), trial
+
+    def test_statistic_on_its_quantile_is_retained(self):
+        """|A_n| exactly on its quantile is retained and has p > gamma; one
+        float above it is rejected and has p <= gamma ("ties included")."""
+        ds = random_dataset(31, k=3, d=2, c=1, n_i=(8, 9, 10))
+        cm, cfg = tukey(3, 2), BootstrapConfig("wild", 200, 4)
+        dm, fit, cov, _ = _fit(ds, cm)
+        draws = run_bootstrap(cfg, dm, fit, cov, cm)
+        gamma = adjust_level(draws, 0.05)
+        q = contrast_quantiles(draws, gamma)
+        sign = np.resize([1.0, -1.0], cm.r)
+        for A_n, rejected in ((sign * q, False), (sign * np.nextafter(q, np.inf), True)):
+            *_, reject = _calibrate(cfg, dm, fit, cov, cm, A_n, 0.05)
+            assert reject.tolist() == [rejected] * cm.r
+            assert ((local_p_values(draws, A_n) <= gamma) == reject).all()
 
     def test_quantile_tail_identity_distinct_values(self):
         # with distinct values: #{b: |A| >= q}/B == gamma + 1/B
@@ -369,6 +403,12 @@ class TestRunMctp:
         res = run_mctp(ds, two_sample(2, 1), BootstrapConfig("wild", 10, 1), 0.05)
         assert any("gamma-grid too coarse" in w for w in res.warnings)
 
+    @pytest.mark.parametrize("B, coarse", [(99, True), (100, False)])
+    def test_coarse_grid_edge(self, B, coarse):
+        ds = random_dataset(26, k=2, d=1, c=0, n_i=(10, 10))
+        res = run_mctp(ds, two_sample(2, 1), BootstrapConfig("wild", B, 1), 0.05)
+        assert any("gamma-grid too coarse" in w for w in res.warnings) == coarse
+
     def test_gamma_zero_warning(self):
         ds = random_dataset(27, k=2, d=1, c=0, n_i=(10, 10))
         res = run_mctp(ds, two_sample(2, 1), BootstrapConfig("wild", 120, 1), 0.005)
@@ -399,6 +439,7 @@ class TestRunMctp:
         doc = res.to_dict()
         assert len(doc["contrasts"]) == 2
         assert doc["meta"]["gamma"] == res.gamma
+        assert json.loads(res.to_json()) == doc
 
     def test_duplicate_contrast_row_duplicates_p_value(self):
         ds = random_dataset(29, k=2, d=2, c=1, n_i=(10, 10))

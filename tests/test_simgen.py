@@ -107,6 +107,36 @@ class TestGenCovariates:
             assert np.all((Z[:half, 1] >= 0) & (Z[:half, 1] < 5))
             assert np.all((Z[half:, 1] > -2) & (Z[half:, 1] < -1))
 
+    def test_dispersed_and_not_collinear_or_redrawn(self):
+        """Constant columns, then collinear ones, are redrawn: the third
+        attempt is the first draw of the real generator."""
+
+        class Scripted:
+            def __init__(self, script, rng):
+                self.script, self.rng, self.calls = list(script), rng, 0
+
+            def uniform(self, low, high, size):
+                self.calls += 1
+                if self.script:
+                    return np.asarray(self.script.pop(0), dtype=float)
+                return self.rng.uniform(low, high, size=size)
+
+        z2 = [[1.0, 2.0, 3.0, 4.0, 4.5], [-1.1, -1.3, -1.5, -1.7, -1.9]]
+        script = [np.zeros(10), [0.5] * 5, [-1.5] * 5,  # no spread
+                  4.0 * np.concatenate(z2), *z2]  # corr(z1, z2) = 1
+        rng = Scripted(script, substream(9, 0))
+        Z = gen_covariates(10, rng)
+        assert rng.calls == 9
+        assert np.array_equal(Z, gen_covariates(10, substream(9, 0)))
+
+    def test_gives_up_after_the_attempt_limit(self):
+        class Constant:
+            def uniform(self, low, high, size):
+                return np.full(size, float(low))
+
+        with pytest.raises(SimulationError, match="not met after 1000 attempts"):
+            gen_covariates(10, Constant())
+
     def test_generated_dataset_validates(self):
         scenario = SimScenario(k=3, d=2, contrast_family="dunnett")
         ds = gen_dataset(scenario, substream(8, 0))
@@ -153,6 +183,17 @@ class TestScenario:
         assert np.array_equal(
             default_nu(4), [[-0.5, 1.0, 1.0, -1.0], [1.5, 2.0, 2.0, 3.0]]
         )
+
+    @pytest.mark.parametrize("change, message", [
+        ({"covariance": 4}, "unknown covariance scenario 4"),
+        ({"sample_pattern": 0}, "unknown sample pattern 0"),
+        ({"multiplier": 0}, "sample-size multiplier must be >= 1"),
+        ({"alternative": "drift", "delta": 1.0}, "unknown alternative 'drift'"),
+        ({"alternative": "shift", "delta": -1.0}, "positive otherwise"),
+    ])
+    def test_scenario_rules(self, change, message):
+        with pytest.raises(SimulationError, match=message):
+            SimScenario(**{"k": 3, "d": 2, **change})
 
     def test_single_outcome_rejected_at_construction(self):
         # the default regression coefficients need d >= 2
