@@ -62,6 +62,7 @@ import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -73,7 +74,7 @@ from .covariance import (
     psd_sqrt,
     studentize,
 )
-from .dataset import group_slices
+from .dataset import _integer, group_slices
 from .design import DesignMatrices, FitResult
 from .exceptions import ConfigError, EstimationError
 from ._rng import replicate_streams
@@ -87,13 +88,6 @@ INVALID_ABORT_FRACTION = 0.01
 KINDS = ("wild", "parametric")
 MAX_THREADS = 2
 THREAD_MIN_CELLS = {"wild": 1500, "parametric": 600}  # n*d, see the docstring
-
-
-def _integer(value, what: str, error: type[Exception]) -> int:
-    """`value` as a Python int; raises `error` for a bool or a non-integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -183,15 +177,54 @@ def _wild_signs(rngs, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _draw_wild(residuals: np.ndarray, scale: np.ndarray, work: np.ndarray,
+               rngs, out: np.ndarray) -> np.ndarray:
+    """Write wild-multiplier responses for one chunk into `out`.
+
+    Each subject's residual vector is multiplied by one sign shared across
+    the outcome components (see :func:`_wild_signs`), drawn into `work`,
+    and rescaled by `scale`, 1/sqrt(1-p).  Returns `out`, the (n, m, d)
+    responses.
+    """
+    n, m, d = out.shape
+    t = _wild_signs(rngs, work[: m * n].reshape(m, n))
+    t *= scale
+    for j in range(d):  # one product per entry, n*m long loops
+        np.multiply(t.T, residuals[:, j, None], out=out[:, :, j])
+    return out
+
+
+def _draw_parametric(slices: list[slice], roots: list[np.ndarray], work: np.ndarray,
+                     rngs, out: np.ndarray) -> np.ndarray:
+    """Write group-wise zero-mean normal responses for one chunk into `out`.
+
+    Each stream fills its replicate's n x d standard normals in an
+    (m, n, d) view of `work`.  Each group's symmetric PSD covariance root
+    (singular covariances allowed) multiplies the group's normals of all
+    replicates in one matmul, whose (m, n_g, d) output is a transposed view
+    of the chunk.  Returns `out`, the (n, m, d) responses.
+    """
+    n, m, d = out.shape
+    normals = work[: m * n * d].reshape(m, n, d)
+    for rows, rng in zip(normals, rngs, strict=True):
+        rng.standard_normal(out=rows)
+    for sl, L in zip(slices, roots):
+        np.matmul(normals[:, sl], L, out=out[sl].transpose(1, 0, 2))
+    return out
+
+
 class _Engine:
     """Refit state of one bootstrap and one thread's buffers and generator.
 
-    :meth:`draw` is the scheme's response draw for one chunk.  A chunk of m
-    replicate responses is stored subject-major, as an (n, m, d) array that
-    the refit views as (n, q) with q = m*d, so each refit contraction runs
-    over the leading axis of both operands.  The scratch and response
-    buffers are allocated for `chunk` replicates on construction;
-    :meth:`replicates` runs its replicates through them a chunk at a time.
+    ``draw(rngs, out)`` is the scheme's response draw for one chunk, a
+    partial of :func:`_draw_wild` or :func:`_draw_parametric` on this
+    engine's arrays (a bound method would form a cycle that outlives the
+    bootstrap).  A chunk of m replicate responses is stored subject-major,
+    as an (n, m, d) array that the refit views as (n, q) with q = m*d, so
+    each refit contraction runs over the leading axis of both operands.
+    The scratch and response buffers are allocated for `chunk` replicates
+    on construction; :meth:`replicates` runs its replicates through them a
+    chunk at a time.
     """
 
     def __init__(self, kind: str, dm: DesignMatrices, fit: FitResult,
@@ -203,17 +236,16 @@ class _Engine:
         self.H = H
         with np.errstate(over="ignore"):  # an infinite observed h'Dh fails every row
             self.floor = np.finfo(float).eps * (H**2 @ cov.D)
-        self.kind = kind
         self._work = np.empty(dm.n * chunk * dm.d)
         self._Y = np.empty(dm.n * chunk * dm.d)
         self._rng = np.random.Generator(np.random.Philox(0))
         if kind == "wild":
-            self.residuals = fit.residuals
             self.wild_scale = 1.0 / np.sqrt(1.0 - dm.leverages)
+            self.draw = partial(_draw_wild, fit.residuals, self.wild_scale, self._work)
         else:
-            self.group_slices = group_slices(dm.n_i)
             sigmas = cov.group_sigmas or groupwise_cov(fit, dm.n_i, dm.c)
-            self.roots = [psd_sqrt(S) for S in sigmas]
+            self.draw = partial(_draw_parametric, group_slices(dm.n_i),
+                                [psd_sqrt(S) for S in sigmas], self._work)
 
     def replicates(self, seed: int, index: np.ndarray, attempt: int,
                    A_star: np.ndarray) -> np.ndarray:
@@ -233,48 +265,6 @@ class _Engine:
             A_star[b], ok = self.statistics(self.draw(rngs, out))
             valid.append(ok)
         return np.concatenate(valid)
-
-    def draw(self, rngs, out: np.ndarray) -> np.ndarray:
-        """Draw one chunk of responses into `out`; returns `out`.
-
-        `rngs` is an iterable of fresh streams, one per replicate of the
-        (n, m, d) chunk `out`, consumed in order.
-        """
-        if self.kind == "wild":
-            return self._draw_wild(rngs, out)
-        return self._draw_parametric(rngs, out)
-
-    def _draw_wild(self, rngs, out: np.ndarray) -> np.ndarray:
-        """Write wild-multiplier responses for one chunk into `out`.
-
-        Each subject's residual vector is multiplied by one sign shared
-        across the outcome components (see :func:`_wild_signs`) and
-        rescaled by 1/sqrt(1-p).  Returns `out`, the (n, m, d) responses.
-        """
-        n, m = out.shape[:2]
-        t = _wild_signs(rngs, self._work[: m * n].reshape(m, n))
-        t *= self.wild_scale
-        for j in range(self.d):  # one product per entry, n*m long loops
-            np.multiply(t.T, self.residuals[:, j, None], out=out[:, :, j])
-        return out
-
-    def _draw_parametric(self, rngs, out: np.ndarray) -> np.ndarray:
-        """Write group-wise zero-mean normal responses for one chunk into `out`.
-
-        Each stream fills its replicate's n x d standard normals in an
-        (m, n, d) scratch buffer.  Each group's symmetric PSD covariance
-        root (singular covariances allowed) multiplies the group's normals
-        of all replicates in one matmul, whose (m, n_g, d) output is a
-        transposed view of the chunk.  Returns `out`, the (n, m, d)
-        responses.
-        """
-        n, m, d = out.shape
-        normals = self._work[: m * n * d].reshape(m, n, d)
-        for rows, rng in zip(normals, rngs, strict=True):
-            rng.standard_normal(out=rows)
-        for sl, L in zip(self.group_slices, self.roots):
-            np.matmul(normals[:, sl], L, out=out[sl].transpose(1, 0, 2))
-        return out
 
     def statistics(self, Ystar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Refit an (n, m, d) chunk of responses; return (statistics, validity).

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-import typing
+from dataclasses import fields
 
 from . import contrasts as contrasts_mod
 from .bootstrap import BootstrapConfig, save_draws_csv
@@ -206,15 +206,15 @@ def _cmd_analyze(args) -> int:
 def _scenario_from_dict(position: int, raw) -> SimScenario:
     if not isinstance(raw, dict):
         raise ConfigError(f"scenarios[{position}] must be a JSON object, got {raw!r}")
-    types = typing.get_type_hints(SimScenario)
-    unknown = set(raw) - set(types)
+    unknown = set(raw) - {f.name for f in fields(SimScenario)}
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
     if "k" not in raw or "d" not in raw:
         raise ConfigError("each scenario needs at least 'k' and 'd'")
-    for key, value in raw.items():
-        _check(f"scenarios[{position}].{key}", value, types[key])
-    return SimScenario(**raw)
+    try:
+        return SimScenario(**raw)
+    except SimulationError as exc:
+        raise ConfigError(f"scenarios[{position}]: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _read_csv
+from .dataset import _integer, _read_csv
 from .exceptions import ContrastError
 
 ROW_SUM_TOL = 1e-12
@@ -156,6 +156,7 @@ def build_family(
         "tukey": tukey,
         "grand_mean": grand_mean,
     }
-    if family not in builders:
-        raise ContrastError(f"unknown contrast family '{family}'")
+    if not isinstance(family, str) or family not in builders:
+        raise ContrastError(f"unknown contrast family {family!r}")
+    k, d = _integer(k, "k", ContrastError), _integer(d, "d", ContrastError)
     return builders[family](k, d, group_names=group_names, outcome_names=outcome_names)

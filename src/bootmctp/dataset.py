@@ -16,6 +16,13 @@ import numpy as np
 from .exceptions import DataError
 
 
+def _integer(value, what: str, error: type[Exception]) -> int:
+    """`value` as a Python int; raises `error` for a bool or a non-integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CsvSchema:
     """Column mapping for :func:`load_csv`.
@@ -36,6 +43,8 @@ class CsvSchema:
     covariates: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if isinstance(self.outcomes, str) or isinstance(self.covariates, str):
+            raise DataError("schema outcomes and covariates are name sequences, not str")
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         object.__setattr__(self, "covariates", tuple(self.covariates))
         if not self.outcomes:
@@ -71,7 +80,8 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "n_i", tuple(int(m) for m in self.n_i))
+        object.__setattr__(self, "n_i",
+                           tuple(_integer(m, "group size", DataError) for m in self.n_i))
         Y = np.ascontiguousarray(np.asarray(self.Y, dtype=float))
         Z = np.ascontiguousarray(np.asarray(self.Z, dtype=float))
         if Y.ndim != 2 or Y.shape[1] < 1:
@@ -90,16 +100,10 @@ class Dataset:
             raise DataError("row counts of Y and Z must equal sum(n_i)")
         if not np.all(np.isfinite(Y)) or not np.all(np.isfinite(Z)):
             raise DataError("non-finite values in Y or Z")
-        if not self.outcome_names:
-            object.__setattr__(
-                self, "outcome_names", tuple(f"Y{j + 1}" for j in range(Y.shape[1]))
-            )
-        if not self.covariate_names:
-            object.__setattr__(
-                self, "covariate_names", tuple(f"Z{j + 1}" for j in range(Z.shape[1]))
-            )
-        object.__setattr__(self, "outcome_names", tuple(self.outcome_names))
-        object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
+        object.__setattr__(self, "outcome_names", tuple(self.outcome_names)
+                           or tuple(f"Y{j + 1}" for j in range(Y.shape[1])))
+        object.__setattr__(self, "covariate_names", tuple(self.covariate_names)
+                           or tuple(f"Z{j + 1}" for j in range(Z.shape[1])))
         if len(self.outcome_names) != Y.shape[1]:
             raise DataError("outcome_names length must equal d")
         if len(self.covariate_names) != Z.shape[1]:
@@ -134,20 +138,19 @@ class Dataset:
         outcome_names=(),
         covariate_names=(),
     ) -> "Dataset":
-        """Assemble a dataset from per-group outcome (and covariate) blocks."""
-        groups = tuple(str(g) for g in groups)
-        Y_blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in Y_blocks]
-        n_i = tuple(b.shape[0] for b in Y_blocks)
-        Y = np.vstack(Y_blocks)
-        if Z_blocks is None:
-            Z = np.empty((Y.shape[0], 0))
-        else:
-            Z = np.vstack([np.atleast_2d(np.asarray(b, dtype=float)) for b in Z_blocks])
+        """Assemble a dataset from per-group 2-d outcome (and covariate) blocks."""
+        Ys = [np.asarray(b, dtype=float) for b in Y_blocks]
+        Zs = [] if Z_blocks is None else [np.asarray(b, dtype=float) for b in Z_blocks]
+        if any(b.ndim != 2 for b in Ys + Zs):
+            raise DataError("outcome and covariate blocks must be 2-d (rows x columns)")
+        if Z_blocks is not None and [len(b) for b in Zs] != [len(b) for b in Ys]:
+            raise DataError("each covariate block must have its outcome block's rows")
+        Y = np.vstack(Ys)
         return cls(
-            groups=groups,
-            n_i=n_i,
+            groups=tuple(str(g) for g in groups),
+            n_i=tuple(b.shape[0] for b in Ys),
             Y=Y,
-            Z=Z,
+            Z=np.empty((Y.shape[0], 0)) if Z_blocks is None else np.vstack(Zs),
             outcome_names=tuple(outcome_names),
             covariate_names=tuple(covariate_names),
         )

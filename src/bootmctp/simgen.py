@@ -21,10 +21,10 @@ from functools import partial
 
 import numpy as np
 
-from .bootstrap import KINDS, BootstrapConfig, _integer, _usable_cpus
+from .bootstrap import KINDS, BootstrapConfig, _usable_cpus
 from .contrasts import build_family
 from .covariance import psd_sqrt
-from .dataset import Dataset
+from .dataset import Dataset, _integer
 from .exceptions import ContrastError, EstimationError, SimulationError
 from .mctp import _calibrate, _check_alpha, _fit
 from ._rng import derive_seed, substream
@@ -78,6 +78,9 @@ class SimScenario:
     delta: float = 0.0
 
     def __post_init__(self):
+        for name in ("k", "d", "covariance", "sample_pattern", "multiplier"):
+            value = _integer(getattr(self, name), name, SimulationError)
+            object.__setattr__(self, name, value)
         if self.k < 2 or self.d < 2:
             raise SimulationError("scenario requires k >= 2 and d >= 2")
         if self.distribution not in DISTRIBUTIONS:
@@ -94,6 +97,9 @@ class SimScenario:
             raise SimulationError("sample-size multiplier must be >= 1")
         if self.alternative not in ALTERNATIVES:
             raise SimulationError(f"unknown alternative '{self.alternative}'")
+        if isinstance(self.delta, bool) or not isinstance(
+                self.delta, (int, float, np.integer, np.floating)):
+            raise SimulationError(f"delta must be a real number, got {self.delta!r}")
         if not np.isfinite(self.delta):
             raise SimulationError("delta must be finite")
         if (self.delta == 0.0) != (self.alternative == "null") or self.delta < 0:
@@ -105,7 +111,7 @@ class SimScenario:
             build_family(self.contrast_family, self.k, self.d)
         except ContrastError as exc:
             raise SimulationError(
-                f"contrast_family '{self.contrast_family}': {exc}") from exc
+                f"contrast_family {self.contrast_family!r}: {exc}") from exc
 
     @property
     def sample_sizes(self) -> tuple[int, ...]:

@@ -364,7 +364,7 @@ class TestSimulate:
         ))
         code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
         assert code == 1
-        assert err.splitlines() == ["error: unknown distribution 'foo'"]
+        assert err.splitlines() == ["error: scenarios[0]: unknown distribution 'foo'"]
 
     @pytest.mark.parametrize("scenario, message", [
         ({"k": 3, "d": 2, "contrast_family": "tukeyy"},
@@ -386,7 +386,7 @@ class TestSimulate:
                                           "--out", str(out_dir)])
         assert code == 1
         assert out == ""
-        assert err.splitlines() == [f"error: {message}"]
+        assert err.splitlines() == [f"error: scenarios[0]: {message}"]
         assert not (out_dir / "study.csv").exists()
 
     @pytest.mark.parametrize("setting, message", [
@@ -421,7 +421,7 @@ class TestSimulate:
                             f'"shift", "delta": {literal}}}]}}')
         code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg_path)])
         assert code == 1
-        assert err.splitlines() == ["error: delta must be finite"]
+        assert err.splitlines() == ["error: scenarios[0]: delta must be finite"]
 
     def test_unknown_config_key_exits_1(self, capsys, tmp_path):
         cfg_path = tmp_path / "grid.json"
@@ -443,15 +443,15 @@ class TestSimulate:
     @pytest.mark.parametrize("cfg, message", [
         ({"scenarios": [1]}, "scenarios[0] must be a JSON object, got 1"),
         ({"scenarios": [{"k": 2, "d": 2}, {"k": "3", "d": 2}]},
-         "scenarios[1].k must be int, got '3'"),
+         "scenarios[1]: k must be an integer, got '3'"),
         ({"scenarios": [{"k": 2, "d": 2, "delta": "0"}]},
-         "scenarios[0].delta must be float, got '0'"),
+         "scenarios[0]: delta must be a real number, got '0'"),
         ({"scenarios": [{"k": 2, "d": 2}], "runs": "ten"},
          "config value runs must be int, got 'ten'"),
         ({"scenarios": [{"k": 2, "d": 2}], "runs": 2.7},
          "config value runs must be int, got 2.7"),
         ({"scenarios": [{"k": 2, "d": 2, "covariance": True}]},
-         "scenarios[0].covariance must be int, got True"),
+         "scenarios[0]: covariance must be an integer, got True"),
         ({"scenarios": {"k": 2, "d": 2}},
          "config must define a non-empty 'scenarios' list"),
     ])

@@ -136,6 +136,23 @@ class TestFamilyProperties:
         with pytest.raises(ContrastError, match="unknown contrast family"):
             build_family("williams", 3, 2)
 
+    @pytest.mark.parametrize("family, k, d, message", [
+        ("dunnett", 3.0, 2, "k must be an integer, got 3.0"),
+        ("tukey", 3, 2.0, "d must be an integer, got 2.0"),
+        ("dunnett", True, 2, "k must be an integer, got True"),
+        (["x"], 3, 2, "unknown contrast family ['x']"),
+    ])
+    def test_argument_types_checked(self, family, k, d, message):
+        with pytest.raises(ContrastError) as info:
+            build_family(family, k, d)
+        assert str(info.value) == message
+
+    def test_numpy_integers_accepted(self):
+        cm = build_family("tukey", np.int64(3), np.int32(2))
+        expected = build_family("tukey", 3, 2)
+        assert cm.labels == expected.labels
+        assert cm.H.tobytes() == expected.H.tobytes()
+
 
 class TestCustom:
     def test_valid_row_accepted(self):

@@ -117,6 +117,9 @@ class TestLoadCsv:
         ((), (), "at least one outcome column"),
         (("y1", "y1"), (), "schema columns must be distinct"),
         (("y1",), ("group",), "schema columns must be distinct"),
+        ("SDNN", (), "are name sequences, not str"),  # not the columns S, D, N, N
+        ("HF", (), "are name sequences, not str"),  # not the columns H, F
+        (("SDNN",), "HF", "are name sequences, not str"),
     ])
     def test_schema_rules(self, outcomes, covariates, message):
         with pytest.raises(DataError, match=message):
@@ -190,6 +193,8 @@ class TestDatasetInvariants:
         ({"Z": [[0.0]] * 4 + [[np.inf]]}, "non-finite values in Y or Z"),
         ({"outcome_names": ("a",)}, "outcome_names length must equal d"),
         ({"covariate_names": ("a", "b")}, "covariate_names length must equal c"),
+        ({"n_i": (2.7, 3.2)}, "group size must be an integer, got 2.7"),
+        ({"n_i": ("2", 3)}, "group size must be an integer, got '2'"),
     ])
     def test_direct_construction_rules(self, change, message):
         fields = {"groups": ("a", "b"), "n_i": (2, 3), "Y": np.ones((5, 2)),
@@ -197,6 +202,24 @@ class TestDatasetInvariants:
         Dataset(**fields)
         with pytest.raises(DataError, match=re.escape(message)):
             Dataset(**{**fields, **change})
+
+    @pytest.mark.parametrize("Y_blocks, Z_blocks, message", [
+        ([np.arange(5.0), np.arange(5.0)], None,
+         "outcome and covariate blocks must be 2-d (rows x columns)"),
+        ([np.ones((3, 1)), np.ones((4, 1))], [np.arange(3.0), np.arange(4.0)],
+         "outcome and covariate blocks must be 2-d (rows x columns)"),
+        ([np.ones((3, 1)), np.ones((4, 1))], [np.ones((4, 1)), np.ones((3, 1))],
+         "each covariate block must have its outcome block's rows"),
+    ])
+    def test_group_blocks_rules(self, Y_blocks, Z_blocks, message):
+        with pytest.raises(DataError) as info:
+            Dataset.from_group_blocks(["a", "b"], Y_blocks, Z_blocks)
+        assert str(info.value) == message
+
+    def test_numpy_group_sizes_stored_as_python_ints(self):
+        ds = Dataset(("a", "b"), np.array([2, 3]), np.ones((5, 1)), np.zeros((5, 0)))
+        assert ds.n_i == (2, 3)
+        assert all(type(m) is int for m in ds.n_i)
 
     def test_default_names(self):
         ds = Dataset(("a", "b"), (2, 3), np.ones((5, 2)), np.zeros((5, 3)))

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -190,9 +191,17 @@ class TestScenario:
         ({"multiplier": 0}, "sample-size multiplier must be >= 1"),
         ({"alternative": "drift", "delta": 1.0}, "unknown alternative 'drift'"),
         ({"alternative": "shift", "delta": -1.0}, "positive otherwise"),
+        ({"covariance": True}, "covariance must be an integer, got True"),
+        ({"alternative": "shift", "delta": True}, "delta must be a real number, got True"),
+        ({"sample_pattern": 2.0}, "sample_pattern must be an integer, got 2.0"),
+        ({"k": 3.0}, "k must be an integer, got 3.0"),
+        ({"d": np.float64(2.0)}, f"d must be an integer, got {np.float64(2.0)!r}"),
+        ({"multiplier": 1.5}, "multiplier must be an integer, got 1.5"),
+        ({"alternative": "shift", "delta": "1"}, "delta must be a real number, got '1'"),
+        ({"contrast_family": ["x"]}, "contrast_family ['x']: unknown contrast family ['x']"),
     ])
     def test_scenario_rules(self, change, message):
-        with pytest.raises(SimulationError, match=message):
+        with pytest.raises(SimulationError, match=re.escape(message)):
             SimScenario(**{"k": 3, "d": 2, **change})
 
     def test_single_outcome_rejected_at_construction(self):
@@ -218,6 +227,17 @@ class TestScenario:
     @pytest.mark.parametrize("family", ["two_sample", "dunnett", "tukey", "grand_mean"])
     def test_every_family_accepted_at_k2(self, family):
         assert SimScenario(k=2, d=2, contrast_family=family).contrast_family == family
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        sc = SimScenario(k=np.int64(3), d=np.int32(2), covariance=np.uint8(2),
+                         sample_pattern=np.int16(3), multiplier=np.int64(2),
+                         alternative="shift", delta=np.float64(0.5))
+        assert sc == SimScenario(k=3, d=2, covariance=2, sample_pattern=3, multiplier=2,
+                                 alternative="shift", delta=0.5)
+        assert all(type(getattr(sc, name)) is int
+                   for name in ("k", "d", "covariance", "sample_pattern", "multiplier"))
+        assert type(sc.delta) is np.float64
+        assert type(SimScenario(k=3, d=2, alternative="shift", delta=1).delta) is int
 
 
 class TestGenDataset:
