@@ -68,8 +68,16 @@ def _family(H_u, row_names, d: int, outcome_names) -> ContrastMatrix:
                                             for out in o))
 
 
+def _groups(what: str, k, d, group_names):
+    k, d = _integer(k, "k", ContrastError), _integer(d, "d", ContrastError)
+    if k < 2:
+        raise ContrastError(f"{what} contrasts require k>=2 groups, got k={k}")
+    return k, d, _names("group", k, group_names)
+
+
 def two_sample(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
     """Component-wise comparison of two groups: H = (1, -1) kron I_d."""
+    k, d = _integer(k, "k", ContrastError), _integer(d, "d", ContrastError)
     if k != 2:
         raise ContrastError(f"two-sample contrasts require k=2 groups, got k={k}")
     g = _names("group", 2, group_names)
@@ -78,9 +86,7 @@ def two_sample(k: int, d: int, group_names=None, outcome_names=None) -> Contrast
 
 def dunnett(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
     """Many-to-one comparisons of groups 2..k against group 1, per component."""
-    if k < 2:
-        raise ContrastError(f"many-to-one contrasts require k>=2 groups, got k={k}")
-    g = _names("group", k, group_names)
+    k, d, g = _groups("many-to-one", k, d, group_names)
     e = np.eye(k)
     return _family([e[i] - e[0] for i in range(1, k)],
                    [f"{g[i]} - {g[0]}" for i in range(1, k)], d, outcome_names)
@@ -88,9 +94,7 @@ def dunnett(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMat
 
 def tukey(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
     """All pairwise comparisons (later minus earlier group), per component."""
-    if k < 2:
-        raise ContrastError(f"all-pair contrasts require k>=2 groups, got k={k}")
-    g = _names("group", k, group_names)
+    k, d, g = _groups("all-pair", k, d, group_names)
     e = np.eye(k)
     pairs = [(i1, i2) for i1 in range(k) for i2 in range(i1 + 1, k)]
     return _family([e[i2] - e[i1] for i1, i2 in pairs],
@@ -99,9 +103,7 @@ def tukey(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatri
 
 def grand_mean(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
     """Comparison of each group with the mean over groups, per component."""
-    if k < 2:
-        raise ContrastError(f"grand-mean contrasts require k>=2 groups, got k={k}")
-    g = _names("group", k, group_names)
+    k, d, g = _groups("grand-mean", k, d, group_names)
     return _family(np.eye(k) - np.full((k, k), 1.0 / k),
                    [f"{g[i]} - grand mean" for i in range(k)], d, outcome_names)
 
@@ -158,5 +160,4 @@ def build_family(
     }
     if not isinstance(family, str) or family not in builders:
         raise ContrastError(f"unknown contrast family {family!r}")
-    k, d = _integer(k, "k", ContrastError), _integer(d, "d", ContrastError)
     return builders[family](k, d, group_names=group_names, outcome_names=outcome_names)

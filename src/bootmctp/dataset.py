@@ -143,6 +143,8 @@ class Dataset:
         Zs = [] if Z_blocks is None else [np.asarray(b, dtype=float) for b in Z_blocks]
         if any(b.ndim != 2 for b in Ys + Zs):
             raise DataError("outcome and covariate blocks must be 2-d (rows x columns)")
+        if len({b.shape[1] for b in Ys}) != 1 or len({b.shape[1] for b in Zs}) > 1:
+            raise DataError("need outcome blocks, each kind with one column count")
         if Z_blocks is not None and [len(b) for b in Zs] != [len(b) for b in Ys]:
             raise DataError("each covariate block must have its outcome block's rows")
         Y = np.vstack(Ys)

@@ -4,17 +4,36 @@ The model stacks d outcome components per subject; with subject-major
 stacking the full design equals X kron I_d for the n x (k+c) univariate
 design X = [group indicators | covariates].  All computations exploit this
 and operate on the compact X, never materializing the Kronecker blocks.
+The Gram inverse makes scipy's ``cho_factor`` and ``cho_solve`` LAPACK calls
+(same bits) from ``_flapack``, loaded by file: ``import scipy.linalg`` is slow.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import Dataset, _group_indicators
 from .exceptions import EstimationError
+
+
+def _load_flapack():
+    scipy = importlib.util.find_spec("scipy")
+    where = os.path.join(scipy.submodule_search_locations[0] if scipy else "scipy", "linalg")
+    finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    if (spec := finder.find_spec("scipy.linalg._flapack")) is None:
+        raise ImportError(f"scipy's LAPACK module _flapack not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(spec.name, module)
+
+
+_flapack = _load_flapack()
 
 
 @dataclass(frozen=True)
@@ -72,19 +91,17 @@ def build_design(ds: Dataset) -> DesignMatrices:
     Raises
     ------
     EstimationError
-        If the Gram matrix is numerically singular (normally pre-empted by
-        :func:`bootmctp.dataset.validate`).
+        If the Gram matrix is numerically singular or not finite (normally
+        pre-empted by :func:`bootmctp.dataset.validate`).
     """
     X = np.hstack([_group_indicators(ds), ds.Z])
-    gram = X.T @ X
-    try:
-        cho = scipy.linalg.cho_factor(gram, lower=True)
-    except scipy.linalg.LinAlgError:
-        raise EstimationError(
-            "Gram matrix numerically singular; run validate() to locate the "
-            "collinear columns"
-        ) from None
-    gram_inv = scipy.linalg.cho_solve(cho, np.eye(gram.shape[0]))
+    with np.errstate(over="ignore"):
+        gram = X.T @ X
+    L, info = _flapack.dpotrf(gram, lower=1, clean=0)
+    if info > 0 or not np.isfinite(gram).all():
+        raise EstimationError("Gram matrix numerically singular or not finite; run "
+                              "validate() to locate the collinear columns")
+    gram_inv, _ = _flapack.dpotrs(L, np.eye(gram.shape[0]), lower=1)
     gram_inv = (gram_inv + gram_inv.T) / 2.0
     leverages = np.einsum("ni,ij,nj->n", X, gram_inv, X)
     return DesignMatrices(

@@ -282,7 +282,7 @@ def _global_rejections(scenario: SimScenario, scenario_index: int,
 
 def _binomial_ci(successes: int, trials: int, level: float = 0.95):
     # Clopper-Pearson; betaincinv gives beta.ppf bit for bit with a far cheaper import
-    from scipy import special  # only studies need it: ~50 ms and 3.6 MB to load
+    from scipy import special  # only studies need it: ~0.25 s and 21 MB to load
 
     a = 1.0 - level
     lo, hi = special.betaincinv([successes, successes + 1],

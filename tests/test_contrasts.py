@@ -147,6 +147,19 @@ class TestFamilyProperties:
             build_family(family, k, d)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("builder, k, d, message", [
+        (two_sample, 2, 2.5, "d must be an integer, got 2.5"),
+        (two_sample, 2.0, 2, "k must be an integer, got 2.0"),
+        (dunnett, 3.0, 2, "k must be an integer, got 3.0"),
+        (tukey, 3, 2.0, "d must be an integer, got 2.0"),
+        (grand_mean, True, 2, "k must be an integer, got True"),
+        (grand_mean, 3, "2", "d must be an integer, got '2'"),
+    ])
+    def test_builders_check_their_integers(self, builder, k, d, message):
+        with pytest.raises(ContrastError) as info:
+            builder(k, d)
+        assert str(info.value) == message
+
     def test_numpy_integers_accepted(self):
         cm = build_family("tukey", np.int64(3), np.int32(2))
         expected = build_family("tukey", 3, 2)

@@ -173,6 +173,9 @@ class TestLoadCsv:
         assert validate(a) == validate(b)
 
 
+BLOCK_COLUMNS = "need outcome blocks, each kind with one column count"
+
+
 class TestDatasetInvariants:
     def test_requires_two_groups(self):
         with pytest.raises(DataError, match="k >= 2"):
@@ -210,6 +213,11 @@ class TestDatasetInvariants:
          "outcome and covariate blocks must be 2-d (rows x columns)"),
         ([np.ones((3, 1)), np.ones((4, 1))], [np.ones((4, 1)), np.ones((3, 1))],
          "each covariate block must have its outcome block's rows"),
+        ([], None, BLOCK_COLUMNS),
+        ([], [], BLOCK_COLUMNS),
+        ([np.ones((3, 1)), np.ones((4, 2))], None, BLOCK_COLUMNS),
+        ([np.ones((3, 1)), np.ones((4, 1))], [np.ones((3, 1)), np.ones((4, 2))],
+         BLOCK_COLUMNS),
     ])
     def test_group_blocks_rules(self, Y_blocks, Z_blocks, message):
         with pytest.raises(DataError) as info:

@@ -1,7 +1,12 @@
+import importlib.util
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from bootmctp import Dataset, EstimationError, load_csv
+from bootmctp import Dataset, EstimationError, design, load_csv
 from bootmctp.dataset import group_slices
 from bootmctp.design import build_design, fit_ols
 
@@ -20,6 +25,14 @@ def fitted(ds):
 
 
 class TestBuildDesign:
+    def test_missing_lapack_module_names_the_directory(self, monkeypatch, tmp_path):
+        scipy = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+        with pytest.raises(ImportError) as info:
+            design._load_flapack()
+        assert str(info.value) == ("scipy's LAPACK module _flapack not found in "
+                                   f"{tmp_path / 'linalg'}")
+
     def test_balanced_no_covariates_leverages(self):
         ds = Dataset.from_group_blocks(
             ["a", "b"], [np.arange(6).reshape(3, 2), np.ones((3, 2))]
@@ -29,12 +42,37 @@ class TestBuildDesign:
         brute = dense_hat_diagonal(ds.n_i, ds.Z)
         assert np.allclose(dm.leverages, brute, atol=1e-12)
 
-    def test_singular_gram_raises(self):
+    @pytest.mark.parametrize("Z_blocks", [
         # A covariate equal to group a's indicator, which validate() would reject.
+        [np.ones((3, 1)), np.zeros((4, 1))],
+        # X'X overflows to inf; this used to warn, then end in scipy's ValueError.
+        [np.arange(3.0)[:, None] * 1e160, np.arange(4.0)[:, None] * 1e160],
+    ], ids=["singular", "overflowing"])
+    def test_singular_gram_raises(self, Z_blocks):
         ds = Dataset.from_group_blocks(["a", "b"], [np.ones((3, 1)), np.zeros((4, 1))],
-                                       [np.ones((3, 1)), np.zeros((4, 1))])
-        with pytest.raises(EstimationError, match="Gram matrix numerically singular"):
-            build_design(ds)
+                                       Z_blocks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="Gram matrix numerically singular"):
+                build_design(ds)
+
+    def test_gram_inverse_is_scipy_cho_solve_bitwise(self):
+        """dpotrf and dpotrs, called directly, give scipy.linalg's inverse bit for bit."""
+        rng = np.random.default_rng(20250809)
+        for trial in range(320):
+            k, c = int(rng.integers(2, 7)), int(rng.integers(0, 5))
+            n_i = rng.integers(3, 41, size=k)
+            Z = rng.standard_normal((n_i.sum(), c)) * 10.0 ** rng.uniform(-3, 3, size=c)
+            if c >= 2 and trial % 4 == 0:  # near-collinear covariates
+                Z[:, 1] = Z[:, 0] * (2.0 + rng.standard_normal(len(Z)) * 1e-5)
+            ds = Dataset(groups=[f"g{i}" for i in range(k)], n_i=n_i,
+                         Y=rng.standard_normal((n_i.sum(), 1)), Z=Z)
+            dm = build_design(ds)
+            gram = dm.X.T @ dm.X
+            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True),
+                                              np.eye(k + c))
+            expected = (expected + expected.T) / 2.0
+            assert np.array_equal(dm.gram_inv, expected), (trial, k, c)
 
     def test_leverage_trace_is_projection_rank(self):
         for seed in range(5):

@@ -96,8 +96,9 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
 def test_analysis_never_imports_scipy_special():
     """Importing the package and one run_mctp leave scipy.special unloaded.
 
-    Only a study's binomial intervals need it (about 50 ms and 3.6 MB to
-    load).  Run in a fresh interpreter, because the tests themselves load it.
+    Only a study's binomial intervals need it.  It loads scipy's shared
+    array-API layer, so a study's parent pays about 0.25 s and 21 MB for it.
+    Run in a fresh interpreter, because the tests themselves load it.
     """
     code = """
 import sys
@@ -117,3 +118,37 @@ print("scipy.special" in sys.modules)
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_package_never_imports_scipy_linalg():
+    """Importing, one run_mctp and a CLI analysis leave scipy.linalg unloaded.
+
+    design.py loads only scipy.linalg's LAPACK extension module.  Importing
+    scipy.linalg itself would load scipy's array-API layer, which clones
+    numpy and doubles the package's start-up time and memory.  Run in a fresh
+    interpreter, because the tests themselves import scipy.linalg.
+    """
+    code = """
+import sys
+import numpy as np
+import bootmctp
+from bootmctp import cli
+rng = np.random.default_rng(1)
+ds = bootmctp.Dataset.from_group_blocks(
+    ["a", "b"], [rng.standard_normal((8, 2)), rng.standard_normal((9, 2))],
+    [rng.standard_normal((8, 1)), rng.standard_normal((9, 1))])
+bootmctp.run_mctp(ds, bootmctp.two_sample(2, 2),
+                  bootmctp.BootstrapConfig("wild", 50, 1), 0.05)
+assert cli.main(["analyze", "--input", sys.argv[1], "--group-col", "group",
+                 "--outcomes", "SDNN,RMSSD", "--covariates", "HGSHA", "--B", "20"]) == 0
+print(sorted(m for m in sys.modules
+             if m in ("scipy", "scipy.linalg", "scipy._lib._array_api")))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "data" / "hrv_synthetic.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
