@@ -5,7 +5,8 @@ stacking the full design equals X kron I_d for the n x (k+c) univariate
 design X = [group indicators | covariates].  All computations exploit this
 and operate on the compact X, never materializing the Kronecker blocks.
 The Gram inverse makes scipy's ``cho_factor`` and ``cho_solve`` LAPACK calls
-(same bits) from ``_flapack``, loaded by file: ``import scipy.linalg`` is slow.
+(same bits) from ``_flapack``, which ``_scipy_extension`` loads by file, as it
+does ``special._ufuncs_cxx`` for studies: scipy's packages are slow to import.
 """
 
 from __future__ import annotations
@@ -22,18 +23,21 @@ from .dataset import Dataset, _group_indicators
 from .exceptions import EstimationError
 
 
-def _load_flapack():
-    scipy = importlib.util.find_spec("scipy")
-    where = os.path.join(scipy.submodule_search_locations[0] if scipy else "scipy", "linalg")
+def _scipy_extension(name: str):
+    """Load scipy's extension module ``scipy.<name>`` without importing its package."""
+    if (scipy := importlib.util.find_spec("scipy")) is None:
+        raise ImportError("bootmctp needs scipy, which is not installed")
+    package, _, stem = name.rpartition(".")
+    where = os.path.join(scipy.submodule_search_locations[0], *package.split("."))
     finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    if (spec := finder.find_spec("scipy.linalg._flapack")) is None:
-        raise ImportError(f"scipy's LAPACK module _flapack not found in {where}")
+    if (spec := finder.find_spec(f"scipy.{name}")) is None:
+        raise ImportError(f"scipy's extension module {stem} not found in {where}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return sys.modules.setdefault(spec.name, module)
 
 
-_flapack = _load_flapack()
+_flapack = _scipy_extension("linalg._flapack")
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple, dataclass, fields, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .bootstrap import KINDS, BootstrapConfig, _usable_cpus
 from .contrasts import build_family
 from .covariance import psd_sqrt
 from .dataset import Dataset, _integer
+from .design import _scipy_extension
 from .exceptions import ContrastError, EstimationError, SimulationError
 from .mctp import _calibrate, _check_alpha, _fit
 from ._rng import derive_seed, substream
@@ -280,15 +282,28 @@ def _global_rejections(scenario: SimScenario, scenario_index: int,
     return hits
 
 
-def _binomial_ci(successes: int, trials: int, level: float = 0.95):
-    # Clopper-Pearson; betaincinv gives beta.ppf bit for bit with a far cheaper import
-    from scipy import special  # only studies need it: ~0.25 s and 21 MB to load
+@cache
+def _ibeta_inv():
+    """Boost's ibeta_inv, betaincinv's float64 kernel, without the scipy.special package."""
+    export = "_export_ibeta_inv_double"
+    capsule = _scipy_extension("special._ufuncs_cxx").__pyx_capi__.get(export)
+    if capsule is None:
+        from scipy import __version__
+        raise ImportError(f"scipy {__version__}'s special._ufuncs_cxx has no {export}")
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    # The capsule points at Cython's `void *` variable, which points at the kernel.
+    kernel = ctypes.c_void_p.from_address(get_pointer(capsule, b"void *")).value
+    return ctypes.CFUNCTYPE(ctypes.c_double, *[ctypes.c_double] * 3)(kernel)
 
-    a = 1.0 - level
-    lo, hi = special.betaincinv([successes, successes + 1],
-                                [trials - successes + 1, trials - successes],
-                                [a / 2, 1 - a / 2]).tolist()
-    return 0.0 if successes == 0 else lo, 1.0 if successes == trials else hi
+
+def _binomial_ci(successes: int, trials: int, level: float = 0.95):
+    # Clopper-Pearson, bit for bit beta.ppf; a bound at 0 or 1 would give the kernel
+    # a zero shape parameter, so it is set, not computed
+    a, ibeta_inv = 1.0 - level, _ibeta_inv()
+    lo = ibeta_inv(successes, trials - successes + 1, a / 2) if successes > 0 else 0.0
+    hi = ibeta_inv(successes + 1, trials - successes, 1 - a / 2) if successes < trials else 1.0
+    return lo, hi
 
 
 def _block_bounds(runs: int, count: int) -> list[tuple[int, int]]:

@@ -29,9 +29,18 @@ class TestBuildDesign:
         scipy = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
         with pytest.raises(ImportError) as info:
-            design._load_flapack()
-        assert str(info.value) == ("scipy's LAPACK module _flapack not found in "
+            design._scipy_extension("linalg._flapack")
+        assert str(info.value) == ("scipy's extension module _flapack not found in "
                                    f"{tmp_path / 'linalg'}")
+
+    def test_missing_scipy_is_one_error(self, monkeypatch, tmp_path):
+        # Without scipy the loader must not search a relative ./scipy directory.
+        (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError) as info:
+            design._scipy_extension("linalg._flapack")
+        assert str(info.value) == "bootmctp needs scipy, which is not installed"
 
     def test_balanced_no_covariates_leverages(self):
         ds = Dataset.from_group_blocks(

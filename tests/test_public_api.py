@@ -12,6 +12,7 @@ import bootmctp
 from bootmctp import mctp
 
 ROOT = Path(__file__).resolve().parents[1]
+HRV = str(ROOT / "data" / "hrv_synthetic.csv")
 
 # Pipeline stages and internals that live only in their modules.
 MODULE_NAMES = {
@@ -25,6 +26,20 @@ MODULE_NAMES = {
     "simgen": ("gen_covariates", "gen_dataset", "scenario_sigma",
                "standardized_errors"),
 }
+
+
+def last_line_in_fresh_interpreter(code: str, *args: str) -> str:
+    """Run `code` with `args` in a new interpreter importing src/; its last stdout line.
+
+    The import tests need one, because the tests themselves load scipy's packages.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 def readme_api_names() -> set[str]:
@@ -70,8 +85,7 @@ def test_package_never_imports_scipy_stats():
     """Importing, a study run and a CLI analysis leave scipy.stats unloaded.
 
     Loading scipy.stats roughly doubles the package's start-up time and adds
-    nearly 40 MB to its memory.  Run in a fresh interpreter, because the
-    tests themselves may import it.
+    nearly 40 MB to its memory.
     """
     code = """
 import sys
@@ -83,22 +97,14 @@ assert cli.main(["analyze", "--input", sys.argv[1], "--group-col", "group",
                  "--outcomes", "SDNN,RMSSD", "--B", "20"]) == 0
 print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(ROOT / "data" / "hrv_synthetic.csv")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert last_line_in_fresh_interpreter(code, HRV) == "[]"
 
 
 def test_analysis_never_imports_scipy_special():
-    """Importing the package and one run_mctp leave scipy.special unloaded.
+    """Importing the package and one run_mctp load no scipy.special module.
 
-    Only a study's binomial intervals need it.  It loads scipy's shared
-    array-API layer, so a study's parent pays about 0.25 s and 21 MB for it.
-    Run in a fresh interpreter, because the tests themselves load it.
+    Only a study's binomial intervals need its betaincinv kernel, which
+    simgen loads on first use.
     """
     code = """
 import sys
@@ -109,15 +115,9 @@ ds = bootmctp.Dataset.from_group_blocks(
     ["a", "b"], [rng.standard_normal((8, 2)), rng.standard_normal((9, 2))])
 bootmctp.run_mctp(ds, bootmctp.two_sample(2, 2),
                   bootmctp.BootstrapConfig("wild", 50, 1), 0.05)
-print("scipy.special" in sys.modules)
+print(sorted(m for m in sys.modules if m.startswith("scipy.special")))
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert last_line_in_fresh_interpreter(code) == "[]"
 
 
 def test_package_never_imports_scipy_linalg():
@@ -125,8 +125,7 @@ def test_package_never_imports_scipy_linalg():
 
     design.py loads only scipy.linalg's LAPACK extension module.  Importing
     scipy.linalg itself would load scipy's array-API layer, which clones
-    numpy and doubles the package's start-up time and memory.  Run in a fresh
-    interpreter, because the tests themselves import scipy.linalg.
+    numpy and doubles the package's start-up time and memory.
     """
     code = """
 import sys
@@ -144,11 +143,27 @@ assert cli.main(["analyze", "--input", sys.argv[1], "--group-col", "group",
 print(sorted(m for m in sys.modules
              if m in ("scipy", "scipy.linalg", "scipy._lib._array_api")))
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(ROOT / "data" / "hrv_synthetic.csv")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert last_line_in_fresh_interpreter(code, HRV) == "[]"
+
+
+def test_study_never_imports_scipy_special_package(tmp_path):
+    """A run_study and a CLI study leave scipy.special and the array-API layer unloaded.
+
+    simgen loads only betaincinv's kernel, from scipy.special's extension
+    module _ufuncs_cxx.  Importing the scipy.special package would load
+    scipy's array-API layer, about 0.24 s and 25 MB in every study's parent.
+    """
+    config = tmp_path / "grid.json"
+    config.write_text('{"runs": 2, "B": 20, "scenarios": [{"k": 3, "d": 2}]}',
+                      encoding="utf-8")
+    code = """
+import sys
+import bootmctp
+from bootmctp import cli
+bootmctp.run_study([bootmctp.SimScenario(k=2, d=2, contrast_family="two_sample")],
+                   runs=1, B=20, alpha=0.05, seed=1)
+assert cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert "scipy.special._ufuncs_cxx" in sys.modules
+print(sorted(m for m in sys.modules if m in ("scipy.special", "scipy._lib._array_api")))
+"""
+    assert last_line_in_fresh_interpreter(code, str(config), str(tmp_path / "out")) == "[]"

@@ -5,6 +5,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -277,6 +278,32 @@ class TestBinomialCi:
             hi = np.where(x == n, 1.0, stats.beta.ppf(1 - a / 2, x + 1, n - x))
         got = np.array([_binomial_ci(int(xi), int(ni), level) for xi, ni in zip(x, n)])
         assert got.tobytes() == np.column_stack([lo, hi]).tobytes()
+
+    @pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**6])
+    def test_equals_beta_ppf_bitwise_for_large_studies(self, level, n):
+        """The same pin at study sizes, at the edges and a third of the way in."""
+        x = np.array([0, 1, n // 3, n - 1, n])
+        a = 1.0 - level
+        with np.errstate(invalid="ignore"):
+            lo = np.where(x == 0, 0.0, stats.beta.ppf(a / 2, x, n - x + 1))
+            hi = np.where(x == n, 1.0, stats.beta.ppf(1 - a / 2, x + 1, n - x))
+        got = np.array([_binomial_ci(int(xi), n, level) for xi in x])
+        assert got.tobytes() == np.column_stack([lo, hi]).tobytes()
+
+    def test_missing_kernel_names_the_export_and_scipy_version(self, monkeypatch):
+        from scipy import __version__
+
+        monkeypatch.setattr(simgen, "_scipy_extension",
+                            lambda name: SimpleNamespace(__pyx_capi__={}))
+        simgen._ibeta_inv.cache_clear()
+        try:
+            with pytest.raises(ImportError) as info:
+                _binomial_ci(1, 2)
+        finally:
+            simgen._ibeta_inv.cache_clear()
+        assert str(info.value) == (f"scipy {__version__}'s special._ufuncs_cxx has no "
+                                   "_export_ibeta_inv_double")
 
 
 @pytest.fixture
