@@ -24,10 +24,10 @@ from bootmctp import (  # noqa: E402
     BootstrapConfig,
     CsvSchema,
     load_csv,
-    run_bootstrap,
     two_sample,
     validate,
 )
+from bootmctp.bootstrap import run_bootstrap  # noqa: E402
 from bootmctp.mctp import _fit, adjust_level, local_p_values  # noqa: E402
 
 SEED = 20250810

@@ -12,16 +12,8 @@ live in their modules: ``design``, ``covariance``, ``bootstrap``, ``mctp``
 and ``simgen``.
 """
 
-from .bootstrap import BootstrapConfig, BootstrapDraws, run_bootstrap
-from .contrasts import (
-    ContrastMatrix,
-    build_family,
-    custom,
-    dunnett,
-    grand_mean,
-    tukey,
-    two_sample,
-)
+from .bootstrap import BootstrapConfig, BootstrapDraws
+from .contrasts import ContrastMatrix, build_family, dunnett, grand_mean, tukey, two_sample
 from .dataset import CsvSchema, Dataset, load_csv, validate
 from .exceptions import (
     BootMctpError,
@@ -52,12 +44,10 @@ __all__ = [
     "SimulationError",
     "StudyResult",
     "build_family",
-    "custom",
     "dunnett",
     "format_result_table",
     "grand_mean",
     "load_csv",
-    "run_bootstrap",
     "run_mctp",
     "run_study",
     "tukey",

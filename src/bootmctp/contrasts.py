@@ -20,17 +20,18 @@ ROW_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ContrastMatrix:
-    """Validated r x (k*d) contrast matrix with one label per row."""
+    """Validated r x (k*d) contrast matrix; unlabelled rows are named contrast 1..r."""
 
     H: np.ndarray
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
         if H.ndim != 2 or H.size == 0:
             raise ContrastError("contrast matrix must be 2-d with at least one row")
         object.__setattr__(self, "H", H)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", tuple(self.labels)
+                           or tuple(f"contrast {s + 1}" for s in range(H.shape[0])))
         if len(self.labels) != H.shape[0]:
             raise ContrastError("one label per contrast row required")
         for s, row in enumerate(H):
@@ -106,14 +107,6 @@ def grand_mean(k: int, d: int, group_names=None, outcome_names=None) -> Contrast
     k, d, g = _groups("grand-mean", k, d, group_names)
     return _family(np.eye(k) - np.full((k, k), 1.0 / k),
                    [f"{g[i]} - grand mean" for i in range(k)], d, outcome_names)
-
-
-def custom(H_raw, labels=None) -> ContrastMatrix:
-    """Validate a user-supplied contrast matrix."""
-    H = np.atleast_2d(np.asarray(H_raw, dtype=float))
-    if labels is None:
-        labels = tuple(f"contrast {s + 1}" for s in range(H.shape[0]))
-    return ContrastMatrix(H=H, labels=tuple(labels))
 
 
 def from_csv(path, k: int, d: int) -> ContrastMatrix:

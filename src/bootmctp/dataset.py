@@ -23,6 +23,12 @@ def _integer(value, what: str, error: type[Exception]) -> int:
     return int(value)
 
 
+def _real(value, what: str, error: type[Exception]) -> None:
+    """Raises `error` for a bool or a value that is not a Python or numpy real number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{what} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CsvSchema:
     """Column mapping for :func:`load_csv`.

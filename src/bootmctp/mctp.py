@@ -30,7 +30,7 @@ import numpy as np
 from .bootstrap import BootstrapConfig, BootstrapDraws, _check_width, run_bootstrap
 from .contrasts import ContrastMatrix
 from .covariance import CovarianceEstimate, sandwich, studentize
-from .dataset import Dataset, validate
+from .dataset import Dataset, _real, validate
 from .design import DesignMatrices, FitResult, build_design, fit_ols
 from .exceptions import ConfigError, DataError, EstimationError
 
@@ -71,6 +71,7 @@ def gamma_index(gamma: float, B: int) -> int:
 
 
 def _check_alpha(alpha: float) -> None:
+    _real(alpha, "alpha", ConfigError)
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
 

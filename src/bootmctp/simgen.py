@@ -25,7 +25,7 @@ import numpy as np
 from .bootstrap import KINDS, BootstrapConfig, _usable_cpus
 from .contrasts import build_family
 from .covariance import psd_sqrt
-from .dataset import Dataset, _integer
+from .dataset import Dataset, _integer, _real
 from .design import _scipy_extension
 from .exceptions import ContrastError, EstimationError, SimulationError
 from .mctp import _calibrate, _check_alpha, _fit
@@ -99,9 +99,7 @@ class SimScenario:
             raise SimulationError("sample-size multiplier must be >= 1")
         if self.alternative not in ALTERNATIVES:
             raise SimulationError(f"unknown alternative '{self.alternative}'")
-        if isinstance(self.delta, bool) or not isinstance(
-                self.delta, (int, float, np.integer, np.floating)):
-            raise SimulationError(f"delta must be a real number, got {self.delta!r}")
+        _real(self.delta, "delta", SimulationError)
         if not np.isfinite(self.delta):
             raise SimulationError("delta must be finite")
         if (self.delta == 0.0) != (self.alternative == "null") or self.delta < 0:
@@ -340,9 +338,13 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
         raise SimulationError(f"runs must be <= {sys.maxsize}")
     if workers < 1:
         raise SimulationError("workers must be >= 1")
+    scenarios = list(scenarios)
+    for i, scenario in enumerate(scenarios):
+        if not isinstance(scenario, SimScenario):
+            raise SimulationError(
+                f"scenarios[{i}] must be a SimScenario, got {type(scenario).__name__}")
     _check_alpha(alpha)
     cfgs = tuple(BootstrapConfig(kind, B, seed) for kind in KINDS)
-    scenarios = list(scenarios)
     blocks = _block_bounds(runs, min(workers * 4, runs))
     tasks = [(si, block) for si in range(len(scenarios)) for block in blocks]
     run_block = partial(_global_rejections, cfgs=cfgs, alpha=alpha)

@@ -17,11 +17,11 @@ from bootmctp import (
     Dataset,
     SimScenario,
     load_csv,
-    run_bootstrap,
     run_mctp,
     run_study,
     two_sample,
 )
+from bootmctp.bootstrap import run_bootstrap
 from bootmctp.covariance import hc4_weights, sandwich
 from bootmctp.dataset import group_slices
 from bootmctp.design import build_design, fit_ols

@@ -14,15 +14,14 @@ from bootmctp import (
     BootstrapConfig,
     BootstrapDraws,
     ConfigError,
+    ContrastMatrix,
     Dataset,
     EstimationError,
     build_family,
-    custom,
-    run_bootstrap,
     two_sample,
 )
 from bootmctp import bootstrap
-from bootmctp.bootstrap import _Engine, _wild_signs, save_draws_csv
+from bootmctp.bootstrap import _Engine, _wild_signs, run_bootstrap, save_draws_csv
 from bootmctp.covariance import CovarianceEstimate, hc4_weights, sandwich, studentize
 from bootmctp.mctp import test_statistics as observed_statistics
 from bootmctp.design import DesignMatrices, FitResult, build_design, fit_ols
@@ -331,7 +330,7 @@ class TestRowCoupling:
     def test_duplicated_contrast_gives_identical_columns(self, fitted_small):
         ds, dm, fit, cov = fitted_small
         H = two_sample(2, 2).H
-        cm = custom(np.vstack([H, H[0]]), labels=["a", "b", "a2"])
+        cm = ContrastMatrix(np.vstack([H, H[0]]), labels=["a", "b", "a2"])
         draws = run_bootstrap(BootstrapConfig("wild", 100, 13), dm, fit, cov, cm)
         assert np.array_equal(draws.A_star[:, 0], draws.A_star[:, 2])
 
@@ -467,7 +466,7 @@ def few_redraws():
     dm = build_design(ds)
     fit = fit_ols(dm, ds)
     cov = sandwich(dm, fit)
-    return dm, fit, cov, custom([[1.0, -1.0, 0.0, 0.0]]), BootstrapConfig("wild", 1000, 1)
+    return dm, fit, cov, ContrastMatrix([[1.0, -1.0, 0.0, 0.0]]), BootstrapConfig("wild", 1000, 1)
 
 
 class TestRedraws:

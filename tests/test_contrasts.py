@@ -10,7 +10,6 @@ from bootmctp import (
     ContrastMatrix,
     CsvSchema,
     build_family,
-    custom,
     dunnett,
     grand_mean,
     load_csv,
@@ -169,27 +168,32 @@ class TestFamilyProperties:
 
 class TestCustom:
     def test_valid_row_accepted(self):
-        cm = custom([[1.0, 0.0, -1.0, 0.0]], labels=["x"])
+        cm = ContrastMatrix([[1.0, 0.0, -1.0, 0.0]], labels=["x"])
         assert cm.r == 1
 
     def test_nonzero_sum_rejected(self):
         with pytest.raises(ContrastError, match="row 1 is not a contrast"):
-            custom([[1.0, 0.0, 0.0, 0.0]])
+            ContrastMatrix([[1.0, 0.0, 0.0, 0.0]])
 
     def test_row_sum_tolerance_edge(self):
         """A row sum of exactly ROW_SUM_TOL times max(1, scale) is a contrast;
         one float more is not."""
-        assert custom([[1.0, -1.0, ROW_SUM_TOL]]).r == 1
+        assert ContrastMatrix([[1.0, -1.0, ROW_SUM_TOL]]).r == 1
         with pytest.raises(ContrastError, match="row 1 is not a contrast"):
-            custom([[1.0, -1.0, np.nextafter(ROW_SUM_TOL, 1.0)]])
+            ContrastMatrix([[1.0, -1.0, np.nextafter(ROW_SUM_TOL, 1.0)]])
 
     def test_names_offending_row(self):
         with pytest.raises(ContrastError, match="row 2"):
-            custom([[1.0, -1.0], [1.0, 1.0]])
+            ContrastMatrix([[1.0, -1.0], [1.0, 1.0]])
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ContrastError):
-            custom(np.empty((0, 4)))
+            ContrastMatrix(np.empty((0, 4)))
+
+    @pytest.mark.parametrize("kwargs", [{}, {"labels": []}])
+    def test_rows_without_labels_are_numbered(self, kwargs):
+        cm = ContrastMatrix([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]], **kwargs)
+        assert cm.labels == ("contrast 1", "contrast 2")
 
     def test_one_label_per_row(self):
         with pytest.raises(ContrastError, match="one label per contrast row"):
@@ -199,19 +203,19 @@ class TestCustom:
         """A 3-d H is a ContrastError, not numpy's einsum error inside run_mctp."""
         H3 = np.array([[[1.0, -1.0], [0.0, 0.0]]])
         with pytest.raises(ContrastError, match="must be 2-d with at least one row"):
-            custom(H3)
+            ContrastMatrix(H3)
         ds = load_csv(hrv_path, CsvSchema(group="group", outcomes=("SDNN",)))
         with pytest.raises(ContrastError, match="must be 2-d with at least one row"):
-            run_mctp(ds, custom(H3), BootstrapConfig("wild", 20, 1), 0.05)
+            run_mctp(ds, ContrastMatrix(H3), BootstrapConfig("wild", 20, 1), 0.05)
 
     def test_zero_row_rejected(self):
         with pytest.raises(ContrastError, match="all-zero"):
-            custom([[0.0, 0.0]])
+            ContrastMatrix([[0.0, 0.0]])
 
     @pytest.mark.parametrize("row", [[1.0, float("nan")], [float("inf"), -1.0]])
     def test_non_finite_coefficient_rejected(self, row):
         with pytest.raises(ContrastError, match="row 2 has a non-finite entry"):
-            custom([[1.0, -1.0], row])
+            ContrastMatrix([[1.0, -1.0], row])
 
 
 class TestFromCsv:

@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bootmctp import BootstrapConfig, build_family, load_csv, run_bootstrap, two_sample
+from bootmctp import BootstrapConfig, build_family, load_csv, two_sample
+from bootmctp.bootstrap import run_bootstrap
 from bootmctp.mctp import _fit
 
 from conftest import random_dataset

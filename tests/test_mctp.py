@@ -7,15 +7,17 @@ import pytest
 from bootmctp import (
     BootstrapConfig,
     ConfigError,
+    ContrastMatrix,
     Dataset,
     EstimationError,
-    custom,
+    SimScenario,
     format_result_table,
-    run_bootstrap,
     run_mctp,
+    run_study,
     tukey,
     two_sample,
 )
+from bootmctp.bootstrap import run_bootstrap
 from bootmctp.covariance import sandwich, studentize
 from bootmctp.design import build_design, fit_ols
 from bootmctp.mctp import (
@@ -100,7 +102,7 @@ class TestTestStatistics:
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
         cov = sandwich(dm, fit)
-        cm = custom([[1e308, -1e308]], labels=["huge"])
+        cm = ContrastMatrix([[1e308, -1e308]], labels=["huge"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EstimationError, match="contrast 'huge' overflows"):
@@ -202,6 +204,21 @@ class TestAdjustLevel:
             adjust_level(draws_of(np.ones((10, 1))), alpha)
 
 
+@pytest.mark.parametrize("alpha", ["0.05", None, True])
+@pytest.mark.parametrize("entry", ["adjust_level", "run_mctp", "run_study"])
+def test_alpha_must_be_a_real_number(entry, alpha):
+    calls = {
+        "adjust_level": lambda: adjust_level(draws_of(np.ones((10, 1))), alpha),
+        "run_mctp": lambda: run_mctp(random_dataset(23), tukey(3, 2),
+                                     BootstrapConfig("wild", 50, 1), alpha),
+        "run_study": lambda: run_study([SimScenario(k=3, d=2)], runs=1, B=20,
+                                       alpha=alpha, seed=1),
+    }
+    with pytest.raises(ConfigError) as info:
+        calls[entry]()
+    assert str(info.value) == f"alpha must be a real number, got {alpha!r}"
+
+
 class TestLocalPValues:
     def test_zero_statistic_gives_one(self):
         rng = np.random.default_rng(13)
@@ -300,8 +317,6 @@ class TestConfidenceIntervals:
         fit = fit_ols(dm, ds)
         cov = sandwich(dm, fit)
         cm = two_sample(2, 2)
-        from bootmctp import run_bootstrap
-
         draws = run_bootstrap(BootstrapConfig("wild", B, seed), dm, fit, cov, cm)
         return ds, dm, fit, cov, cm, draws
 
@@ -330,8 +345,6 @@ class TestConfidenceIntervals:
         dm2 = build_design(ds2)
         fit2 = fit_ols(dm2, ds2)
         cov2 = sandwich(dm2, fit2)
-        from bootmctp import run_bootstrap
-
         draws2 = run_bootstrap(BootstrapConfig("wild", 200, 21), dm2, fit2, cov2, cm)
         assert np.array_equal(draws2.A_star, draws.A_star)  # studentized: scale-free
         ci2 = confidence_intervals(cm.H @ fit2.mu_vec, q, fit2, cov2, cm)
@@ -444,7 +457,7 @@ class TestRunMctp:
     def test_duplicate_contrast_row_duplicates_p_value(self):
         ds = random_dataset(29, k=2, d=2, c=1, n_i=(10, 10))
         base = two_sample(2, 2)
-        dup = custom(np.vstack([base.H, base.H[0]]), labels=[*base.labels, "dup"])
+        dup = ContrastMatrix(np.vstack([base.H, base.H[0]]), labels=[*base.labels, "dup"])
         cfg = BootstrapConfig("wild", 300, 8)
         res_base = run_mctp(ds, base, cfg, 0.05)
         res_dup = run_mctp(ds, dup, cfg, 0.05)

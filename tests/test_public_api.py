@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import bootmctp
@@ -16,7 +18,7 @@ HRV = str(ROOT / "data" / "hrv_synthetic.csv")
 
 # Pipeline stages and internals that live only in their modules.
 MODULE_NAMES = {
-    "bootstrap": ("save_draws_csv",),
+    "bootstrap": ("run_bootstrap", "save_draws_csv"),
     "covariance": ("CovarianceEstimate", "groupwise_cov", "hc4_weights",
                    "psd_sqrt", "sandwich"),
     "dataset": ("ValidationReport",),
@@ -54,9 +56,38 @@ def test_all_is_the_readme_api():
         assert hasattr(bootmctp, name), name
 
 
+def public_or_plain(tp) -> bool:
+    """`tp` and its arguments are builtins, numpy or typing constructs, or __all__ names."""
+    if typing.get_origin(tp) is not None:
+        return all(public_or_plain(arg) for arg in typing.get_args(tp))
+    if tp is Ellipsis:
+        return True
+    module = getattr(tp, "__module__", "")
+    if module in ("builtins", "typing") or module.split(".")[0] == "numpy":
+        return True
+    name = getattr(tp, "__name__", "")
+    return name in bootmctp.__all__ and getattr(bootmctp, name) is tp
+
+
+def test_public_functions_take_only_public_types():
+    """Every function in __all__ can be called with values built from __all__ names.
+
+    Only parameters are checked: `validate` returns the module-level
+    ValidationReport on purpose.
+    """
+    functions = [name for name in bootmctp.__all__
+                 if inspect.isfunction(getattr(bootmctp, name))]
+    assert "run_mctp" in functions
+    for name in functions:
+        hints = typing.get_type_hints(getattr(bootmctp, name))
+        hints.pop("return", None)
+        for param, tp in hints.items():
+            assert public_or_plain(tp), f"{name}({param}: {tp})"
+
+
 def test_stage_names_resolve_from_their_modules():
     names = [(m, n) for m, ns in MODULE_NAMES.items() for n in ns]
-    assert len(names) == 21
+    assert len(names) == 22
     for module_name, name in names:
         module = importlib.import_module(f"bootmctp.{module_name}")
         assert hasattr(module, name), f"bootmctp.{module_name}.{name}"

@@ -324,6 +324,17 @@ class TestRunStudy:
                       runs=2, B=20, alpha=alpha, seed=1)
         assert not hasattr(info.value, "__notes__")
 
+    def test_non_scenario_rejected_before_any_run(self, monkeypatch):
+        def no_dataset(scenario, rng):
+            raise AssertionError("gen_dataset was called")
+
+        monkeypatch.setattr(simgen, "gen_dataset", no_dataset)
+        with pytest.raises(SimulationError) as info:
+            run_study([SimScenario(k=2, d=2, contrast_family="two_sample"),
+                       {"k": 3, "d": 2}], runs=2, B=20, alpha=0.05, seed=1)
+        assert str(info.value) == "scenarios[1] must be a SimScenario, got dict"
+        assert not hasattr(info.value, "__notes__")
+
     @pytest.mark.parametrize("B, seed, message", [
         (0, 1, "bootstrap replicate count B must be >= 1"),
         (20, 1.5, "bootstrap seed must be an integer, got 1.5"),
