@@ -23,8 +23,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from bootmctp import (  # noqa: E402
     BootstrapConfig,
     CsvSchema,
+    build_family,
     load_csv,
-    two_sample,
     validate,
 )
 from bootmctp.bootstrap import run_bootstrap  # noqa: E402
@@ -113,7 +113,7 @@ def analyze(path, B, seed):
     schema = CsvSchema(group="group", outcomes=OUTCOMES, covariates=("HGSHA", "PSS"))
     ds = load_csv(path, schema)
     assert validate(ds).ok
-    cm = two_sample(2, 5, group_names=ds.groups, outcome_names=OUTCOMES)
+    cm = build_family("two_sample", 2, 5, group_names=ds.groups, outcome_names=OUTCOMES)
     dm, fit, cov, A_n = _fit(ds, cm)
     draws = run_bootstrap(BootstrapConfig("wild", B, seed), dm, fit, cov, cm)
     return ds, fit, cov, cm, A_n, draws

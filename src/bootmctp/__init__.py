@@ -13,7 +13,7 @@ and ``simgen``.
 """
 
 from .bootstrap import BootstrapConfig, BootstrapDraws
-from .contrasts import ContrastMatrix, build_family, dunnett, grand_mean, tukey, two_sample
+from .contrasts import ContrastMatrix, build_family
 from .dataset import CsvSchema, Dataset, load_csv, validate
 from .exceptions import (
     BootMctpError,
@@ -44,14 +44,10 @@ __all__ = [
     "SimulationError",
     "StudyResult",
     "build_family",
-    "dunnett",
     "format_result_table",
-    "grand_mean",
     "load_csv",
     "run_mctp",
     "run_study",
-    "tukey",
-    "two_sample",
     "validate",
     "write_study_csv",
 ]

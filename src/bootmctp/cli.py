@@ -242,8 +242,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_contrasts(args) -> int:
     contrasts = _resolve_contrast(
         args.contrast, args.k, args.d,
-        args.groups and _split_names(args.groups),
-        args.outcomes and _split_names(args.outcomes),
+        _split_names(args.groups or ""),
+        _split_names(args.outcomes or ""),
     )
     width = max(len(lbl) for lbl in contrasts.labels)
     for label, row in zip(contrasts.labels, contrasts.H):

@@ -1,9 +1,10 @@
 """Contrast matrices for the supported multiple testing problems.
 
 Every row is a contrast vector over the kd adjusted means (group-major
-layout: group index varies slowest, outcome component fastest).  Family
-builders produce H_u kron I_d where H_u is the univariate comparison
-pattern; comparisons are ordered with outcome components varying fastest.
+layout: group index varies slowest, outcome component fastest).
+:func:`build_family` produces H_u kron I_d, where H_u is a family's
+univariate comparison pattern; its rows are ordered with outcome components
+varying fastest.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _integer, _read_csv
+from .dataset import _integer, _names, _read_csv
 from .exceptions import ContrastError
 
 ROW_SUM_TOL = 1e-12
@@ -30,7 +31,7 @@ class ContrastMatrix:
         if H.ndim != 2 or H.size == 0:
             raise ContrastError("contrast matrix must be 2-d with at least one row")
         object.__setattr__(self, "H", H)
-        object.__setattr__(self, "labels", tuple(self.labels)
+        object.__setattr__(self, "labels", _names(self.labels, "labels", ContrastError)
                            or tuple(f"contrast {s + 1}" for s in range(H.shape[0])))
         if len(self.labels) != H.shape[0]:
             raise ContrastError("one label per contrast row required")
@@ -50,63 +51,6 @@ class ContrastMatrix:
     @property
     def r(self) -> int:
         return self.H.shape[0]
-
-
-def _names(prefix: str, count: int, given) -> list[str]:
-    if given:
-        given = [str(g) for g in given]
-        if len(given) != count:
-            raise ContrastError(f"expected {count} {prefix} names, got {len(given)}")
-        return given
-    return [f"{prefix} {j + 1}" for j in range(count)]
-
-
-def _family(H_u, row_names, d: int, outcome_names) -> ContrastMatrix:
-    """H_u kron I_d, its rows labelled "<row name>, <outcome>", outcome fastest."""
-    o = _names("outcome", d, outcome_names)
-    H = np.kron(np.asarray(H_u, dtype=float), np.eye(d)) + 0.0  # + 0.0 normalizes -0.0
-    return ContrastMatrix(H=H, labels=tuple(f"{row}, {out}" for row in row_names
-                                            for out in o))
-
-
-def _groups(what: str, k, d, group_names):
-    k, d = _integer(k, "k", ContrastError), _integer(d, "d", ContrastError)
-    if k < 2:
-        raise ContrastError(f"{what} contrasts require k>=2 groups, got k={k}")
-    return k, d, _names("group", k, group_names)
-
-
-def two_sample(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
-    """Component-wise comparison of two groups: H = (1, -1) kron I_d."""
-    k, d = _integer(k, "k", ContrastError), _integer(d, "d", ContrastError)
-    if k != 2:
-        raise ContrastError(f"two-sample contrasts require k=2 groups, got k={k}")
-    g = _names("group", 2, group_names)
-    return _family([[1.0, -1.0]], [f"{g[0]} - {g[1]}"], d, outcome_names)
-
-
-def dunnett(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
-    """Many-to-one comparisons of groups 2..k against group 1, per component."""
-    k, d, g = _groups("many-to-one", k, d, group_names)
-    e = np.eye(k)
-    return _family([e[i] - e[0] for i in range(1, k)],
-                   [f"{g[i]} - {g[0]}" for i in range(1, k)], d, outcome_names)
-
-
-def tukey(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
-    """All pairwise comparisons (later minus earlier group), per component."""
-    k, d, g = _groups("all-pair", k, d, group_names)
-    e = np.eye(k)
-    pairs = [(i1, i2) for i1 in range(k) for i2 in range(i1 + 1, k)]
-    return _family([e[i2] - e[i1] for i1, i2 in pairs],
-                   [f"{g[i2]} - {g[i1]}" for i1, i2 in pairs], d, outcome_names)
-
-
-def grand_mean(k: int, d: int, group_names=None, outcome_names=None) -> ContrastMatrix:
-    """Comparison of each group with the mean over groups, per component."""
-    k, d, g = _groups("grand-mean", k, d, group_names)
-    return _family(np.eye(k) - np.full((k, k), 1.0 / k),
-                   [f"{g[i]} - grand mean" for i in range(k)], d, outcome_names)
 
 
 def from_csv(path, k: int, d: int) -> ContrastMatrix:
@@ -141,16 +85,43 @@ def from_csv(path, k: int, d: int) -> ContrastMatrix:
     return ContrastMatrix(H=np.asarray(H), labels=tuple(labels))
 
 
+# Family name: (the word its k error uses, its rows as pairs of (univariate
+# row, comparison name) from the k x k identity e and the group names g).
+_FAMILIES = {
+    "two_sample": ("two-sample", lambda e, g: [(e[0] - e[1], f"{g[0]} - {g[1]}")]),
+    "dunnett": ("many-to-one", lambda e, g: [(e[i] - e[0], f"{g[i]} - {g[0]}")
+                                             for i in range(1, len(e))]),
+    "tukey": ("all-pair", lambda e, g: [(e[j] - e[i], f"{g[j]} - {g[i]}")
+                                        for i in range(len(e)) for j in range(i + 1, len(e))]),
+    "grand_mean": ("grand-mean", lambda e, g: [(e[i] - 1.0 / len(e), f"{g[i]} - grand mean")
+                                               for i in range(len(e))]),
+}
+
+
+def _labels(prefix: str, count: int, given) -> tuple[str, ...]:
+    given = () if given is None else _names(given, f"{prefix} names", ContrastError)
+    if given and len(given) != count:
+        raise ContrastError(f"expected {count} {prefix} names, got {len(given)}")
+    return given or tuple(f"{prefix} {j + 1}" for j in range(count))
+
+
 def build_family(
     family: str, k: int, d: int, group_names=None, outcome_names=None
 ) -> ContrastMatrix:
-    """Dispatch on a family name ('two_sample', 'dunnett', 'tukey', 'grand_mean')."""
-    builders = {
-        "two_sample": two_sample,
-        "dunnett": dunnett,
-        "tukey": tukey,
-        "grand_mean": grand_mean,
-    }
-    if not isinstance(family, str) or family not in builders:
+    """One family's comparisons of k groups, per outcome component: H_u kron I_d.
+
+    'two_sample' is group 1 - group 2 (k = 2), 'dunnett' groups 2..k - group 1,
+    'tukey' each later group - each earlier group, and 'grand_mean' each group
+    - the mean over groups.  Rows are labelled "<comparison>, <outcome>".
+    """
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ContrastError(f"unknown contrast family {family!r}")
-    return builders[family](k, d, group_names=group_names, outcome_names=outcome_names)
+    k, d = _integer(k, "k", ContrastError), _integer(d, "d", ContrastError)
+    word, pattern = _FAMILIES[family]
+    if k < 2 or family == "two_sample" and k != 2:
+        need = "k=2" if family == "two_sample" else "k>=2"
+        raise ContrastError(f"{word} contrasts require {need} groups, got k={k}")
+    rows = pattern(np.eye(k), _labels("group", k, group_names))
+    o = _labels("outcome", d, outcome_names)
+    H = np.kron([row for row, _ in rows], np.eye(d)) + 0.0  # + 0.0 normalizes -0.0
+    return ContrastMatrix(H=H, labels=tuple(f"{name}, {out}" for _, name in rows for out in o))

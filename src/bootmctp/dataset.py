@@ -29,6 +29,14 @@ def _real(value, what: str, error: type[Exception]) -> None:
         raise error(f"{what} must be a real number, got {value!r}")
 
 
+def _names(value, what: str, error: type[Exception]) -> tuple[str, ...]:
+    """`value` as a tuple of str; raises `error` for a bare str, a non-iterable or a non-str."""
+    names = None if isinstance(value, str) or not np.iterable(value) else tuple(value)
+    if names is None or not all(isinstance(name, str) for name in names):
+        raise error(f"{what} must be a sequence of str, got {value!r}")
+    return names
+
+
 @dataclass(frozen=True)
 class CsvSchema:
     """Column mapping for :func:`load_csv`.
@@ -49,10 +57,9 @@ class CsvSchema:
     covariates: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if isinstance(self.outcomes, str) or isinstance(self.covariates, str):
-            raise DataError("schema outcomes and covariates are name sequences, not str")
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        object.__setattr__(self, "covariates", tuple(self.covariates))
+        object.__setattr__(self, "outcomes", _names(self.outcomes, "schema outcomes", DataError))
+        object.__setattr__(self, "covariates",
+                           _names(self.covariates, "schema covariates", DataError))
         if not self.outcomes:
             raise DataError("schema must declare at least one outcome column")
         names = [self.group, *self.outcomes, *self.covariates]
@@ -85,7 +92,7 @@ class Dataset:
     covariate_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(self.groups))
+        object.__setattr__(self, "groups", _names(self.groups, "groups", DataError))
         object.__setattr__(self, "n_i",
                            tuple(_integer(m, "group size", DataError) for m in self.n_i))
         Y = np.ascontiguousarray(np.asarray(self.Y, dtype=float))
@@ -106,14 +113,13 @@ class Dataset:
             raise DataError("row counts of Y and Z must equal sum(n_i)")
         if not np.all(np.isfinite(Y)) or not np.all(np.isfinite(Z)):
             raise DataError("non-finite values in Y or Z")
-        object.__setattr__(self, "outcome_names", tuple(self.outcome_names)
-                           or tuple(f"Y{j + 1}" for j in range(Y.shape[1])))
-        object.__setattr__(self, "covariate_names", tuple(self.covariate_names)
-                           or tuple(f"Z{j + 1}" for j in range(Z.shape[1])))
-        if len(self.outcome_names) != Y.shape[1]:
-            raise DataError("outcome_names length must equal d")
-        if len(self.covariate_names) != Z.shape[1]:
-            raise DataError("covariate_names length must equal c")
+        for field, M, dim, prefix in (("outcome_names", Y, "d", "Y"),
+                                      ("covariate_names", Z, "c", "Z")):
+            names = _names(getattr(self, field), field, DataError)
+            if names and len(names) != M.shape[1]:
+                raise DataError(f"{field} length must equal {dim}")
+            object.__setattr__(self, field,
+                               names or tuple(f"{prefix}{j + 1}" for j in range(M.shape[1])))
         for arr in (Y, Z):
             arr.setflags(write=False)
         object.__setattr__(self, "Y", Y)
@@ -155,12 +161,12 @@ class Dataset:
             raise DataError("each covariate block must have its outcome block's rows")
         Y = np.vstack(Ys)
         return cls(
-            groups=tuple(str(g) for g in groups),
+            groups=groups,
             n_i=tuple(b.shape[0] for b in Ys),
             Y=Y,
             Z=np.empty((Y.shape[0], 0)) if Z_blocks is None else np.vstack(Zs),
-            outcome_names=tuple(outcome_names),
-            covariate_names=tuple(covariate_names),
+            outcome_names=outcome_names,
+            covariate_names=covariate_names,
         )
 
 

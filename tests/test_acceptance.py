@@ -16,10 +16,10 @@ from bootmctp import (
     BootstrapConfig,
     Dataset,
     SimScenario,
+    build_family,
     load_csv,
     run_mctp,
     run_study,
-    two_sample,
 )
 from bootmctp.bootstrap import run_bootstrap
 from bootmctp.covariance import hc4_weights, sandwich
@@ -75,7 +75,7 @@ def test_criterion_1_hrv_mean_differences(hrv):
 def test_criterion_2_hrv_bootstrap_reproduction(hrv):
     """Wild bootstrap, B=2000: gamma/p bands and decisions over 10 seeds."""
     start = time.perf_counter()
-    cm = two_sample(2, 5, group_names=hrv.groups, outcome_names=HRV_OUTCOMES)
+    cm = build_family("two_sample", 2, 5, group_names=hrv.groups, outcome_names=HRV_OUTCOMES)
     gammas, p_sdnn, p_vlf, both = [], [], [], 0
     for seed in range(1, 11):
         res = run_mctp(hrv, cm, BootstrapConfig("wild", 2000, seed), 0.05)
@@ -225,7 +225,7 @@ def test_criterion_7_bootstrap_distribution_sanity():
     dm = build_design(ds)
     fit = fit_ols(dm, ds)
     cov = sandwich(dm, fit)
-    cm = two_sample(2, 1)
+    cm = build_family("two_sample", 2, 1)
     h = cm.H[0]
     lam = dense_sandwich_block(ds.n_i, ds.Z, fit.residuals,
                                hc4_weights(dm.leverages))

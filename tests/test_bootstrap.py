@@ -18,7 +18,6 @@ from bootmctp import (
     Dataset,
     EstimationError,
     build_family,
-    two_sample,
 )
 from bootmctp import bootstrap
 from bootmctp.bootstrap import _Engine, _wild_signs, run_bootstrap, save_draws_csv
@@ -120,7 +119,7 @@ def assert_same_draws(runs, context):
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self, fitted_small):
         ds, dm, fit, cov = fitted_small
-        cm = two_sample(2, 2)
+        cm = build_family("two_sample", 2, 2)
         cfg = BootstrapConfig("wild", 200, 7)
         a = run_bootstrap(cfg, dm, fit, cov, cm)
         b = run_bootstrap(cfg, dm, fit, cov, cm)
@@ -128,7 +127,7 @@ class TestDeterminism:
 
     def test_replicate_recomputable_in_isolation(self, fitted_shapes):
         for shape, (ds, dm, fit, cov) in fitted_shapes.items():
-            cm = two_sample(2, dm.d)
+            cm = build_family("two_sample", 2, dm.d)
             for kind in ("wild", "parametric"):
                 cfg = BootstrapConfig(kind, 50, 11)
                 draws = run_bootstrap(cfg, dm, fit, cov, cm)
@@ -142,13 +141,13 @@ class TestDeterminism:
     def test_threads_and_chunk_size_do_not_change_results(self, fitted_shapes,
                                                           monkeypatch, kind):
         for shape, (ds, dm, fit, cov) in fitted_shapes.items():
-            cm = two_sample(2, dm.d)
+            cm = build_family("two_sample", 2, dm.d)
             cfg = BootstrapConfig(kind, 300, 19)
             assert_same_draws(runs_by_layout(monkeypatch, cfg, dm, fit, cov, cm), shape)
 
     def test_draw_into_reused_buffer_equals_fresh_draw(self, fitted_small):
         ds, dm, fit, cov = fitted_small
-        H = two_sample(2, 2).H
+        H = build_family("two_sample", 2, 2).H
         for kind in ("wild", "parametric"):
             engine = _Engine(kind, dm, fit, cov, H, 9)
             buf = np.full((dm.n, 9, dm.d), np.nan)
@@ -175,7 +174,8 @@ class TestDeterminism:
                 super().__init__(*args, **kwargs)
 
         ds, dm, fit, cov = fitted_large if large else fitted_small
-        cm, cfg = two_sample(2, dm.d), BootstrapConfig(kind, 3 * bootstrap.CHUNK, 8)
+        cm = build_family("two_sample", 2, dm.d)
+        cfg = BootstrapConfig(kind, 3 * bootstrap.CHUNK, 8)
         want = run_bootstrap(cfg, dm, fit, cov, cm).A_star
         monkeypatch.setattr(np.random, "Philox", Philox)
         assert np.array_equal(run_bootstrap(cfg, dm, fit, cov, cm).A_star, want)
@@ -208,7 +208,7 @@ class TestDeterminism:
                                                                monkeypatch):
         """Eight threads handing the GIL over every microsecond: same draws."""
         ds, dm, fit, cov = fitted_small
-        cm = two_sample(2, 2)
+        cm = build_family("two_sample", 2, 2)
         for kind in ("wild", "parametric"):
             cfg = BootstrapConfig(kind, 2000, 23)
             force_threads(monkeypatch, 1)
@@ -236,7 +236,8 @@ class TestDeterminism:
         force_threads(monkeypatch, 2)
         monkeypatch.setattr(_Engine, "replicates", replicates)
         with pytest.raises(MemoryError, match="pool thread"):
-            run_bootstrap(BootstrapConfig("wild", 1000, 3), dm, fit, cov, two_sample(2, 5))
+            run_bootstrap(BootstrapConfig("wild", 1000, 3), dm, fit, cov,
+                          build_family("two_sample", 2, 5))
         assert sorted(calls) == [0, 500]
 
     @pytest.mark.parametrize("kind", ["wild", "parametric"])
@@ -256,7 +257,8 @@ class TestDeterminism:
         monkeypatch.setattr(bootstrap, "CHUNK_CELLS", cells)
         for T in (1, 2):
             force_threads(monkeypatch, T)
-            run_bootstrap(BootstrapConfig(kind, 600, 5), dm, fit, cov, two_sample(2, 5))
+            run_bootstrap(BootstrapConfig(kind, 600, 5), dm, fit, cov,
+                          build_family("two_sample", 2, 5))
         assert len(engines) == 3
         bound = max(cells, dm.n * dm.d)  # 1000 is below one replicate's 1500
         for engine in engines:
@@ -264,7 +266,8 @@ class TestDeterminism:
 
     def test_single_row_for_b_equals_one(self, fitted_small):
         ds, dm, fit, cov = fitted_small
-        draws = run_bootstrap(BootstrapConfig("wild", 1, 5), dm, fit, cov, two_sample(2, 2))
+        draws = run_bootstrap(BootstrapConfig("wild", 1, 5), dm, fit, cov,
+                              build_family("two_sample", 2, 2))
         assert draws.A_star.shape == (1, 2)
 
 
@@ -275,7 +278,7 @@ class TestEngineLifetime:
         ds, dm, fit, cov = fitted_small
         gc.disable()
         try:
-            engine = _Engine(kind, dm, fit, cov, two_sample(2, 2).H, 1)
+            engine = _Engine(kind, dm, fit, cov, build_family("two_sample", 2, 2).H, 1)
             engine.draw([substream(1, 0, 0)], np.empty((dm.n, 1, dm.d)))
             ref = weakref.ref(engine)
             del engine
@@ -329,7 +332,7 @@ class TestObservedIsReplicate:
 class TestRowCoupling:
     def test_duplicated_contrast_gives_identical_columns(self, fitted_small):
         ds, dm, fit, cov = fitted_small
-        H = two_sample(2, 2).H
+        H = build_family("two_sample", 2, 2).H
         cm = ContrastMatrix(np.vstack([H, H[0]]), labels=["a", "b", "a2"])
         draws = run_bootstrap(BootstrapConfig("wild", 100, 13), dm, fit, cov, cm)
         assert np.array_equal(draws.A_star[:, 0], draws.A_star[:, 2])
@@ -338,7 +341,7 @@ class TestRowCoupling:
 class TestWild:
     def test_sign_flip_leaves_abs_invariant(self, fitted_small):
         ds, dm, fit, cov = fitted_small
-        cm = two_sample(2, 2)
+        cm = build_family("two_sample", 2, 2)
         engine = _Engine("wild", dm, fit, cov, cm.H, 1)
         rng = substream(21, 0, 0)
         t = rng.integers(0, 2, size=dm.n) * 2.0 - 1.0
@@ -369,7 +372,7 @@ class TestWild:
 
     def test_zero_residuals_replicate_invalid(self):
         dm, zero_fit, cov = zero_residual_fit(30)
-        a, valid = replicate("wild", dm, zero_fit, cov, two_sample(2, 1).H,
+        a, valid = replicate("wild", dm, zero_fit, cov, build_family("two_sample", 2, 1).H,
                              substream(1, 0, 0))
         assert not valid
 
@@ -385,12 +388,13 @@ class TestWild:
     def test_zero_residuals_bootstrap_aborts(self):
         dm, zero_fit, cov = zero_residual_fit(31)
         with pytest.raises(EstimationError, match="degenerate bootstrap"):
-            run_bootstrap(BootstrapConfig("wild", 200, 2), dm, zero_fit, cov, two_sample(2, 1))
+            run_bootstrap(BootstrapConfig("wild", 200, 2), dm, zero_fit, cov,
+                          build_family("two_sample", 2, 1))
 
     def test_abort_message_does_not_depend_on_threads_or_chunk_size(self, monkeypatch):
         """Pass 0 finds all B replicates invalid at any T and chunk size."""
         dm, zero_fit, cov = zero_residual_fit(31)
-        cfg, cm = BootstrapConfig("wild", 2000, 2), two_sample(2, 1)
+        cfg, cm = BootstrapConfig("wild", 2000, 2), build_family("two_sample", 2, 1)
         messages = set()
         for _ in each_layout(monkeypatch):
             with pytest.raises(EstimationError) as raised:
@@ -405,7 +409,8 @@ class TestWild:
         monkeypatch.setattr(bootstrap, "INVALID_ABORT_FRACTION", 1000.0)
         with pytest.raises(EstimationError,
                            match="replicate 0 invalid after 64 attempts"):
-            run_bootstrap(BootstrapConfig("wild", 2, 2), dm, zero_fit, cov, two_sample(2, 1))
+            run_bootstrap(BootstrapConfig("wild", 2, 2), dm, zero_fit, cov,
+                          build_family("two_sample", 2, 1))
 
     def test_groups_of_two_without_covariates_are_degenerate(self):
         # Residuals e and -e: half of the sign draws zero a group's replicate
@@ -439,7 +444,7 @@ class TestWild:
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
         cov = sandwich(dm, fit)
-        cm = two_sample(2, 1)
+        cm = build_family("two_sample", 2, 1)
         h = cm.H[0]
         lam = dense_sandwich_block(ds.n_i, ds.Z, fit.residuals,
                                    hc4_weights(dm.leverages))
@@ -507,7 +512,7 @@ def floor_case():
     does, so these are the exact values the engine compares with its floor.
     """
     ds, dm, fit, cov = fitted(random_dataset(60, k=2, d=1, c=1, n_i=(10, 12)))
-    H, cfg = two_sample(2, 1).H, BootstrapConfig("wild", 1000, 3)
+    H, cfg = build_family("two_sample", 2, 1).H, BootstrapConfig("wild", 1000, 3)
     engine = _Engine("wild", dm, fit, cov, H, cfg.B)
     rngs = replicate_streams(np.random.Generator(np.random.Philox(0)), cfg.seed,
                              np.arange(cfg.B), 0)
@@ -533,12 +538,13 @@ class TestFloor:
         low = np.sort(hDh[:100])
         b = int(np.argmin(hDh[:100]))
         assert low[0] < low[1]
-        expected = run_bootstrap(cfg, dm, fit, cov, two_sample(2, 1)).A_star
+        expected = run_bootstrap(cfg, dm, fit, cov, build_family("two_sample", 2, 1)).A_star
         kept = run_bootstrap(cfg, dm, fit, with_floor(cov, np.nextafter(low[0], 0)),
-                             two_sample(2, 1))
+                             build_family("two_sample", 2, 1))
         assert kept.invalid_redraws == 0
         assert np.array_equal(kept.A_star, expected)
-        redrawn = run_bootstrap(cfg, dm, fit, with_floor(cov, low[0]), two_sample(2, 1))
+        redrawn = run_bootstrap(cfg, dm, fit, with_floor(cov, low[0]),
+                                build_family("two_sample", 2, 1))
         assert redrawn.invalid_redraws == 1
         others = np.arange(100) != b
         assert np.array_equal(redrawn.A_star[others], expected[others])
@@ -559,9 +565,9 @@ class TestFloor:
         floored = with_floor(cov, low[redraws - 1])
         if error:
             with pytest.raises(EstimationError, match=f"more than 1% .*{redraws} redraws"):
-                run_bootstrap(cfg, dm, fit, floored, two_sample(2, 1))
+                run_bootstrap(cfg, dm, fit, floored, build_family("two_sample", 2, 1))
             return
-        draws = run_bootstrap(cfg, dm, fit, floored, two_sample(2, 1))
+        draws = run_bootstrap(cfg, dm, fit, floored, build_family("two_sample", 2, 1))
         assert draws.invalid_redraws == redraws
         assert bool(draws.warnings) == warned
 
@@ -583,7 +589,7 @@ class TestParametric:
             wU1sq=np.ones((dm.n, 2)),
             group_sigmas=(np.eye(2), np.eye(2)),
         )
-        engine = _Engine("parametric", dm, None, cov, two_sample(2, 2).H, 1000)
+        engine = _Engine("parametric", dm, None, cov, build_family("two_sample", 2, 2).H, 1000)
         rngs = [substream(3, b, 0) for b in range(1000)]
         Y = engine.draw(rngs, np.empty((dm.n, 1000, 2)))
         pooled = Y.reshape(-1, 2)
@@ -605,7 +611,7 @@ class TestParametric:
         cov = CovarianceEstimate(
             D=np.ones(4), wU1sq=np.ones((dm.n, 2)), group_sigmas=(sigma, sigma)
         )
-        engine = _Engine("parametric", dm, None, cov, two_sample(2, 2).H, 1000)
+        engine = _Engine("parametric", dm, None, cov, build_family("two_sample", 2, 2).H, 1000)
         rngs = [substream(4, b, 0) for b in range(1000)]
         Y = engine.draw(rngs, np.empty((dm.n, 1000, 2))).reshape(-1, 2)  # 1e5 draws
         emp = np.cov(Y.T)
@@ -624,7 +630,7 @@ class TestParametric:
         cov = sandwich(dm, fit)
         for sigma in cov.group_sigmas:
             assert np.linalg.matrix_rank(sigma, tol=1e-10) == 1
-        engine = _Engine("parametric", dm, fit, cov, two_sample(2, 2).H, 50)
+        engine = _Engine("parametric", dm, fit, cov, build_family("two_sample", 2, 2).H, 50)
         Y = engine.draw([substream(5, b, 0) for b in range(50)],
                         np.empty((dm.n, 50, 2)))
         null_dir = np.array([2.0, -1.0]) / np.sqrt(5.0)  # orthogonal to (1, 2)
@@ -643,7 +649,8 @@ class TestParametric:
         cov = sandwich(dm, fit)
         assert cov.group_sigmas is None
         with pytest.raises(EstimationError, match="divisor nonpositive"):
-            run_bootstrap(BootstrapConfig("parametric", 10, 1), dm, fit, cov, two_sample(2, 1))
+            run_bootstrap(BootstrapConfig("parametric", 10, 1), dm, fit, cov,
+                          build_family("two_sample", 2, 1))
 
     def test_missing_group_covariances_are_derived(self, fitted_small):
         # An estimate without covariances gets them from groupwise_cov, the
@@ -651,7 +658,7 @@ class TestParametric:
         ds, dm, fit, cov = fitted_small
         assert cov.group_sigmas is not None
         bare = CovarianceEstimate(D=cov.D, wU1sq=cov.wU1sq, group_sigmas=None)
-        cfg, cm = BootstrapConfig("parametric", 50, 1), two_sample(2, 2)
+        cfg, cm = BootstrapConfig("parametric", 50, 1), build_family("two_sample", 2, 2)
         expected = run_bootstrap(cfg, dm, fit, cov, cm).A_star
         assert np.array_equal(run_bootstrap(cfg, dm, fit, bare, cm).A_star, expected)
 
@@ -681,8 +688,8 @@ class TestConfigAndDump:
         cfg = BootstrapConfig("wild", np.int64(60), np.int64(-3))
         assert (type(cfg.B), type(cfg.seed)) == (int, int)
         want = run_bootstrap(BootstrapConfig("wild", 60, -3), dm, fit, cov,
-                             two_sample(2, 2))
-        got = run_bootstrap(cfg, dm, fit, cov, two_sample(2, 2))
+                             build_family("two_sample", 2, 2))
+        got = run_bootstrap(cfg, dm, fit, cov, build_family("two_sample", 2, 2))
         assert got.A_star.tobytes() == want.A_star.tobytes()
 
     def test_b_beyond_stream_range(self):
@@ -694,7 +701,7 @@ class TestConfigAndDump:
 
     def test_draws_csv_roundtrip(self, fitted_small, tmp_path):
         ds, dm, fit, cov = fitted_small
-        cm = two_sample(2, 2)
+        cm = build_family("two_sample", 2, 2)
         draws = run_bootstrap(BootstrapConfig("wild", 20, 1), dm, fit, cov, cm)
         path = tmp_path / "draws.csv"
         save_draws_csv(draws, str(path), labels=cm.labels)

@@ -10,45 +10,42 @@ from bootmctp import (
     ContrastMatrix,
     CsvSchema,
     build_family,
-    dunnett,
-    grand_mean,
     load_csv,
     run_mctp,
-    tukey,
-    two_sample,
 )
 from bootmctp.contrasts import ROW_SUM_TOL, from_csv
 
 
 class TestTwoSample:
     def test_matches_kronecker_pattern_d5(self):
-        cm = two_sample(2, 5)
+        cm = build_family("two_sample", 2, 5)
         assert cm.r == 5
         assert np.array_equal(cm.H, np.kron(np.array([[1.0, -1.0]]), np.eye(5)))
 
     def test_single_outcome(self):
-        cm = two_sample(2, 1)
+        cm = build_family("two_sample", 2, 1)
         assert np.array_equal(cm.H, np.array([[1.0, -1.0]]))
 
     def test_rows_sum_to_zero(self):
-        cm = two_sample(2, 5)
+        cm = build_family("two_sample", 2, 5)
         assert np.allclose(cm.H.sum(axis=1), 0.0, atol=1e-12)
 
     def test_rejects_other_k(self):
         with pytest.raises(ContrastError, match="k=2"):
-            two_sample(3, 2)
+            build_family("two_sample", 3, 2)
 
     def test_outcome_labels(self):
-        cm = two_sample(2, 2, group_names=["hyp", "ctl"], outcome_names=["a", "b"])
+        cm = build_family("two_sample", 2, 2, group_names=["hyp", "ctl"], outcome_names=["a",
+                          "b"])
         assert cm.labels == ("hyp - ctl, a", "hyp - ctl, b")
 
 
 class TestDunnett:
     def test_row_count(self):
-        assert dunnett(3, 2).r == 4
+        assert build_family("dunnett", 3, 2).r == 4
 
     def test_univariate_pattern(self):
-        cm = dunnett(3, 1)
+        cm = build_family("dunnett", 3, 1)
         assert np.array_equal(cm.H, np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]))
         # H mu = 0 iff all means equal: brute force over basis vectors
         for i in range(3):
@@ -58,7 +55,7 @@ class TestDunnett:
         assert np.allclose(cm.H @ np.ones(3), 0.0)
 
     def test_two_nonzeros_per_row(self):
-        cm = dunnett(4, 3)
+        cm = build_family("dunnett", 4, 3)
         for row in cm.H:
             nz = row[row != 0.0]
             assert len(nz) == 2
@@ -66,20 +63,20 @@ class TestDunnett:
 
     def test_rejects_k1(self):
         with pytest.raises(ContrastError):
-            dunnett(1, 2)
+            build_family("dunnett", 1, 2)
 
 
 class TestTukey:
     def test_row_count_k4_d2(self):
-        assert tukey(4, 2).r == 12
+        assert build_family("tukey", 4, 2).r == 12
 
     def test_k2_equals_two_sample_up_to_sign(self):
-        t = tukey(2, 3)
-        s = two_sample(2, 3)
+        t = build_family("tukey", 2, 3)
+        s = build_family("two_sample", 2, 3)
         assert np.array_equal(t.H, -s.H)
 
     def test_nullspace_is_constant_vector(self):
-        cm = tukey(3, 1)
+        cm = build_family("tukey", 3, 1)
         _, sv, Vt = np.linalg.svd(cm.H)
         assert np.sum(sv > 1e-12) == 2  # rank k-1
         null = Vt[-1]
@@ -88,15 +85,15 @@ class TestTukey:
 
 class TestGrandMean:
     def test_k2_d1_rows(self):
-        cm = grand_mean(2, 1)
+        cm = build_family("grand_mean", 2, 1)
         assert np.allclose(cm.H, np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-14)
 
     def test_rows_sum_to_zero(self):
-        cm = grand_mean(4, 3)
+        cm = build_family("grand_mean", 4, 3)
         assert np.allclose(cm.H.sum(axis=1), 0.0, atol=1e-12)
 
     def test_constant_vector_in_nullspace(self):
-        cm = grand_mean(3, 2)
+        cm = build_family("grand_mean", 3, 2)
         assert np.allclose(cm.H @ np.full(6, 3.7), 0.0, atol=1e-12)
 
 
@@ -127,9 +124,9 @@ class TestFamilyProperties:
 
     def test_wrong_number_of_names_rejected(self):
         with pytest.raises(ContrastError, match="expected 3 group names, got 2"):
-            dunnett(3, 2, group_names=["a", "b"])
+            build_family("dunnett", 3, 2, group_names=["a", "b"])
         with pytest.raises(ContrastError, match="expected 2 outcome names, got 1"):
-            tukey(3, 2, outcome_names=["y"])
+            build_family("tukey", 3, 2, outcome_names=["y"])
 
     def test_unknown_family(self):
         with pytest.raises(ContrastError, match="unknown contrast family"):
@@ -146,18 +143,27 @@ class TestFamilyProperties:
             build_family(family, k, d)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("builder, k, d, message", [
-        (two_sample, 2, 2.5, "d must be an integer, got 2.5"),
-        (two_sample, 2.0, 2, "k must be an integer, got 2.0"),
-        (dunnett, 3.0, 2, "k must be an integer, got 3.0"),
-        (tukey, 3, 2.0, "d must be an integer, got 2.0"),
-        (grand_mean, True, 2, "k must be an integer, got True"),
-        (grand_mean, 3, "2", "d must be an integer, got '2'"),
+    @pytest.mark.parametrize("family, k, d, message", [
+        ("two_sample", 2, 2.5, "d must be an integer, got 2.5"),
+        ("two_sample", 2.0, 2, "k must be an integer, got 2.0"),
+        ("dunnett", 3.0, 2, "k must be an integer, got 3.0"),
+        ("tukey", 3, 2.0, "d must be an integer, got 2.0"),
+        ("grand_mean", True, 2, "k must be an integer, got True"),
+        ("grand_mean", 3, "2", "d must be an integer, got '2'"),
     ])
-    def test_builders_check_their_integers(self, builder, k, d, message):
+    def test_builders_check_their_integers(self, family, k, d, message):
         with pytest.raises(ContrastError) as info:
-            builder(k, d)
+            build_family(family, k, d)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("family, k", [("two_sample", 2)] + [
+        (family, k) for family in ("dunnett", "tukey", "grand_mean") for k in range(2, 6)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_are_contrasts_without_negative_zeros(self, family, k, d):
+        """Every row sums to zero, and no entry is -0.0, which prints as -0.0000."""
+        H = build_family(family, k, d).H
+        assert np.allclose(H.sum(axis=1), 0.0, atol=1e-12)
+        assert not np.any(np.signbit(H) & (H == 0.0))
 
     def test_numpy_integers_accepted(self):
         cm = build_family("tukey", np.int64(3), np.int32(2))

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bootmctp import (BootstrapConfig, CsvSchema, Dataset, DataError, EstimationError,
-                      dunnett, load_csv, run_mctp, tukey, validate)
+from bootmctp import (BootstrapConfig, ContrastError, ContrastMatrix, CsvSchema, Dataset,
+                      DataError, EstimationError, build_family, load_csv, run_mctp, validate)
 from bootmctp.dataset import group_slices
 from bootmctp.simgen import gen_covariates
 
@@ -117,9 +117,9 @@ class TestLoadCsv:
         ((), (), "at least one outcome column"),
         (("y1", "y1"), (), "schema columns must be distinct"),
         (("y1",), ("group",), "schema columns must be distinct"),
-        ("SDNN", (), "are name sequences, not str"),  # not the columns S, D, N, N
-        ("HF", (), "are name sequences, not str"),  # not the columns H, F
-        (("SDNN",), "HF", "are name sequences, not str"),
+        ("SDNN", (), "^schema outcomes must be a sequence of str, got 'SDNN'$"),  # not S, D, N, N
+        ("HF", (), "^schema outcomes must be a sequence of str, got 'HF'$"),  # not H, F
+        (("SDNN",), "HF", "^schema covariates must be a sequence of str, got 'HF'$"),
     ])
     def test_schema_rules(self, outcomes, covariates, message):
         with pytest.raises(DataError, match=message):
@@ -313,14 +313,15 @@ class TestValidate:
         # Each Dunnett contrast also holds group 1's variance, so no replicate
         # is degenerate; Tukey's g2 - g1 compares two groups of two and is.
         ds = random_dataset(0, k=3, d=1, c=0, n_i=(8, 2, 2))
-        result = run_mctp(ds, dunnett(3, 1), BootstrapConfig("wild", 200, 1), 0.05)
+        result = run_mctp(ds, build_family("dunnett", 3, 1), BootstrapConfig("wild", 200, 1),
+                          0.05)
         pairs = [w for w in result.warnings if w.startswith("n_i=2 and c=0")]
         assert [w.split(":")[0] for w in pairs] == [
             "n_i=2 and c=0 in group 2 ('g2')", "n_i=2 and c=0 in group 3 ('g3')"]
         assert all("wild bootstrap" in w for w in pairs)
         assert result.invalid_redraws == 0
         with pytest.raises(EstimationError, match="degenerate bootstrap distribution"):
-            run_mctp(random_dataset(0, k=3, d=1, c=0, n_i=(2, 2, 8)), tukey(3, 1),
+            run_mctp(random_dataset(0, k=3, d=1, c=0, n_i=(2, 2, 8)), build_family("tukey", 3, 1),
                      BootstrapConfig("wild", 200, 1), 0.05)
 
     def test_groups_of_two_with_a_covariate_do_not_warn_of_the_signs(self):
@@ -331,3 +332,37 @@ class TestValidate:
         ds = random_dataset(11)
         report = validate(ds)
         assert report.ok and report.errors == ()
+
+
+FOUR_ROWS = {"n_i": (2, 2), "Y": np.ones((4, 2)), "Z": np.zeros((4, 1))}
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ContrastMatrix([[1, -1], [1, -1]], "xy"), ContrastError,
+     "labels must be a sequence of str, got 'xy'"),
+    (lambda: ContrastMatrix([[1, -1]], labels=[3]), ContrastError,
+     "labels must be a sequence of str, got [3]"),
+    (lambda: ContrastMatrix([[1, -1]], labels=None), ContrastError,
+     "labels must be a sequence of str, got None"),
+    (lambda: build_family("dunnett", 2, 2, group_names="AB", outcome_names="xy"),
+     ContrastError, "group names must be a sequence of str, got 'AB'"),
+    (lambda: build_family("tukey", 2, 2, outcome_names=("x", 2)), ContrastError,
+     "outcome names must be a sequence of str, got ('x', 2)"),
+    (lambda: Dataset(groups="AB", **FOUR_ROWS), DataError,
+     "groups must be a sequence of str, got 'AB'"),
+    (lambda: Dataset(groups=("a", "b"), outcome_names="xy", **FOUR_ROWS), DataError,
+     "outcome_names must be a sequence of str, got 'xy'"),
+    (lambda: Dataset(groups=("a", "b"), covariate_names=None, **FOUR_ROWS), DataError,
+     "covariate_names must be a sequence of str, got None"),
+    (lambda: Dataset.from_group_blocks(["a", "b"], [np.ones((2, 1))] * 2, outcome_names="y"),
+     DataError, "outcome_names must be a sequence of str, got 'y'"),
+    (lambda: CsvSchema(group="group", outcomes=("y1", 2)), DataError,
+     "schema outcomes must be a sequence of str, got ('y1', 2)"),
+], ids=["labels-str", "labels-int", "labels-None", "group-names-str", "outcome-names-int",
+        "groups-str", "outcome_names-str", "covariate_names-None", "blocks-outcome_names-str",
+        "schema-outcomes-int"])
+def test_name_sequences_take_only_str_sequences(build, error, message):
+    """A bare str is not split into characters, and a name that is not a str is refused."""
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bootmctp import BootstrapConfig, build_family, load_csv, two_sample
+from bootmctp import BootstrapConfig, build_family, load_csv
 from bootmctp.bootstrap import run_bootstrap
 from bootmctp.mctp import _fit
 
@@ -39,7 +39,7 @@ def test_hrv_rows_match_the_exact_oracle(hrv_path, hrv_schema):
     ds = load_csv(hrv_path, hrv_schema)
     for kind in ("wild", "parametric"):
         cfg = BootstrapConfig(kind, 2000, 20250809)
-        assert replicate_error(ds, two_sample(2, ds.d), cfg) <= TOL, kind
+        assert replicate_error(ds, build_family("two_sample", 2, ds.d), cfg) <= TOL, kind
 
 
 @given(st.data())

@@ -11,11 +11,10 @@ from bootmctp import (
     Dataset,
     EstimationError,
     SimScenario,
+    build_family,
     format_result_table,
     run_mctp,
     run_study,
-    tukey,
-    two_sample,
 )
 from bootmctp.bootstrap import run_bootstrap
 from bootmctp.covariance import sandwich, studentize
@@ -53,7 +52,7 @@ class TestTestStatistics:
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
         cov = sandwich(dm, fit)
-        A = studentized_statistics(fit, cov, two_sample(2, 2))
+        A = studentized_statistics(fit, cov, build_family("two_sample", 2, 2))
         assert np.array_equal(A, np.zeros(2))
 
     def test_scale_invariance(self):
@@ -61,12 +60,12 @@ class TestTestStatistics:
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
         cov = sandwich(dm, fit)
-        A = studentized_statistics(fit, cov, two_sample(2, 2))
+        A = studentized_statistics(fit, cov, build_family("two_sample", 2, 2))
         ds2 = Dataset(groups=ds.groups, n_i=ds.n_i, Y=2.0 * ds.Y, Z=ds.Z)
         dm2 = build_design(ds2)
         fit2 = fit_ols(dm2, ds2)
         cov2 = sandwich(dm2, fit2)
-        A2 = studentized_statistics(fit2, cov2, two_sample(2, 2))
+        A2 = studentized_statistics(fit2, cov2, build_family("two_sample", 2, 2))
         assert np.allclose(A, A2, rtol=1e-12)
 
     def test_matches_scalar_welch_type_oracle(self):
@@ -77,7 +76,7 @@ class TestTestStatistics:
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
         cov = sandwich(dm, fit)
-        A = studentized_statistics(fit, cov, two_sample(2, 1))
+        A = studentized_statistics(fit, cov, build_family("two_sample", 2, 1))
         assert A[0] == pytest.approx(welch_type_statistic(y1, y2), rel=1e-10)
 
     def test_zero_denominator_names_contrast(self):
@@ -92,7 +91,8 @@ class TestTestStatistics:
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
         cov = sandwich(dm, fit)
-        cm = two_sample(2, 2, group_names=ds.groups, outcome_names=ds.outcome_names)
+        cm = build_family("two_sample", 2, 2, group_names=ds.groups,
+                          outcome_names=ds.outcome_names)
         with pytest.raises(EstimationError, match="flat"):
             studentized_statistics(fit, cov, cm)
 
@@ -209,7 +209,7 @@ class TestAdjustLevel:
 def test_alpha_must_be_a_real_number(entry, alpha):
     calls = {
         "adjust_level": lambda: adjust_level(draws_of(np.ones((10, 1))), alpha),
-        "run_mctp": lambda: run_mctp(random_dataset(23), tukey(3, 2),
+        "run_mctp": lambda: run_mctp(random_dataset(23), build_family("tukey", 3, 2),
                                      BootstrapConfig("wild", 50, 1), alpha),
         "run_study": lambda: run_study([SimScenario(k=3, d=2)], runs=1, B=20,
                                        alpha=alpha, seed=1),
@@ -253,7 +253,7 @@ class TestPValueDuality:
             ds = random_dataset(30 + r, k=2, d=r, c=1, n_i=(6, 7))
             dm = build_design(ds)
             fit = fit_ols(dm, ds)
-            models[r] = fit, sandwich(dm, fit), two_sample(2, r)
+            models[r] = fit, sandwich(dm, fit), build_family("two_sample", 2, r)
         rng = np.random.default_rng(15)
         for trial in range(200):
             B = int(rng.integers(4, 50))
@@ -290,7 +290,7 @@ class TestPValueDuality:
         """|A_n| exactly on its quantile is retained and has p > gamma; one
         float above it is rejected and has p <= gamma ("ties included")."""
         ds = random_dataset(31, k=3, d=2, c=1, n_i=(8, 9, 10))
-        cm, cfg = tukey(3, 2), BootstrapConfig("wild", 200, 4)
+        cm, cfg = build_family("tukey", 3, 2), BootstrapConfig("wild", 200, 4)
         dm, fit, cov, _ = _fit(ds, cm)
         draws = run_bootstrap(cfg, dm, fit, cov, cm)
         gamma = adjust_level(draws, 0.05)
@@ -316,7 +316,7 @@ class TestConfidenceIntervals:
         dm = build_design(ds)
         fit = fit_ols(dm, ds)
         cov = sandwich(dm, fit)
-        cm = two_sample(2, 2)
+        cm = build_family("two_sample", 2, 2)
         draws = run_bootstrap(BootstrapConfig("wild", B, seed), dm, fit, cov, cm)
         return ds, dm, fit, cov, cm, draws
 
@@ -356,7 +356,7 @@ class TestConfidenceIntervals:
 class TestRunMctp:
     def test_result_invariants_and_determinism(self):
         ds = random_dataset(22, k=2, d=3, c=2, n_i=(12, 12), mu=[[0, 0, 0], [1.5, 0, 0]])
-        cm = two_sample(2, 3)
+        cm = build_family("two_sample", 2, 3)
         cfg = BootstrapConfig("wild", 400, 99)
         res1 = run_mctp(ds, cm, cfg, 0.05)
         res2 = run_mctp(ds, cm, cfg, 0.05)
@@ -383,15 +383,14 @@ class TestRunMctp:
 
         monkeypatch.setattr(mctp, "contrast_quantiles", counted)
         ds = random_dataset(22, k=2, d=3, c=2, n_i=(12, 12))
-        res = run_mctp(ds, two_sample(2, 3), BootstrapConfig("wild", 200, 7), 0.05)
+        res = run_mctp(ds, build_family("two_sample", 2, 3), BootstrapConfig("wild", 200, 7),
+                       0.05)
         assert calls == [res.gamma]
 
     def test_rejects_invalid_alpha(self):
         ds = random_dataset(23)
-        from bootmctp import dunnett
-
         with pytest.raises(ConfigError, match="alpha"):
-            run_mctp(ds, dunnett(3, 2), BootstrapConfig("wild", 50, 1), 1.2)
+            run_mctp(ds, build_family("dunnett", 3, 2), BootstrapConfig("wild", 50, 1), 1.2)
 
     def test_rejects_inadmissible_data(self):
         rng = np.random.default_rng(24)
@@ -401,30 +400,31 @@ class TestRunMctp:
             [rng.standard_normal((6, 1)), rng.standard_normal((6, 1))],
             [np.hstack([z[:6], z[:6]]), np.hstack([z[6:], z[6:]])],
         )
-        from bootmctp import DataError, two_sample as ts
+        from bootmctp import DataError
 
         with pytest.raises(DataError, match="rank deficiency"):
-            run_mctp(ds, ts(2, 1), BootstrapConfig("wild", 50, 1), 0.05)
+            run_mctp(ds, build_family("two_sample", 2, 1), BootstrapConfig("wild", 50, 1), 0.05)
 
     def test_contrast_dimension_mismatch(self):
         ds = random_dataset(25, k=3, d=2)
         with pytest.raises(EstimationError, match="expected k\\*d"):
-            run_mctp(ds, two_sample(2, 2), BootstrapConfig("wild", 50, 1), 0.05)
+            run_mctp(ds, build_family("two_sample", 2, 2), BootstrapConfig("wild", 50, 1), 0.05)
 
     def test_coarse_grid_warning(self):
         ds = random_dataset(26, k=2, d=1, c=0, n_i=(10, 10))
-        res = run_mctp(ds, two_sample(2, 1), BootstrapConfig("wild", 10, 1), 0.05)
+        res = run_mctp(ds, build_family("two_sample", 2, 1), BootstrapConfig("wild", 10, 1), 0.05)
         assert any("gamma-grid too coarse" in w for w in res.warnings)
 
     @pytest.mark.parametrize("B, coarse", [(99, True), (100, False)])
     def test_coarse_grid_edge(self, B, coarse):
         ds = random_dataset(26, k=2, d=1, c=0, n_i=(10, 10))
-        res = run_mctp(ds, two_sample(2, 1), BootstrapConfig("wild", B, 1), 0.05)
+        res = run_mctp(ds, build_family("two_sample", 2, 1), BootstrapConfig("wild", B, 1), 0.05)
         assert any("gamma-grid too coarse" in w for w in res.warnings) == coarse
 
     def test_gamma_zero_warning(self):
         ds = random_dataset(27, k=2, d=1, c=0, n_i=(10, 10))
-        res = run_mctp(ds, two_sample(2, 1), BootstrapConfig("wild", 120, 1), 0.005)
+        res = run_mctp(ds, build_family("two_sample", 2, 1), BootstrapConfig("wild", 120, 1),
+                       0.005)
         assert res.gamma == 0.0
         assert any("only a statistic above every bootstrap value is rejected" in w
                    for w in res.warnings)
@@ -434,7 +434,8 @@ class TestRunMctp:
         from bootmctp import load_csv
 
         ds = load_csv(hrv_path, hrv_schema)
-        cm = two_sample(2, 5, group_names=ds.groups, outcome_names=ds.outcome_names)
+        cm = build_family("two_sample", 2, 5, group_names=ds.groups,
+                          outcome_names=ds.outcome_names)
         res = run_mctp(ds, cm, BootstrapConfig("wild", 20, 20250809), 0.05)
         assert res.gamma == 0.0
         assert [o.label for o in res.contrasts if o.reject] == [
@@ -445,7 +446,8 @@ class TestRunMctp:
 
     def test_table_contains_all_contrasts(self):
         ds = random_dataset(28, k=2, d=2, c=1, n_i=(8, 8))
-        res = run_mctp(ds, two_sample(2, 2), BootstrapConfig("parametric", 150, 5), 0.05)
+        res = run_mctp(ds, build_family("two_sample", 2, 2),
+                       BootstrapConfig("parametric", 150, 5), 0.05)
         table = format_result_table(res)
         for o in res.contrasts:
             assert o.label in table
@@ -456,7 +458,7 @@ class TestRunMctp:
 
     def test_duplicate_contrast_row_duplicates_p_value(self):
         ds = random_dataset(29, k=2, d=2, c=1, n_i=(10, 10))
-        base = two_sample(2, 2)
+        base = build_family("two_sample", 2, 2)
         dup = ContrastMatrix(np.vstack([base.H, base.H[0]]), labels=[*base.labels, "dup"])
         cfg = BootstrapConfig("wild", 300, 8)
         res_base = run_mctp(ds, base, cfg, 0.05)
@@ -471,7 +473,8 @@ class TestHrvParametric:
         from bootmctp import load_csv
 
         ds = load_csv(hrv_path, hrv_schema)
-        cm = two_sample(2, 5, group_names=ds.groups, outcome_names=ds.outcome_names)
+        cm = build_family("two_sample", 2, 5, group_names=ds.groups,
+                          outcome_names=ds.outcome_names)
         res = run_mctp(ds, cm, BootstrapConfig("parametric", 2000, 1), 0.05)
         by_label = {o.label.split(", ")[1]: o for o in res.contrasts}
         assert by_label["VLF"].reject

@@ -45,9 +45,11 @@ def last_line_in_fresh_interpreter(code: str, *args: str) -> str:
 
 
 def readme_api_names() -> set[str]:
+    """The backticked names in the bulleted list that opens the README's Library API."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"`([A-Za-z_]\w*)`", section))
+    bullets = re.search(r"^- .*?(?=\n\n)", section, re.M | re.S).group()
+    return set(re.findall(r"`([A-Za-z_]\w*)`", bullets))
 
 
 def test_all_is_the_readme_api():
@@ -144,7 +146,7 @@ import bootmctp
 rng = np.random.default_rng(1)
 ds = bootmctp.Dataset.from_group_blocks(
     ["a", "b"], [rng.standard_normal((8, 2)), rng.standard_normal((9, 2))])
-bootmctp.run_mctp(ds, bootmctp.two_sample(2, 2),
+bootmctp.run_mctp(ds, bootmctp.build_family("two_sample", 2, 2),
                   bootmctp.BootstrapConfig("wild", 50, 1), 0.05)
 print(sorted(m for m in sys.modules if m.startswith("scipy.special")))
 """
@@ -167,7 +169,7 @@ rng = np.random.default_rng(1)
 ds = bootmctp.Dataset.from_group_blocks(
     ["a", "b"], [rng.standard_normal((8, 2)), rng.standard_normal((9, 2))],
     [rng.standard_normal((8, 1)), rng.standard_normal((9, 1))])
-bootmctp.run_mctp(ds, bootmctp.two_sample(2, 2),
+bootmctp.run_mctp(ds, bootmctp.build_family("two_sample", 2, 2),
                   bootmctp.BootstrapConfig("wild", 50, 1), 0.05)
 assert cli.main(["analyze", "--input", sys.argv[1], "--group-col", "group",
                  "--outcomes", "SDNN,RMSSD", "--covariates", "HGSHA", "--B", "20"]) == 0

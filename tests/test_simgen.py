@@ -253,9 +253,10 @@ class TestGenDataset:
             k=2, d=2, contrast_family="two_sample", alternative="shift", delta=50.0
         )
         ds = gen_dataset(sc, substream(10, 0))
-        from bootmctp import BootstrapConfig, run_mctp, two_sample
+        from bootmctp import BootstrapConfig, build_family, run_mctp
 
-        res = run_mctp(ds, two_sample(2, 2), BootstrapConfig("wild", 200, 1), 0.05)
+        res = run_mctp(ds, build_family("two_sample", 2, 2), BootstrapConfig("wild", 200, 1),
+                       0.05)
         assert res.global_reject
 
 
