@@ -14,10 +14,11 @@ are redrawn from the next attempt substream and counted.
 
 A bootstrap runs in passes, one per redraw attempt: pass a splits the
 replicate indexes still invalid (all B in pass 0) into T near-equal parts,
-runs the first part on the calling thread and the others on a thread pool,
-and the invalid indexes form the next pass.  The abort checks run once per
-pass, so the result and the abort error do not depend on T or the chunk
-size; with T = 1 no pool starts.  Each thread owns an engine: its Philox
+maps its (engine, part) pairs in one map, on T threads if T > 1, and the
+invalid indexes form the next pass.  The one stopping rule, more than 1% of
+B redrawn, is checked once per pass, so the result and the error do not
+depend on T or the chunk size; each further pass follows a redraw, so at
+most floor(0.01 B) + 1 run.  Each thread owns an engine: its Philox
 generator, its scratch buffer and its response buffer of one chunk of
 ``min(CHUNK // T, CHUNK_CELLS // (n*d), ceil(B / T))`` replicates, and at
 least one, so no chunk buffer holds more than ``CHUNK_CELLS`` doubles
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -81,7 +83,6 @@ from ._rng import replicate_streams
 
 CHUNK = 256
 CHUNK_CELLS = 1 << 17  # doubles in one chunk buffer, 1 MiB
-MAX_ATTEMPTS = 64
 INVALID_WARN_FRACTION = 0.001
 INVALID_ABORT_FRACTION = 0.01
 
@@ -329,13 +330,12 @@ def _run_passes(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
     chunk = max(1, min(CHUNK // T, CHUNK_CELLS // (dm.n * dm.d), -(-B // T)))
     engines = [_Engine(cfg.kind, dm, fit, cov, H, chunk) for _ in range(T)]
     index, invalid_total = np.arange(B), 0
-    with ThreadPoolExecutor(T - 1) if T > 1 else contextlib.nullcontext() as pool:
-        for attempt in range(MAX_ATTEMPTS):
+    with ThreadPoolExecutor(T) if T > 1 else contextlib.nullcontext() as pool:
+        for attempt in itertools.count():  # at most floor(0.01 B) + 1 passes
             parts = np.array_split(index, min(T, index.size))
-            futures = [pool.submit(e.replicates, cfg.seed, part, attempt, A_star)
-                       for e, part in zip(engines[1:], parts[1:])]
-            valid = [engines[0].replicates(cfg.seed, parts[0], attempt, A_star)]
-            index = index[~np.concatenate(valid + [f.result() for f in futures])]
+            valid = (pool.map if pool else map)(
+                lambda e, part: e.replicates(cfg.seed, part, attempt, A_star), engines, parts)
+            index = index[~np.concatenate(list(valid))]  # read before attempt moves on
             if not index.size:
                 return invalid_total
             invalid_total += index.size
@@ -345,10 +345,6 @@ def _run_passes(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
                     f"{INVALID_ABORT_FRACTION:.0%} of replicates invalid "
                     f"({invalid_total} redraws for B={B})"
                 )
-    raise EstimationError(
-        "degenerate bootstrap distribution: replicate "
-        f"{index[0]} invalid after {MAX_ATTEMPTS} attempts"
-    )
 
 
 def _check_width(contrasts: ContrastMatrix, k: int, d: int) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _integer, _names, _read_csv
+from .dataset import _integer, _names, _read_csv, _real_array
 from .exceptions import ContrastError
 
 ROW_SUM_TOL = 1e-12
@@ -27,7 +27,7 @@ class ContrastMatrix:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        H = np.atleast_2d(np.asarray(self.H, dtype=float))
+        H = np.atleast_2d(_real_array(self.H, "contrast matrix", ContrastError))
         if H.ndim != 2 or H.size == 0:
             raise ContrastError("contrast matrix must be 2-d with at least one row")
         object.__setattr__(self, "H", H)
@@ -82,7 +82,7 @@ def from_csv(path, k: int, d: int) -> ContrastMatrix:
             ) from None
     labels = [row[label_col].strip() if label_col is not None else f"contrast {line_no}"
               for line_no, row in rows]
-    return ContrastMatrix(H=np.asarray(H), labels=tuple(labels))
+    return ContrastMatrix(H=H, labels=tuple(labels))
 
 
 # Family name: (the word its k error uses, its rows as pairs of (univariate
@@ -121,6 +121,8 @@ def build_family(
     if k < 2 or family == "two_sample" and k != 2:
         need = "k=2" if family == "two_sample" else "k>=2"
         raise ContrastError(f"{word} contrasts require {need} groups, got k={k}")
+    if d < 1:
+        raise ContrastError(f"contrasts require d>=1 outcome components, got d={d}")
     rows = pattern(np.eye(k), _labels("group", k, group_names))
     o = _labels("outcome", d, outcome_names)
     H = np.kron([row for row, _ in rows], np.eye(d)) + 0.0  # + 0.0 normalizes -0.0

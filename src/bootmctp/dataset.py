@@ -7,6 +7,7 @@ group order, so that group-wise computations are plain index ranges.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass
@@ -37,6 +38,15 @@ def _names(value, what: str, error: type[Exception]) -> tuple[str, ...]:
     return names
 
 
+def _real_array(value, what: str, error: type[Exception]) -> np.ndarray:
+    """`value` as a float64 array; raises `error` if ragged or not of real numbers."""
+    with contextlib.suppress(ValueError):  # numpy refuses a ragged nesting
+        array = np.asarray(value)
+        if array.dtype.kind in "iuf":  # not bool, complex, str or object
+            return array.astype(float, copy=False)
+    raise error(f"{what} must be a rectangular array of real numbers")
+
+
 @dataclass(frozen=True)
 class CsvSchema:
     """Column mapping for :func:`load_csv`.
@@ -57,6 +67,8 @@ class CsvSchema:
     covariates: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.group, str):
+            raise DataError(f"schema group must be a str, got {self.group!r}")
         object.__setattr__(self, "outcomes", _names(self.outcomes, "schema outcomes", DataError))
         object.__setattr__(self, "covariates",
                            _names(self.covariates, "schema covariates", DataError))
@@ -95,8 +107,8 @@ class Dataset:
         object.__setattr__(self, "groups", _names(self.groups, "groups", DataError))
         object.__setattr__(self, "n_i",
                            tuple(_integer(m, "group size", DataError) for m in self.n_i))
-        Y = np.ascontiguousarray(np.asarray(self.Y, dtype=float))
-        Z = np.ascontiguousarray(np.asarray(self.Z, dtype=float))
+        Y = np.ascontiguousarray(_real_array(self.Y, "Y", DataError))
+        Z = np.ascontiguousarray(_real_array(self.Z, "Z", DataError))
         if Y.ndim != 2 or Y.shape[1] < 1:
             raise DataError("Y must be a 2-d matrix with at least one column")
         if Z.ndim != 2:
@@ -120,10 +132,9 @@ class Dataset:
                 raise DataError(f"{field} length must equal {dim}")
             object.__setattr__(self, field,
                                names or tuple(f"{prefix}{j + 1}" for j in range(M.shape[1])))
-        for arr in (Y, Z):
+        for name, arr in (("Y", Y), ("Z", Z)):
             arr.setflags(write=False)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "Z", Z)
+            object.__setattr__(self, name, arr)
 
     @property
     def k(self) -> int:
@@ -151,8 +162,9 @@ class Dataset:
         covariate_names=(),
     ) -> "Dataset":
         """Assemble a dataset from per-group 2-d outcome (and covariate) blocks."""
-        Ys = [np.asarray(b, dtype=float) for b in Y_blocks]
-        Zs = [] if Z_blocks is None else [np.asarray(b, dtype=float) for b in Z_blocks]
+        Ys = [_real_array(b, "an outcome block", DataError) for b in Y_blocks]
+        Zs = [] if Z_blocks is None else [_real_array(b, "a covariate block", DataError)
+                                          for b in Z_blocks]
         if any(b.ndim != 2 for b in Ys + Zs):
             raise DataError("outcome and covariate blocks must be 2-d (rows x columns)")
         if len({b.shape[1] for b in Ys}) != 1 or len({b.shape[1] for b in Zs}) > 1:
@@ -236,9 +248,9 @@ def _read_csv(path, error, what: str):
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Load a dataset from a UTF-8 CSV file, BOM optional, with a header row.
 
-    Rows are regrouped so that each group's rows are contiguous, in file
-    order within each group; groups are ordered by first appearance in the
-    file.  The file row order is not kept.
+    Each group's rows, in file order, form its block for
+    :meth:`Dataset.from_group_blocks`, and groups are ordered by first
+    appearance in the file.  The file row order is not kept.
 
     Raises
     ------
@@ -257,30 +269,17 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             raise DataError(f"repeated column '{name}' in {path}")
         col_idx[name] = header.index(name)
 
-    labels: list[str] = []
-    values: list[list[float]] = []
+    blocks: dict[str, list[list[float]]] = {}  # groups in first-appearance order
     for line_no, row in rows:
         label = row[col_idx[schema.group]].strip()
         if label == "":
             raise DataError(f"empty group label at data row {line_no}")
-        labels.append(label)
-        values.append([_parse_cell(row[col_idx[c]], c, line_no) for c in columns])
+        blocks.setdefault(label, []).append(
+            [_parse_cell(row[col_idx[c]], c, line_no) for c in columns])
 
-    groups = list(dict.fromkeys(labels))  # first-appearance order
-    if len(groups) < 2:
-        raise DataError("k >= 2 required: found a single group")
-
-    order = np.argsort([groups.index(lbl) for lbl in labels], kind="stable")
-    cells = np.asarray(values, dtype=float)[order]
-    d = len(schema.outcomes)
-    return Dataset(
-        groups=tuple(groups),
-        n_i=tuple(labels.count(g) for g in groups),
-        Y=cells[:, :d],
-        Z=cells[:, d:],
-        outcome_names=schema.outcomes,
-        covariate_names=schema.covariates,
-    )
+    cells, d = [np.array(block) for block in blocks.values()], len(schema.outcomes)
+    return Dataset.from_group_blocks(tuple(blocks), [b[:, :d] for b in cells],
+                                     [b[:, d:] for b in cells], schema.outcomes, schema.covariates)
 
 
 def validate(ds: Dataset) -> ValidationReport:

@@ -187,8 +187,8 @@ class MctpResult:
             "contrasts": [asdict(o) for o in self.contrasts],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def format_result_table(result: MctpResult) -> str:

@@ -338,6 +338,8 @@ def run_study(scenarios, runs: int, B: int, alpha: float, seed: int,
         raise SimulationError(f"runs must be <= {sys.maxsize}")
     if workers < 1:
         raise SimulationError("workers must be >= 1")
+    if not np.iterable(scenarios):
+        raise SimulationError(f"scenarios must be an iterable of SimScenario, got {scenarios!r}")
     scenarios = list(scenarios)
     for i, scenario in enumerate(scenarios):
         if not isinstance(scenario, SimScenario):

@@ -403,14 +403,23 @@ class TestWild:
         assert messages == {"degenerate bootstrap distribution: more than 1% of "
                             "replicates invalid (2000 redraws for B=2000)"}
 
-    def test_replicate_invalid_on_every_attempt_raises(self, monkeypatch):
-        # Without the 1% abort, replicate 0 is redrawn until MAX_ATTEMPTS.
-        dm, zero_fit, cov = zero_residual_fit(31)
-        monkeypatch.setattr(bootstrap, "INVALID_ABORT_FRACTION", 1000.0)
-        with pytest.raises(EstimationError,
-                           match="replicate 0 invalid after 64 attempts"):
-            run_bootstrap(BootstrapConfig("wild", 2, 2), dm, zero_fit, cov,
-                          build_family("two_sample", 2, 1))
+    def test_replicate_invalid_on_every_attempt_stops_on_the_one_percent_budget(
+            self, monkeypatch, fitted_small):
+        """Replicate 0 redrawn in every pass ends the run after floor(0.01 B) + 1 passes."""
+        _, dm, fit, cov = fitted_small
+        replicates, attempts = bootstrap._Engine.replicates, []
+
+        def replicate_0_invalid(engine, seed, index, attempt, A_star):
+            attempts.append(attempt)
+            return replicates(engine, seed, index, attempt, A_star) & (index != 0)
+
+        monkeypatch.setattr(bootstrap._Engine, "replicates", replicate_0_invalid)
+        with pytest.raises(EstimationError) as raised:
+            run_bootstrap(BootstrapConfig("wild", 10_000, 2), dm, fit, cov,
+                          build_family("two_sample", 2, dm.d))
+        assert str(raised.value) == ("degenerate bootstrap distribution: more than 1% of "
+                                     "replicates invalid (101 redraws for B=10000)")
+        assert attempts == list(range(101))
 
     def test_groups_of_two_without_covariates_are_degenerate(self):
         # Residuals e and -e: half of the sign draws zero a group's replicate

@@ -583,6 +583,12 @@ class TestContrastsCommand:
         assert code == 2
         assert "k=2" in err
 
+    def test_negative_outcome_count_exits_2_with_one_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["contrasts", "--contrast", "tukey", "--k", "3", "--d", "-1"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: contrasts require d>=1 outcome components, got d=-1"]
+
 
 @pytest.mark.parametrize("argv, usage, message", [
     (["analyze", "--bogus"], "usage: bootmctp [-h]", "unrecognized arguments: --bogus"),

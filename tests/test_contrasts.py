@@ -122,6 +122,12 @@ class TestFamilyProperties:
         with pytest.raises(ContrastError, match="contrasts require k>=2 groups, got k=1"):
             build_family(family, 1, 2)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_fewer_than_one_outcome_component_rejected(self, d):
+        with pytest.raises(ContrastError) as info:
+            build_family("tukey", 3, d)
+        assert str(info.value) == f"contrasts require d>=1 outcome components, got d={d}"
+
     def test_wrong_number_of_names_rejected(self):
         with pytest.raises(ContrastError, match="expected 3 group names, got 2"):
             build_family("dunnett", 3, 2, group_names=["a", "b"])

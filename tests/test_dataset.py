@@ -1,5 +1,6 @@
 import codecs
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,12 @@ class TestLoadCsv:
     def test_schema_rules(self, outcomes, covariates, message):
         with pytest.raises(DataError, match=message):
             CsvSchema(group="group", outcomes=outcomes, covariates=covariates)
+
+    @pytest.mark.parametrize("group", [["group"], ("group",), 3, None])
+    def test_schema_group_is_one_str(self, group):
+        with pytest.raises(DataError) as info:
+            CsvSchema(group=group, outcomes=("y1",))
+        assert str(info.value) == f"schema group must be a str, got {group!r}"
 
     def test_repeated_column_outside_the_schema_allowed(self, tmp_path):
         header = ["note", "group", "y1", "y2", "z1", "note"]
@@ -365,4 +372,35 @@ def test_name_sequences_take_only_str_sequences(build, error, message):
     """A bare str is not split into characters, and a name that is not a str is refused."""
     with pytest.raises(error) as info:
         build()
+    assert str(info.value) == message
+
+
+TWO_ROWS = {"groups": ("a", "b"), "n_i": (1, 1)}
+REAL = "must be a rectangular array of real numbers"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Dataset(Y=[["x"], ["y"]], Z=np.zeros((2, 0)), **TWO_ROWS), DataError, f"Y {REAL}"),
+    (lambda: Dataset(Y=np.ones((2, 1)) * (1 + 1j), Z=np.zeros((2, 0)), **TWO_ROWS), DataError,
+     f"Y {REAL}"),
+    (lambda: Dataset(Y=np.ones((2, 1)), Z=[[1.0], [2.0, 3.0]], **TWO_ROWS), DataError,
+     f"Z {REAL}"),
+    (lambda: Dataset(Y=np.ones((2, 1)), Z=np.ones((2, 1), dtype=bool), **TWO_ROWS), DataError,
+     f"Z {REAL}"),
+    (lambda: Dataset.from_group_blocks(["a", "b"], [[["1"]], [[2.0]]]), DataError,
+     f"an outcome block {REAL}"),
+    (lambda: Dataset.from_group_blocks(["a", "b"], [np.ones((1, 1))] * 2,
+                                       [[[1j]], [[2.0]]]), DataError,
+     f"a covariate block {REAL}"),
+    (lambda: ContrastMatrix([[1, -1], [1]]), ContrastError, f"contrast matrix {REAL}"),
+    (lambda: ContrastMatrix([["1", "-1"]]), ContrastError, f"contrast matrix {REAL}"),
+    (lambda: ContrastMatrix([[1 + 0j, -1]]), ContrastError, f"contrast matrix {REAL}"),
+], ids=["Y-str", "Y-complex", "Z-ragged", "Z-bool", "Y-block-str", "Z-block-complex",
+        "H-ragged", "H-str", "H-complex"])
+def test_array_fields_take_only_real_numbers(build, error, message):
+    """A str, complex, bool or ragged array is refused, not cast or truncated."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning on a truncating cast
+        with pytest.raises(error) as info:
+            build()
     assert str(info.value) == message

@@ -388,6 +388,14 @@ class TestRunStudy:
         assert got == want
         assert {type(r.runs) for r in got} == {int}
 
+    @pytest.mark.parametrize("scenarios", [
+        None, SimScenario(k=2, d=2, contrast_family="two_sample")])
+    def test_scenarios_that_are_not_iterable_rejected(self, scenarios):
+        with pytest.raises(SimulationError) as info:
+            run_study(scenarios, runs=2, B=20, alpha=0.05, seed=1)
+        assert str(info.value) == (f"scenarios must be an iterable of SimScenario, "
+                                   f"got {scenarios!r}")
+
     def test_zero_runs_rejected(self):
         with pytest.raises(SimulationError, match="runs"):
             run_study([SimScenario(k=2, d=2, contrast_family="two_sample")],
