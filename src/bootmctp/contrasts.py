@@ -4,7 +4,8 @@ Every row is a contrast vector over the kd adjusted means (group-major
 layout: group index varies slowest, outcome component fastest).
 :func:`build_family` produces H_u kron I_d, where H_u is a family's
 univariate comparison pattern; its rows are ordered with outcome components
-varying fastest.
+varying fastest.  Labels, group and outcome names and the numeric cells of
+a contrast file follow the rules that :mod:`bootmctp.dataset` owns.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _integer, _names, _read_csv, _real_array
+from .dataset import _integer, _names, _parse_cell, _read_csv, _real_array
 from .exceptions import ContrastError
 
 ROW_SUM_TOL = 1e-12
@@ -31,10 +32,8 @@ class ContrastMatrix:
         if H.ndim != 2 or H.size == 0:
             raise ContrastError("contrast matrix must be 2-d with at least one row")
         object.__setattr__(self, "H", H)
-        object.__setattr__(self, "labels", _names(self.labels, "labels", ContrastError)
-                           or tuple(f"contrast {s + 1}" for s in range(H.shape[0])))
-        if len(self.labels) != H.shape[0]:
-            raise ContrastError("one label per contrast row required")
+        object.__setattr__(self, "labels", _names(self.labels, "labels", ContrastError,
+                                                  H.shape[0], "contrast "))
         for s, row in enumerate(H):
             if not np.all(np.isfinite(row)):
                 raise ContrastError(f"contrast row {s + 1} has a non-finite entry")
@@ -57,7 +56,8 @@ def from_csv(path, k: int, d: int) -> ContrastMatrix:
     """Load custom contrasts from CSV: k*d numeric columns, optional 'label'.
 
     The file is read as :func:`~bootmctp.dataset.load_csv` reads data: UTF-8
-    with or without a BOM, a stripped header, and blank rows skipped.
+    with or without a BOM, a stripped header, blank rows skipped, and an
+    empty, non-numeric or non-finite cell named by its column and row.
     The label column is recognized by the header name 'label' (case
     insensitive); all remaining columns are contrast coefficients in
     group-major order.
@@ -72,14 +72,8 @@ def from_csv(path, k: int, d: int) -> ContrastMatrix:
             f"contrast file has {len(coef_cols)} coefficient columns, "
             f"expected k*d = {k * d}"
         )
-    H = []
-    for line_no, row in rows:
-        try:
-            H.append([float(row[j]) for j in coef_cols])
-        except ValueError:
-            raise ContrastError(
-                f"non-numeric coefficient at contrast row {line_no}"
-            ) from None
+    H = [[_parse_cell(row[j], header[j], line_no, ContrastError, "contrast") for j in coef_cols]
+         for line_no, row in rows]
     labels = [row[label_col].strip() if label_col is not None else f"contrast {line_no}"
               for line_no, row in rows]
     return ContrastMatrix(H=H, labels=tuple(labels))
@@ -96,13 +90,6 @@ _FAMILIES = {
     "grand_mean": ("grand-mean", lambda e, g: [(e[i] - 1.0 / len(e), f"{g[i]} - grand mean")
                                                for i in range(len(e))]),
 }
-
-
-def _labels(prefix: str, count: int, given) -> tuple[str, ...]:
-    given = () if given is None else _names(given, f"{prefix} names", ContrastError)
-    if given and len(given) != count:
-        raise ContrastError(f"expected {count} {prefix} names, got {len(given)}")
-    return given or tuple(f"{prefix} {j + 1}" for j in range(count))
 
 
 def build_family(
@@ -123,7 +110,8 @@ def build_family(
         raise ContrastError(f"{word} contrasts require {need} groups, got k={k}")
     if d < 1:
         raise ContrastError(f"contrasts require d>=1 outcome components, got d={d}")
-    rows = pattern(np.eye(k), _labels("group", k, group_names))
-    o = _labels("outcome", d, outcome_names)
+    g, o = (() if names is None else names for names in (group_names, outcome_names))
+    rows = pattern(np.eye(k), _names(g, "group names", ContrastError, k, "group "))
+    o = _names(o, "outcome names", ContrastError, d, "outcome ")
     H = np.kron([row for row, _ in rows], np.eye(d)) + 0.0  # + 0.0 normalizes -0.0
     return ContrastMatrix(H=H, labels=tuple(f"{name}, {out}" for _, name in rows for out in o))

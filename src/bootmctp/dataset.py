@@ -30,11 +30,22 @@ def _real(value, what: str, error: type[Exception]) -> None:
         raise error(f"{what} must be a real number, got {value!r}")
 
 
-def _names(value, what: str, error: type[Exception]) -> tuple[str, ...]:
-    """`value` as a tuple of str; raises `error` for a bare str, a non-iterable or a non-str."""
-    names = None if isinstance(value, str) or not np.iterable(value) else tuple(value)
-    if names is None or not all(isinstance(name, str) for name in names):
-        raise error(f"{what} must be a sequence of str, got {value!r}")
+def _sequence(value, what: str, error: type[Exception], of: str, entry=None) -> tuple:
+    """`value` as a tuple; raises `error` on a bare str, a non-iterable or an `entry` failure."""
+    items = None if isinstance(value, str) or not np.iterable(value) else tuple(value)
+    if items is None or entry and not all(map(entry, items)):
+        raise error(f"{what} must be a sequence of {of}, got {value!r}")
+    return items
+
+
+def _names(value, what: str, error: type[Exception], count=None, prefix="") -> tuple[str, ...]:
+    """`value` as distinct str, `count` of them if given; none given are `prefix`1, 2, ..."""
+    names = _sequence(value, what, error, "str", lambda name: isinstance(name, str))
+    names = names or tuple(f"{prefix}{j + 1}" for j in range(count or 0))
+    if count is not None and len(names) != count:
+        raise error(f"expected {count} {what}, got {len(names)}")
+    if len(set(names)) != len(names):
+        raise error(f"{what} must be distinct, got {names!r}")
     return names
 
 
@@ -74,9 +85,7 @@ class CsvSchema:
                            _names(self.covariates, "schema covariates", DataError))
         if not self.outcomes:
             raise DataError("schema must declare at least one outcome column")
-        names = [self.group, *self.outcomes, *self.covariates]
-        if len(set(names)) != len(names):
-            raise DataError("schema columns must be distinct")
+        _names((self.group, *self.outcomes, *self.covariates), "schema columns", DataError)
 
 
 @dataclass(frozen=True)
@@ -105,8 +114,8 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "groups", _names(self.groups, "groups", DataError))
-        object.__setattr__(self, "n_i",
-                           tuple(_integer(m, "group size", DataError) for m in self.n_i))
+        n_i = _sequence(self.n_i, "n_i", DataError, "integers")
+        object.__setattr__(self, "n_i", tuple(_integer(m, "group size", DataError) for m in n_i))
         Y = np.ascontiguousarray(_real_array(self.Y, "Y", DataError))
         Z = np.ascontiguousarray(_real_array(self.Z, "Z", DataError))
         if Y.ndim != 2 or Y.shape[1] < 1:
@@ -125,13 +134,9 @@ class Dataset:
             raise DataError("row counts of Y and Z must equal sum(n_i)")
         if not np.all(np.isfinite(Y)) or not np.all(np.isfinite(Z)):
             raise DataError("non-finite values in Y or Z")
-        for field, M, dim, prefix in (("outcome_names", Y, "d", "Y"),
-                                      ("covariate_names", Z, "c", "Z")):
-            names = _names(getattr(self, field), field, DataError)
-            if names and len(names) != M.shape[1]:
-                raise DataError(f"{field} length must equal {dim}")
-            object.__setattr__(self, field,
-                               names or tuple(f"{prefix}{j + 1}" for j in range(M.shape[1])))
+        for field, name, arr in (("outcome_names", "Y", Y), ("covariate_names", "Z", Z)):
+            object.__setattr__(self, field, _names(getattr(self, field), field, DataError,
+                                                   arr.shape[1], name))
         for name, arr in (("Y", Y), ("Z", Z)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -162,9 +167,11 @@ class Dataset:
         covariate_names=(),
     ) -> "Dataset":
         """Assemble a dataset from per-group 2-d outcome (and covariate) blocks."""
-        Ys = [_real_array(b, "an outcome block", DataError) for b in Y_blocks]
-        Zs = [] if Z_blocks is None else [_real_array(b, "a covariate block", DataError)
-                                          for b in Z_blocks]
+        Ys = [_real_array(b, "an outcome block", DataError)
+              for b in _sequence(Y_blocks, "Y_blocks", DataError, "arrays")]
+        Zs = [] if Z_blocks is None else [
+            _real_array(b, "a covariate block", DataError)
+            for b in _sequence(Z_blocks, "Z_blocks", DataError, "arrays")]
         if any(b.ndim != 2 for b in Ys + Zs):
             raise DataError("outcome and covariate blocks must be 2-d (rows x columns)")
         if len({b.shape[1] for b in Ys}) != 1 or len({b.shape[1] for b in Zs}) > 1:
@@ -195,20 +202,16 @@ class ValidationReport:
         return not self.errors
 
 
-def _parse_cell(raw: str, column: str, line_no: int) -> float:
+def _parse_cell(raw: str, column: str, line_no: int, error: type[Exception], what: str) -> float:
+    """The finite number in one cell; raises `error`, naming the column and `what` row."""
     text = raw.strip()
-    if text == "":
-        raise DataError(f"missing value in column '{column}' at data row {line_no}")
     try:
         value = float(text)
     except ValueError:
-        raise DataError(
-            f"non-numeric cell '{text}' in column '{column}' at data row {line_no}"
-        ) from None
+        problem = "missing value" if text == "" else f"non-numeric cell '{text}'"
+        raise error(f"{problem} in column '{column}' at {what} row {line_no}") from None
     if not np.isfinite(value):
-        raise DataError(
-            f"non-finite value '{text}' in column '{column}' at data row {line_no}"
-        )
+        raise error(f"non-finite value '{text}' in column '{column}' at {what} row {line_no}")
     return value
 
 
@@ -275,7 +278,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         if label == "":
             raise DataError(f"empty group label at data row {line_no}")
         blocks.setdefault(label, []).append(
-            [_parse_cell(row[col_idx[c]], c, line_no) for c in columns])
+            [_parse_cell(row[col_idx[c]], c, line_no, DataError, "data") for c in columns])
 
     cells, d = [np.array(block) for block in blocks.values()], len(schema.outcomes)
     return Dataset.from_group_blocks(tuple(blocks), [b[:, :d] for b in cells],

@@ -4,6 +4,7 @@ import itertools
 import multiprocessing
 import os
 import sys
+import threading
 import warnings
 import weakref
 
@@ -239,6 +240,26 @@ class TestDeterminism:
             run_bootstrap(BootstrapConfig("wild", 1000, 3), dm, fit, cov,
                           build_family("two_sample", 2, 5))
         assert sorted(calls) == [0, 500]
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_only_a_one_thread_bootstrap_runs_on_the_calling_thread(self, fitted_small,
+                                                                    monkeypatch, T):
+        """T = 1 starts no pool, so its engine runs where a caller's tracer sees it."""
+        ds, dm, fit, cov = fitted_small
+        real = _Engine.replicates
+        threads = []
+
+        def replicates(self, *args):
+            threads.append(threading.current_thread())
+            return real(self, *args)
+
+        force_threads(monkeypatch, T)
+        monkeypatch.setattr(_Engine, "replicates", replicates)
+        run_bootstrap(BootstrapConfig("wild", 200, 3), dm, fit, cov,
+                      build_family("two_sample", 2, 2))
+        caller = threading.current_thread()
+        assert len(threads) == T
+        assert all((thread is caller) == (T == 1) for thread in threads)
 
     @pytest.mark.parametrize("kind", ["wild", "parametric"])
     @pytest.mark.parametrize("cells", [1000, 7 * 1500, bootstrap.CHUNK_CELLS])

@@ -161,7 +161,8 @@ class TestAnalyze:
             "--B", "200", "--out", str(out_dir),
         ])
         assert code == 2
-        assert err.splitlines() == ["error: contrast row 1 has a non-finite entry"]
+        assert err.splitlines() == ["error: non-finite value 'nan' in column 'c2' "
+                                    "at contrast row 1"]
         assert out == "" and not out_dir.exists()
 
     def test_overflowing_custom_contrast_exits_2_at_the_observed_fit(self, capsys,
@@ -588,6 +589,12 @@ class TestContrastsCommand:
             capsys, ["contrasts", "--contrast", "tukey", "--k", "3", "--d", "-1"])
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: contrasts require d>=1 outcome components, got d=-1"]
+
+    def test_repeated_group_names_exit_2_with_one_line(self, capsys):
+        code, out, err = run_cli(capsys, ["contrasts", "--contrast", "dunnett", "--k", "3",
+                                          "--d", "1", "--groups", "a,b,a"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: group names must be distinct, got ('a', 'b', 'a')"]
 
 
 @pytest.mark.parametrize("argv, usage, message", [

@@ -208,7 +208,7 @@ class TestCustom:
         assert cm.labels == ("contrast 1", "contrast 2")
 
     def test_one_label_per_row(self):
-        with pytest.raises(ContrastError, match="one label per contrast row"):
+        with pytest.raises(ContrastError, match="^expected 2 labels, got 1$"):
             ContrastMatrix(H=np.array([[1.0, -1.0], [-1.0, 1.0]]), labels=("a",))
 
     def test_three_dimensional_matrix_rejected(self, hrv_path):
@@ -259,6 +259,19 @@ class TestFromCsv:
                 "^inconsistent row length at contrast row 3: expected 2 fields, "
                 "got 3$")):
             from_csv(str(path), k=2, d=1)
+
+    @pytest.mark.parametrize("cell, message", [
+        ("", "missing value in column 'c2' at contrast row 3"),
+        (" x ", "non-numeric cell 'x' in column 'c2' at contrast row 3"),
+        ("inf", "non-finite value 'inf' in column 'c2' at contrast row 3"),
+    ], ids=["empty", "x", "inf"])
+    def test_cells_are_read_as_data_cells(self, tmp_path, cell, message):
+        """A coefficient cell is named by its column and row, as a data file's cell is."""
+        path = tmp_path / "cells.csv"
+        path.write_text(f"label,c1,c2\nfirst,1,-1\n\nsecond,-1,{cell}\n")
+        with pytest.raises(ContrastError) as info:
+            from_csv(str(path), k=2, d=1)
+        assert str(info.value) == message
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"

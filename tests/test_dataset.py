@@ -8,6 +8,7 @@ import pytest
 
 from bootmctp import (BootstrapConfig, ContrastError, ContrastMatrix, CsvSchema, Dataset,
                       DataError, EstimationError, build_family, load_csv, run_mctp, validate)
+from bootmctp.contrasts import from_csv
 from bootmctp.dataset import group_slices
 from bootmctp.simgen import gen_covariates
 
@@ -116,7 +117,7 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("outcomes, covariates, message", [
         ((), (), "at least one outcome column"),
-        (("y1", "y1"), (), "schema columns must be distinct"),
+        (("y1", "y1"), (), r"^schema outcomes must be distinct, got \('y1', 'y1'\)$"),
         (("y1",), ("group",), "schema columns must be distinct"),
         ("SDNN", (), "^schema outcomes must be a sequence of str, got 'SDNN'$"),  # not S, D, N, N
         ("HF", (), "^schema outcomes must be a sequence of str, got 'HF'$"),  # not H, F
@@ -201,8 +202,8 @@ class TestDatasetInvariants:
         ({"n_i": (2, 2)}, "row counts of Y and Z must equal sum"),
         ({"Z": np.ones((4, 1))}, "row counts of Y and Z must equal sum"),
         ({"Z": [[0.0]] * 4 + [[np.inf]]}, "non-finite values in Y or Z"),
-        ({"outcome_names": ("a",)}, "outcome_names length must equal d"),
-        ({"covariate_names": ("a", "b")}, "covariate_names length must equal c"),
+        ({"outcome_names": ("a",)}, "expected 2 outcome_names, got 1"),
+        ({"covariate_names": ("a", "b")}, "expected 1 covariate_names, got 2"),
         ({"n_i": (2.7, 3.2)}, "group size must be an integer, got 2.7"),
         ({"n_i": ("2", 3)}, "group size must be an integer, got '2'"),
     ])
@@ -229,6 +230,24 @@ class TestDatasetInvariants:
     def test_group_blocks_rules(self, Y_blocks, Z_blocks, message):
         with pytest.raises(DataError) as info:
             Dataset.from_group_blocks(["a", "b"], Y_blocks, Z_blocks)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Dataset(("a", "b"), None, np.ones((2, 1)), np.zeros((2, 0))),
+         "n_i must be a sequence of integers, got None"),
+        (lambda: Dataset(("a", "b"), 2, np.ones((2, 1)), np.zeros((2, 0))),
+         "n_i must be a sequence of integers, got 2"),
+        (lambda: Dataset.from_group_blocks(["a", "b"], None),
+         "Y_blocks must be a sequence of arrays, got None"),
+        (lambda: Dataset.from_group_blocks(["a", "b"], 3.0),
+         "Y_blocks must be a sequence of arrays, got 3.0"),
+        (lambda: Dataset.from_group_blocks(["a", "b"], [np.ones((1, 1))] * 2, 0),
+         "Z_blocks must be a sequence of arrays, got 0"),
+    ], ids=["n_i-None", "n_i-int", "Y_blocks-None", "Y_blocks-float", "Z_blocks-int"])
+    def test_sizes_and_blocks_must_be_sequences(self, build, message):
+        """A non-iterable size or block list is one DataError line, not a bare TypeError."""
+        with pytest.raises(DataError) as info:
+            build()
         assert str(info.value) == message
 
     def test_numpy_group_sizes_stored_as_python_ints(self):
@@ -372,6 +391,44 @@ def test_name_sequences_take_only_str_sequences(build, error, message):
     """A bare str is not split into characters, and a name that is not a str is refused."""
     with pytest.raises(error) as info:
         build()
+    assert str(info.value) == message
+
+
+def contrast_file(tmp_path, text):
+    path = tmp_path / "contrasts.csv"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda tmp: Dataset(groups=("a", "a"), **FOUR_ROWS), DataError,
+     "groups must be distinct, got ('a', 'a')"),
+    (lambda tmp: Dataset(groups=("a", "b"), outcome_names=("y", "y"), **FOUR_ROWS), DataError,
+     "outcome_names must be distinct, got ('y', 'y')"),
+    (lambda tmp: Dataset(("a", "b"), (2, 2), np.ones((4, 1)), np.zeros((4, 2)),
+                         covariate_names=["z", "z"]), DataError,
+     "covariate_names must be distinct, got ('z', 'z')"),
+    (lambda tmp: Dataset.from_group_blocks(["a", "b", "a"], [np.ones((2, 1))] * 3), DataError,
+     "groups must be distinct, got ('a', 'b', 'a')"),
+    (lambda tmp: CsvSchema(group="g", outcomes=("y1",), covariates=("z", "z")), DataError,
+     "schema covariates must be distinct, got ('z', 'z')"),
+    (lambda tmp: ContrastMatrix([[1, -1], [-1, 1]], ("x", "x")), ContrastError,
+     "labels must be distinct, got ('x', 'x')"),
+    (lambda tmp: build_family("dunnett", 3, 1, group_names=("a", "b", "a")), ContrastError,
+     "group names must be distinct, got ('a', 'b', 'a')"),
+    (lambda tmp: build_family("tukey", 2, 2, outcome_names=["y", "y"]), ContrastError,
+     "outcome names must be distinct, got ('y', 'y')"),
+    (lambda tmp: from_csv(contrast_file(tmp, "label,c1,c2\nx,1,-1\n\n x ,-1,1\n"), 2, 1),
+     ContrastError, "labels must be distinct, got ('x', 'x')"),
+    (lambda tmp: from_csv(contrast_file(tmp, "Label,c1,c2\n,1,-1\n ,-1,1\n"), 2, 1),
+     ContrastError, "labels must be distinct, got ('', '')"),
+], ids=["Dataset-groups", "Dataset-outcome_names", "Dataset-covariate_names",
+        "blocks-groups", "schema-covariates", "labels", "build_family-groups",
+        "build_family-outcomes", "from_csv-labels", "from_csv-blank-labels"])
+def test_repeated_names_refused(tmp_path, build, error, message):
+    """A name ties a group, an outcome or a contrast to its result rows, so each is distinct."""
+    with pytest.raises(error) as info:
+        build(tmp_path)
     assert str(info.value) == message
 
 
