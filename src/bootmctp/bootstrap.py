@@ -76,7 +76,7 @@ from .covariance import (
     psd_sqrt,
     studentize,
 )
-from .dataset import _integer, group_slices
+from .dataset import _integer, _real_array, group_slices
 from .design import DesignMatrices, FitResult
 from .exceptions import ConfigError, EstimationError
 from ._rng import replicate_streams
@@ -132,7 +132,7 @@ def _rank_abs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class BootstrapDraws:
-    """B x r matrix of bootstrap statistics, one row per replicate.
+    """B x r matrix of bootstrap statistics, one row per replicate, kept as a read-only copy.
 
     ``sorted_abs`` (|A_star|, each column sorted ascending) and ``ranks``
     come from one sort on construction (:func:`_rank_abs`): the level
@@ -148,10 +148,12 @@ class BootstrapDraws:
     ranks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.A_star.setflags(write=False)
-        if not np.all(np.isfinite(self.A_star)):
+        A_star = _real_array(self.A_star, "bootstrap statistics", EstimationError)
+        if A_star.ndim != 2 or A_star.size == 0:
+            raise EstimationError("bootstrap statistics must be a B x r matrix with B, r >= 1")
+        if not np.all(np.isfinite(A_star)):
             raise EstimationError("bootstrap statistics contain non-finite values")
-        for name, value in zip(("sorted_abs", "ranks"), _rank_abs(self.A_star)):
+        for name, value in zip(("A_star", "sorted_abs", "ranks"), (A_star, *_rank_abs(A_star))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -321,7 +323,7 @@ def _run_passes(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
     """Fill `A_star` with valid replicates, one pass per attempt; return the redraws.
 
     The engines and their chunk buffers live only for this call, so they
-    are freed before :class:`BootstrapDraws` sorts its copy of |A_star|: a
+    are freed before :class:`BootstrapDraws` copies and sorts A_star: a
     copy allocated above them kept the heap from shrinking, which raised
     the peak memory of a study process by about 3 MB (n=400, d=5, r=30).
     """

@@ -22,7 +22,7 @@ ROW_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ContrastMatrix:
-    """Validated r x (k*d) contrast matrix; unlabelled rows are named contrast 1..r."""
+    """Validated r x (k*d) contrast matrix; rows are named by label, contrast 1..r by default."""
 
     H: np.ndarray
     labels: tuple[str, ...] = ()
@@ -34,18 +34,15 @@ class ContrastMatrix:
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "labels", _names(self.labels, "labels", ContrastError,
                                                   H.shape[0], "contrast "))
-        for s, row in enumerate(H):
+        for label, row in zip(self.labels, H):
             if not np.all(np.isfinite(row)):
-                raise ContrastError(f"contrast row {s + 1} has a non-finite entry")
+                raise ContrastError(f"row '{label}' has a non-finite entry")
             scale = np.max(np.abs(row))
             if scale == 0.0:
-                raise ContrastError(f"contrast row {s + 1} is all-zero")
+                raise ContrastError(f"row '{label}' is all-zero")
             if abs(row.sum()) > ROW_SUM_TOL * max(1.0, scale):
-                raise ContrastError(
-                    f"row {s + 1} is not a contrast: coefficients sum to "
-                    f"{row.sum():.3g}, expected 0"
-                )
-        H.setflags(write=False)
+                raise ContrastError(f"row '{label}' is not a contrast: coefficients sum "
+                                    f"to {row.sum():.3g}, expected 0")
 
     @property
     def r(self) -> int:

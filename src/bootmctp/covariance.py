@@ -81,11 +81,11 @@ def sandwich(dm: DesignMatrices, fit: FitResult) -> CovarianceEstimate:
     weights = hc4_weights(dm.leverages)
     U1 = (dm.X @ dm.gram_inv)[:, : dm.k]
     wU1sq = weights[:, None] * U1**2
-    D = _sandwich_diagonal(wU1sq, fit.residuals**2)
-
-    sigmas = None
-    with contextlib.suppress(EstimationError):
-        sigmas = groupwise_cov(fit, dm.n_i, dm.c)
+    with np.errstate(over="ignore"):  # an overflow reads inf, which a later check reports
+        D = _sandwich_diagonal(wU1sq, fit.residuals**2)
+        sigmas = None
+        with contextlib.suppress(EstimationError):
+            sigmas = groupwise_cov(fit, dm.n_i, dm.c)
     return CovarianceEstimate(D=D.reshape(-1), wU1sq=wU1sq, group_sigmas=sigmas)
 
 

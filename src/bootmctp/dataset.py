@@ -2,7 +2,8 @@
 
 A dataset holds k >= 2 groups of d-dimensional outcomes together with c >= 0
 numeric covariates per subject.  Rows are stored contiguously per group, in
-group order, so that group-wise computations are plain index ranges.
+group order, so that group-wise computations are plain index ranges.  Array
+fields are read-only float64 copies, so no caller's array is frozen or shared.
 """
 
 from __future__ import annotations
@@ -50,11 +51,13 @@ def _names(value, what: str, error: type[Exception], count=None, prefix="") -> t
 
 
 def _real_array(value, what: str, error: type[Exception]) -> np.ndarray:
-    """`value` as a float64 array; raises `error` if ragged or not of real numbers."""
+    """A read-only float64 copy of `value`; raises `error` if ragged or not of real numbers."""
     with contextlib.suppress(ValueError):  # numpy refuses a ragged nesting
         array = np.asarray(value)
         if array.dtype.kind in "iuf":  # not bool, complex, str or object
-            return array.astype(float, copy=False)
+            array = array.astype(float, order="C")
+            array.setflags(write=False)
+            return array
     raise error(f"{what} must be a rectangular array of real numbers")
 
 
@@ -116,8 +119,7 @@ class Dataset:
         object.__setattr__(self, "groups", _names(self.groups, "groups", DataError))
         n_i = _sequence(self.n_i, "n_i", DataError, "integers")
         object.__setattr__(self, "n_i", tuple(_integer(m, "group size", DataError) for m in n_i))
-        Y = np.ascontiguousarray(_real_array(self.Y, "Y", DataError))
-        Z = np.ascontiguousarray(_real_array(self.Z, "Z", DataError))
+        Y, Z = _real_array(self.Y, "Y", DataError), _real_array(self.Z, "Z", DataError)
         if Y.ndim != 2 or Y.shape[1] < 1:
             raise DataError("Y must be a 2-d matrix with at least one column")
         if Z.ndim != 2:
@@ -137,8 +139,6 @@ class Dataset:
         for field, name, arr in (("outcome_names", "Y", Y), ("covariate_names", "Z", Z)):
             object.__setattr__(self, field, _names(getattr(self, field), field, DataError,
                                                    arr.shape[1], name))
-        for name, arr in (("Y", Y), ("Z", Z)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -178,15 +178,10 @@ class Dataset:
             raise DataError("need outcome blocks, each kind with one column count")
         if Z_blocks is not None and [len(b) for b in Zs] != [len(b) for b in Ys]:
             raise DataError("each covariate block must have its outcome block's rows")
-        Y = np.vstack(Ys)
-        return cls(
-            groups=groups,
-            n_i=tuple(b.shape[0] for b in Ys),
-            Y=Y,
-            Z=np.empty((Y.shape[0], 0)) if Z_blocks is None else np.vstack(Zs),
-            outcome_names=outcome_names,
-            covariate_names=covariate_names,
-        )
+        n_i, Y = tuple(b.shape[0] for b in Ys), np.vstack(Ys)
+        Z = np.empty((Y.shape[0], 0)) if Z_blocks is None else np.vstack(Zs)
+        del Ys, Zs  # free the block copies before the constructor copies Y and Z
+        return cls(groups, n_i, Y, Z, outcome_names, covariate_names)
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,5 @@ def random_dataset(seed, k=3, d=2, c=2, n_i=(8, 8, 8), mu=None) -> Dataset:
 
 
 def draws_of(A_star) -> BootstrapDraws:
-    """A B x r array of bootstrap statistics as BootstrapDraws.
-
-    The array is copied, because BootstrapDraws freezes the one it holds.
-    """
-    return BootstrapDraws(A_star=np.array(A_star, dtype=float), kind="wild", seed=0)
+    """A B x r array of bootstrap statistics as BootstrapDraws."""
+    return BootstrapDraws(A_star=A_star, kind="wild", seed=0)

@@ -699,6 +699,21 @@ class TestConfigAndDump:
         with pytest.raises(EstimationError, match="contain non-finite values"):
             BootstrapDraws(A_star=np.array([[1.0], [value]]), kind="wild", seed=0)
 
+    @pytest.mark.parametrize("A_star", [np.ones(3), [1.0, 2.0], np.zeros((0, 2)),
+                                        np.zeros((3, 0)), np.ones((2, 2, 1))],
+                             ids=["1-d", "1-d-list", "no-rows", "no-columns", "3-d"])
+    def test_draws_must_be_a_non_empty_matrix(self, A_star):
+        """One EstimationError line, not numpy's AxisError, an AttributeError on
+        a list, or a ZeroDivisionError in adjust_level for B = 0."""
+        with pytest.raises(EstimationError) as info:
+            BootstrapDraws(A_star=A_star, kind="wild", seed=0)
+        assert str(info.value) == "bootstrap statistics must be a B x r matrix with B, r >= 1"
+
+    def test_a_list_of_rows_is_stored_as_float64(self):
+        draws = BootstrapDraws(A_star=[[1, -2], [3, 0]], kind="wild", seed=0)
+        assert draws.A_star.dtype == np.float64
+        assert draws.A_star.tolist() == [[1.0, -2.0], [3.0, 0.0]]
+
     def test_invalid_kind(self):
         with pytest.raises(ConfigError, match="unknown bootstrap kind"):
             BootstrapConfig("jackknife", 10, 1)

@@ -568,7 +568,8 @@ class TestContrastsCommand:
             ["contrasts", "--contrast", f"custom:{path}", "--k", "2", "--d", "2"],
         )
         assert code == 2
-        assert "row 2" in err
+        assert err.splitlines() == [
+            "error: row 'contrast 2' is not a contrast: coefficients sum to 1, expected 0"]
 
     def test_missing_custom_file_exits_1(self, capsys, tmp_path):
         path = tmp_path / "absent.csv"

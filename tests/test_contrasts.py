@@ -184,19 +184,19 @@ class TestCustom:
         assert cm.r == 1
 
     def test_nonzero_sum_rejected(self):
-        with pytest.raises(ContrastError, match="row 1 is not a contrast"):
+        with pytest.raises(ContrastError, match="^row 'contrast 1' is not a contrast"):
             ContrastMatrix([[1.0, 0.0, 0.0, 0.0]])
 
     def test_row_sum_tolerance_edge(self):
         """A row sum of exactly ROW_SUM_TOL times max(1, scale) is a contrast;
         one float more is not."""
         assert ContrastMatrix([[1.0, -1.0, ROW_SUM_TOL]]).r == 1
-        with pytest.raises(ContrastError, match="row 1 is not a contrast"):
+        with pytest.raises(ContrastError, match="^row 'contrast 1' is not a contrast"):
             ContrastMatrix([[1.0, -1.0, np.nextafter(ROW_SUM_TOL, 1.0)]])
 
     def test_names_offending_row(self):
-        with pytest.raises(ContrastError, match="row 2"):
-            ContrastMatrix([[1.0, -1.0], [1.0, 1.0]])
+        with pytest.raises(ContrastError, match="^row 'second' is not a contrast"):
+            ContrastMatrix([[1.0, -1.0], [1.0, 1.0]], labels=["first", "second"])
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ContrastError):
@@ -221,12 +221,12 @@ class TestCustom:
             run_mctp(ds, ContrastMatrix(H3), BootstrapConfig("wild", 20, 1), 0.05)
 
     def test_zero_row_rejected(self):
-        with pytest.raises(ContrastError, match="all-zero"):
+        with pytest.raises(ContrastError, match="^row 'contrast 1' is all-zero$"):
             ContrastMatrix([[0.0, 0.0]])
 
     @pytest.mark.parametrize("row", [[1.0, float("nan")], [float("inf"), -1.0]])
     def test_non_finite_coefficient_rejected(self, row):
-        with pytest.raises(ContrastError, match="row 2 has a non-finite entry"):
+        with pytest.raises(ContrastError, match="^row 'contrast 2' has a non-finite entry$"):
             ContrastMatrix([[1.0, -1.0], row])
 
 
@@ -280,7 +280,10 @@ class TestFromCsv:
             from_csv(str(path), k=2, d=2)
 
     def test_non_contrast_row_named(self, tmp_path):
+        """A blank line counts as a file row in the default label, in the
+        matrix's error as in a cell's error."""
         path = tmp_path / "bad2.csv"
-        path.write_text("c1,c2,c3,c4\n1,-1,0,0\n1,1,0,0\n")
-        with pytest.raises(ContrastError, match="row 2"):
-            from_csv(str(path), k=2, d=2)
+        path.write_text("c1,c2\n1,-1\n\n1,1\n")
+        with pytest.raises(ContrastError, match="^row 'contrast 3' is not a contrast: "
+                                                "coefficients sum to 2, expected 0$"):
+            from_csv(str(path), k=2, d=1)

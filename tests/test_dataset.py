@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bootmctp import (BootstrapConfig, ContrastError, ContrastMatrix, CsvSchema, Dataset,
-                      DataError, EstimationError, build_family, load_csv, run_mctp, validate)
+from bootmctp import (BootstrapConfig, BootstrapDraws, ContrastError, ContrastMatrix, CsvSchema,
+                      Dataset, DataError, EstimationError, build_family, load_csv, run_mctp,
+                      validate)
 from bootmctp.contrasts import from_csv
 from bootmctp.dataset import group_slices
 from bootmctp.simgen import gen_covariates
@@ -452,8 +453,12 @@ REAL = "must be a rectangular array of real numbers"
     (lambda: ContrastMatrix([[1, -1], [1]]), ContrastError, f"contrast matrix {REAL}"),
     (lambda: ContrastMatrix([["1", "-1"]]), ContrastError, f"contrast matrix {REAL}"),
     (lambda: ContrastMatrix([[1 + 0j, -1]]), ContrastError, f"contrast matrix {REAL}"),
+    (lambda: BootstrapDraws(np.ones((2, 1), dtype=bool), "wild", 0), EstimationError,
+     f"bootstrap statistics {REAL}"),
+    (lambda: BootstrapDraws([[1.0], [2.0, 3.0]], "wild", 0), EstimationError,
+     f"bootstrap statistics {REAL}"),
 ], ids=["Y-str", "Y-complex", "Z-ragged", "Z-bool", "Y-block-str", "Z-block-complex",
-        "H-ragged", "H-str", "H-complex"])
+        "H-ragged", "H-str", "H-complex", "A_star-bool", "A_star-ragged"])
 def test_array_fields_take_only_real_numbers(build, error, message):
     """A str, complex, bool or ragged array is refused, not cast or truncated."""
     with warnings.catch_warnings():
@@ -461,3 +466,32 @@ def test_array_fields_take_only_real_numbers(build, error, message):
         with pytest.raises(error) as info:
             build()
     assert str(info.value) == message
+
+
+# Each case: the caller's array, and how a constructor stores it and reads
+# the stored copy back (a block's rows within the stacked field).
+STORED = {
+    "Dataset-Y": (np.ones((4, 2)), lambda a: Dataset(("a", "b"), (2, 2), a, np.zeros((4, 1))).Y),
+    "Dataset-Z": (np.zeros((4, 1)), lambda a: Dataset(("a", "b"), (2, 2), np.ones((4, 2)), a).Z),
+    "Y-block": (np.ones((2, 2)),
+                lambda a: Dataset.from_group_blocks(("a", "b"), [a, np.ones((3, 2))]).Y[:2]),
+    "Z-block": (np.zeros((3, 1)),
+                lambda a: Dataset.from_group_blocks(("a", "b"), [np.ones((2, 2)),
+                                                                 np.ones((3, 2))],
+                                                    [np.zeros((2, 1)), a]).Z[2:]),
+    "H": (np.array([[1.0, -1.0], [0.5, -0.5]]), lambda a: ContrastMatrix(a).H),
+    "A_star": (np.array([[1.0, -2.0], [3.0, 0.5]]),
+               lambda a: BootstrapDraws(a, "wild", 0).A_star),
+}
+
+
+@pytest.mark.parametrize("given, store", STORED.values(), ids=STORED.keys())
+def test_array_fields_store_read_only_copies(given, store):
+    """A constructor keeps its own read-only copy and leaves the caller's array
+    writable, so a later write by the caller does not reach the stored value."""
+    given = given.copy()
+    stored = store(given)
+    before = stored.copy()
+    assert given.flags.writeable and not stored.flags.writeable
+    given += 7.0
+    assert np.array_equal(stored, before)

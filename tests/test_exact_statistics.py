@@ -4,15 +4,18 @@ The bitwise tests and the benchmark digests show that bits did not move;
 these tests check the value of the statistic itself.  The error of a
 statistic is measured as |A - exact| / max(1, |exact|): a decision compares
 |A_n| with a bootstrap quantile of order one, so a statistic near zero
-needs only absolute accuracy.
+needs only absolute accuracy.  The outcome-scale tests compare a run with
+the same run at another scale, which leaves A_n unchanged.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bootmctp import Dataset, build_family
+from bootmctp import Dataset, EstimationError, build_family
 from bootmctp.mctp import _fit
 from bootmctp.simgen import default_nu, gen_covariates
 
@@ -69,3 +72,26 @@ def test_statistics_at_a_covariate_offset(offset, bound):
     cm = build_family("dunnett", 3, 2)
     worst = max(statistic_error(offset_dataset(seed, offset), cm) for seed in range(8))
     assert worst <= bound
+
+
+def scaled_outcomes(scale: float) -> Dataset:
+    """k=3, n_i=15, d=2, c=1, with every outcome multiplied by `scale`."""
+    ds = random_dataset(0, k=3, d=2, c=1, n_i=(15, 15, 15))
+    return Dataset(ds.groups, ds.n_i, ds.Y * scale, ds.Z)
+
+
+def test_overflowing_outcomes_raise_one_error_and_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="overflows: its studentizer"):
+            _fit(scaled_outcomes(1e160), build_family("dunnett", 3, 2))
+
+
+@pytest.mark.xfail(strict=True, raises=EstimationError,
+                   reason="the squared residuals underflow to zero, so every h'Dh "
+                   "reads zero, though A_n does not depend on the outcome scale")
+def test_statistics_at_a_tiny_outcome_scale():
+    cm = build_family("dunnett", 3, 2)
+    A = _fit(scaled_outcomes(1.0), cm)[3]
+    tiny = _fit(scaled_outcomes(1e-300), cm)[3]
+    assert np.max(np.abs(tiny - A) / np.abs(A)) <= TOL
