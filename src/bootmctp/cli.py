@@ -168,6 +168,8 @@ def _cmd_analyze(args) -> int:
     cfg = _settings(args, ANALYZE_SETTINGS)
     boot = BootstrapConfig(kind=cfg["bootstrap"], B=cfg["B"], seed=cfg["seed"])
     _check_alpha(cfg["alpha"])
+    if cfg["dump-draws"] and not cfg["out"]:
+        raise ConfigError("--dump-draws needs --out")
     if not os.path.exists(cfg["input"]):
         raise ConfigError(f"input file not found: {cfg['input']}")
 

@@ -17,7 +17,7 @@ are exact integers.
 
 :func:`run_mctp` and each simulated run in ``simgen`` share one core:
 :func:`_fit` (fit, sandwich studentizer, observed statistics) and
-:func:`_calibrate` (bootstrap, gamma, quantiles, decisions).
+:func:`_decide` (bootstrap, gamma, decisions, intervals: the :class:`MctpResult`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .bootstrap import BootstrapConfig, BootstrapDraws, _check_width, run_bootst
 from .contrasts import ContrastMatrix
 from .covariance import CovarianceEstimate, sandwich, studentize
 from .dataset import Dataset, _real, validate
-from .design import DesignMatrices, FitResult, build_design, fit_ols
+from .design import FitResult, build_design, fit_ols
 from .exceptions import ConfigError, DataError, EstimationError
 
 COARSE_GRID_B = 100
@@ -226,47 +226,20 @@ def _fit(ds: Dataset, contrasts: ContrastMatrix):
     return dm, fit, cov, test_statistics(fit, cov, contrasts)
 
 
-def _calibrate(cfg: BootstrapConfig, dm: DesignMatrices, fit: FitResult,
-               cov: CovarianceEstimate, contrasts: ContrastMatrix,
-               A_n: np.ndarray, alpha: float):
-    """Bootstrap, adjust gamma, decide: (draws, gamma, q, reject = |A_n| > q)."""
+def _decide(ds: Dataset, contrasts: ContrastMatrix, cfg: BootstrapConfig,
+            alpha: float, fitted, warnings=(), keep_draws: bool = False) -> MctpResult:
+    """Bootstrap, adjusted level, decisions, p-values and intervals from
+    :func:`_fit`'s (dm, fit, cov, A_n); `warnings` lead the result's own."""
+    dm, fit, cov, A_n = fitted
     draws = run_bootstrap(cfg, dm, fit, cov, contrasts)
     gamma = adjust_level(draws, alpha)
     q = contrast_quantiles(draws, gamma)
-    return draws, gamma, q, np.abs(A_n) > q
-
-
-def run_mctp(ds: Dataset, contrasts: ContrastMatrix, cfg: BootstrapConfig,
-             alpha: float, keep_draws: bool = False) -> MctpResult:
-    """Full procedure: fit, bootstrap, adjusted level, decisions, intervals.
-
-    Parameters
-    ----------
-    ds : Dataset
-        Input data.  :func:`~bootmctp.dataset.validate` runs here, once: an
-        error raises DataError and the warnings go into the result.
-    contrasts : ContrastMatrix
-        The r contrasts to test simultaneously.
-    cfg : BootstrapConfig
-        Bootstrap scheme, replicate count and seed.
-    alpha : float
-        Global significance level in (0, 1).
-    keep_draws : bool
-        Attach the replicate matrix to the result (for audit dumps).
-    """
-    _check_alpha(alpha)
-    report = validate(ds)
-    if not report.ok:
-        raise DataError("dataset not admissible: " + "; ".join(report.errors))
-    _check_width(contrasts, ds.k, ds.d)
-
-    dm, fit, cov, A_n = _fit(ds, contrasts)
-    draws, gamma, q, reject = _calibrate(cfg, dm, fit, cov, contrasts, A_n, alpha)
+    reject = np.abs(A_n) > q
     p = local_p_values(draws, A_n)
     est = contrasts.H @ fit.mu_vec
     ci = confidence_intervals(est, q, fit, cov, contrasts)
 
-    warnings = list(report.warnings) + list(draws.warnings)
+    warnings = list(warnings) + list(draws.warnings)
     if cfg.B < COARSE_GRID_B:
         warnings.append(
             f"gamma-grid too coarse: B={cfg.B} < {COARSE_GRID_B}; the adjusted "
@@ -302,10 +275,33 @@ def run_mctp(ds: Dataset, contrasts: ContrastMatrix, cfg: BootstrapConfig,
         alpha=alpha,
         invalid_redraws=draws.invalid_redraws,
         warnings=tuple(warnings),
-        n=ds.n,
-        k=ds.k,
-        d=ds.d,
-        c=ds.c,
-        groups=ds.groups,
+        n=ds.n, k=ds.k, d=ds.d, c=ds.c, groups=ds.groups,
         draws=draws if keep_draws else None,
     )
+
+
+def run_mctp(ds: Dataset, contrasts: ContrastMatrix, cfg: BootstrapConfig,
+             alpha: float, keep_draws: bool = False) -> MctpResult:
+    """Full procedure: fit, bootstrap, adjusted level, decisions, intervals.
+
+    Parameters
+    ----------
+    ds : Dataset
+        Input data.  :func:`~bootmctp.dataset.validate` runs here, once: an
+        error raises DataError and the warnings go into the result.
+    contrasts : ContrastMatrix
+        The r contrasts to test simultaneously.
+    cfg : BootstrapConfig
+        Bootstrap scheme, replicate count and seed.
+    alpha : float
+        Global significance level in (0, 1).
+    keep_draws : bool
+        Attach the replicate matrix to the result (for audit dumps).
+    """
+    _check_alpha(alpha)
+    report = validate(ds)
+    if not report.ok:
+        raise DataError("dataset not admissible: " + "; ".join(report.errors))
+    _check_width(contrasts, ds.k, ds.d)
+    return _decide(ds, contrasts, cfg, alpha, _fit(ds, contrasts), report.warnings,
+                   keep_draws)

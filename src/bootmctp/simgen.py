@@ -6,6 +6,7 @@ pattern with a multiplier, two uniform covariates with fixed regression
 coefficients, and an optional mean alternative placed on the last group.
 Studies run both bootstrap schemes on each simulated dataset and report
 empirical global rejection rates with exact binomial confidence intervals.
+Each run is decided by ``mctp._decide``, the step that ``run_mctp`` ends in.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .covariance import psd_sqrt
 from .dataset import Dataset, _integer, _real
 from .design import _scipy_extension
 from .exceptions import ContrastError, EstimationError, SimulationError
-from .mctp import _calibrate, _check_alpha, _fit
+from .mctp import _check_alpha, _decide, _fit
 from ._rng import derive_seed, substream
 
 DISTRIBUTIONS = ("normal", "t3", "chi2_3", "lognormal", "dexp")
@@ -251,11 +252,12 @@ def _global_rejections(scenario: SimScenario, scenario_index: int,
     """Global rejection counts, one per config of `cfgs`, over the runs of `block`.
 
     The configs carry the study seed: run ri draws its dataset under
-    ``derive_seed(seed, scenario_index, ri, 0)`` and runs config col under the
-    path ending ``1 + col``.  An EstimationError in one run is re-raised,
-    chained, as a SimulationError that names the scenario index, the run
-    index and the dataset seed; any other exception keeps its type and gets
-    them as a note (Python >= 3.11).
+    ``derive_seed(seed, scenario_index, ri, 0)``, fits it once, and counts
+    the ``global_reject`` of ``mctp._decide``, the step of ``run_mctp``, for
+    config col under the path ending ``1 + col``.  An EstimationError in one
+    run is re-raised, chained, as a SimulationError that names the scenario
+    index, the run index and the dataset seed; any other exception keeps its
+    type and gets them as a note (Python >= 3.11).
     """
     seed = cfgs[0].seed
     hits = [0] * len(cfgs)
@@ -264,12 +266,11 @@ def _global_rejections(scenario: SimScenario, scenario_index: int,
         data_seed = derive_seed(seed, scenario_index, ri, 0)
         try:
             ds = gen_dataset(scenario, substream(data_seed, 0))
-            dm, fit, cov, A_n = _fit(ds, H)
+            fitted = _fit(ds, H)
             for col, cfg in enumerate(cfgs):
                 run_seed = derive_seed(seed, scenario_index, ri, 1 + col)
-                *_, reject = _calibrate(replace(cfg, seed=run_seed), dm, fit, cov, H,
-                                        A_n, alpha)
-                hits[col] += bool(reject.any())
+                hits[col] += _decide(ds, H, replace(cfg, seed=run_seed), alpha,
+                                     fitted).global_reject
         except Exception as exc:
             where = f"scenario {scenario_index}, run {ri} (dataset seed {data_seed})"
             if isinstance(exc, EstimationError):

@@ -21,6 +21,9 @@ References and the package functions they check:
 - ``exact_statistics``: the observed statistics A_n of ``mctp._fit``, in
   40-digit decimal arithmetic, so that it checks the value of the statistic
   where float64 loses digits;
+- ``centred_statistics``: the same A_n in float64 from within-group centred
+  covariates and a plain-Python inverse of their c x c scatter, the fit
+  that does not cancel when a covariate sits far from zero;
 - ``exact_replicate``: one row of ``bootstrap.run_bootstrap``, drawn from
   the documented replicate stream and refit as ``exact_statistics`` fits.
 """
@@ -194,10 +197,10 @@ def sequential_refit(XG, X, wU1sq, Y):
 
 
 def _gauss_jordan_inverse(A):
-    """Inverse of a square Decimal matrix (list of rows), partial pivoting."""
+    """Inverse of a square Decimal or float matrix (list of rows), partial
+    pivoting, in plain Python."""
     m = len(A)
-    aug = [list(row) + [Decimal(int(i == j)) for j in range(m)]
-           for i, row in enumerate(A)]
+    aug = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(A)]
     for col in range(m):
         pivot = max(range(col, m), key=lambda i: abs(aug[i][col]))
         aug[col], aug[pivot] = aug[pivot], aug[col]
@@ -208,6 +211,37 @@ def _gauss_jordan_inverse(A):
                 f = aug[i][col]
                 aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
     return [row[m:] for row in aug]
+
+
+def centred_statistics(n_i, Z: np.ndarray, Y: np.ndarray, H) -> np.ndarray:
+    """A_n = sqrt(n) h'mu / sqrt(h'Dh) from within-group centred covariates.
+
+    In float64: with the group means zbar_i and ybar_i and Zc = Z - zbar_g,
+    W = Zc'Zc, nu = W^-1 Zc'(Y - ybar_g) and mu_i = ybar_i - zbar_i'nu.  The
+    leverages are p_j = 1/n_i + zc_j'W^-1 zc_j and the adjusted-mean rows
+    U1[j, a] = 1{j in group a}/n_a - zc_j'W^-1 zbar_a; the weights
+    (1 - p) ** (-min(4, p / mean p)) and D = n sum_j w_j U1[j, a]^2 e[j, l]^2
+    are the package's, with the residuals e = Y - ybar_g - Zc nu.  The c x c
+    matrix W is inverted by Gauss-Jordan elimination in plain Python, so no
+    raw Gram matrix and no LAPACK call enters.
+    """
+    n_i = np.asarray(n_i)
+    k, n, c = len(n_i), Y.shape[0], Z.shape[1]
+    g = np.repeat(np.arange(k), n_i)
+    zbar = np.array([Z[g == i].mean(axis=0) for i in range(k)]).reshape(k, c)
+    ybar = np.array([Y[g == i].mean(axis=0) for i in range(k)])
+    Zc = Z - zbar[g]
+    Winv = np.array(_gauss_jordan_inverse((Zc.T @ Zc).tolist()), dtype=float)
+    Winv = Winv.reshape(c, c)
+    nu = Winv @ (Zc.T @ (Y - ybar[g]))
+    mu = ybar - zbar @ nu
+    p = 1.0 / n_i[g] + np.einsum("ja,ab,jb->j", Zc, Winv, Zc)
+    U1 = (g[:, None] == np.arange(k)) / n_i - Zc @ Winv @ zbar.T
+    w = (1.0 - p) ** (-np.minimum(4.0, p / p.mean()))
+    e = Y - ybar[g] - Zc @ nu
+    D = n * np.einsum("ja,jl->al", w[:, None] * U1**2, e**2)
+    H = np.asarray(H, dtype=float)
+    return np.sqrt(n) * (H @ mu.reshape(-1)) / np.sqrt(H**2 @ D.reshape(-1))
 
 
 def _exact_design(ds):

@@ -534,6 +534,29 @@ class TestRedraws:
             assert np.array_equal(draws.A_star[b], a), b
 
 
+class TestReplicatePrefix:
+    """The first B' rows of a B-replicate A_star are, bit for bit, the A_star
+    of a B'-replicate run with the same seed: replicate b is drawn from its
+    own streams (seed, b, attempt), whatever B, the chunks and the threads.
+    This holds only while neither run hits its 1% redraw budget, since a run
+    that hits it aborts instead."""
+
+    @pytest.mark.parametrize("kind", ["wild", "parametric"])
+    def test_first_rows_are_the_shorter_run(self, fitted_small, fitted_large, kind):
+        for ds, dm, fit, cov in (fitted_small, fitted_large):  # one thread, threaded
+            cm = build_family("two_sample", 2, dm.d)
+            full = run_bootstrap(BootstrapConfig(kind, 300, 23), dm, fit, cov, cm)
+            head = run_bootstrap(BootstrapConfig(kind, 120, 23), dm, fit, cov, cm)
+            assert full.A_star[:120].tobytes() == head.A_star.tobytes(), (kind, dm.n)
+
+    def test_prefix_holding_a_redraw(self, few_redraws):
+        dm, fit, cov, cm, cfg = few_redraws
+        full = run_bootstrap(cfg, dm, fit, cov, cm)
+        head = run_bootstrap(BootstrapConfig(cfg.kind, 700, cfg.seed), dm, fit, cov, cm)
+        assert (full.invalid_redraws, head.invalid_redraws) == (2, 1)
+        assert full.A_star[:700].tobytes() == head.A_star.tobytes()
+
+
 @pytest.fixture(scope="module")
 def floor_case():
     """A scalar two-group fit and the first-attempt h'Dh of its B=1000 replicates.

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bootmctp import cli
 from bootmctp.cli import ANALYZE_SETTINGS, SIMULATE_SETTINGS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -84,6 +85,24 @@ class TestAnalyze:
         with open(os.path.join(out_dir, "draws.csv"), newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh))
         assert header == [c["label"] for c in doc["contrasts"]]
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_dump_draws_without_out_exits_1_before_reading_data(
+        self, capsys, monkeypatch, tmp_path, analyze_args, form
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("the data file was read")
+
+        monkeypatch.setattr(cli, "load_csv", no_read)
+        extra = ["--dump-draws"]
+        if form == "config":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"dump-draws": True}))
+            extra = ["--config", str(cfg_path)]
+        code, out, err = run_cli(capsys, analyze_args + ["--B", "200"] + extra)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --dump-draws needs --out\n"
 
     def test_missing_input_exits_1(self, capsys):
         code, _, err = run_cli(

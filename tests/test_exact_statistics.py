@@ -20,7 +20,7 @@ from bootmctp.mctp import _fit
 from bootmctp.simgen import default_nu, gen_covariates
 
 from conftest import random_dataset
-from oracles import exact_statistics
+from oracles import centred_statistics, exact_statistics
 
 # Bound at covariates near zero, and the bound a fit from centred
 # covariates should meet at any covariate location.
@@ -28,10 +28,12 @@ TOL = 1e-12
 OFFSET_TOL = 1e-8
 
 
-def statistic_error(ds, cm) -> float:
-    exact = exact_statistics(ds, cm.H)
-    A = _fit(ds, cm)[3]
+def relative_error(A, exact) -> float:
     return float(np.max(np.abs(A - exact) / np.maximum(1.0, np.abs(exact))))
+
+
+def statistic_error(ds, cm) -> float:
+    return relative_error(_fit(ds, cm)[3], exact_statistics(ds, cm.H))
 
 
 @given(st.data())
@@ -72,6 +74,20 @@ def test_statistics_at_a_covariate_offset(offset, bound):
     cm = build_family("dunnett", 3, 2)
     worst = max(statistic_error(offset_dataset(seed, offset), cm) for seed in range(8))
     assert worst <= bound
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+def test_centred_oracle_meets_the_bound_at_every_offset(offset):
+    """The fit from within-group centred covariates stays within TOL of the
+    exact statistics where the package's raw Gram fit does not, and at
+    offset 0 within TOL of the package's A_n."""
+    cm = build_family("dunnett", 3, 2)
+    for seed in range(8):
+        ds = offset_dataset(seed, offset)
+        A = centred_statistics(ds.n_i, ds.Z, ds.Y, cm.H)
+        assert relative_error(A, exact_statistics(ds, cm.H)) <= TOL, seed
+        if offset == 0.0:
+            assert relative_error(A, _fit(ds, cm)[3]) <= TOL, seed
 
 
 def scaled_outcomes(scale: float) -> Dataset:

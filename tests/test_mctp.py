@@ -20,7 +20,7 @@ from bootmctp.bootstrap import run_bootstrap
 from bootmctp.covariance import sandwich, studentize
 from bootmctp.design import build_design, fit_ols
 from bootmctp.mctp import (
-    _calibrate,
+    _decide,
     _fit,
     adjust_level,
     confidence_intervals,
@@ -297,7 +297,9 @@ class TestPValueDuality:
         q = contrast_quantiles(draws, gamma)
         sign = np.resize([1.0, -1.0], cm.r)
         for A_n, rejected in ((sign * q, False), (sign * np.nextafter(q, np.inf), True)):
-            *_, reject = _calibrate(cfg, dm, fit, cov, cm, A_n, 0.05)
+            result = _decide(ds, cm, cfg, 0.05, (dm, fit, cov, A_n))
+            reject = np.array([o.reject for o in result.contrasts])
+            assert result.gamma == gamma
             assert reject.tolist() == [rejected] * cm.r
             assert ((local_p_values(draws, A_n) <= gamma) == reject).all()
 

@@ -100,7 +100,8 @@ def test_benchmark_traced_targets_resolve():
     """Every name perfbench/run.py traces exists, read without running it.
 
     The harness also checks each gamma by tracing ``mctp.adjust_level``,
-    which ``_calibrate`` must therefore call through the module global.
+    which ``_decide``, the step of ``run_mctp`` and of every simulated run,
+    must therefore call through the module global.
     """
     tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
     (traced,) = [ast.literal_eval(node.value) for node in tree.body
@@ -111,7 +112,7 @@ def test_benchmark_traced_targets_resolve():
         module_name, name = target.rsplit(".", 1)
         module = importlib.import_module(f"bootmctp.{module_name}")
         assert callable(getattr(module, name, None)), target
-    assert {"run_bootstrap", "adjust_level"} <= set(mctp._calibrate.__code__.co_names)
+    assert {"run_bootstrap", "adjust_level"} <= set(mctp._decide.__code__.co_names)
 
 
 def test_package_never_imports_scipy_stats():

@@ -12,11 +12,14 @@ import pytest
 from scipy import stats
 
 from bootmctp import (
+    BootstrapConfig,
     ConfigError,
     Dataset,
     EstimationError,
     SimScenario,
     SimulationError,
+    build_family,
+    run_mctp,
     run_study,
     validate,
     write_study_csv,
@@ -518,6 +521,30 @@ class TestRunStudy:
         assert len(pools) == 1
         assert len(par) == 4
         assert par == seq
+
+    def test_each_run_is_decided_as_run_mctp_decides(self):
+        """Each scheme's hit count is the sum over runs of run_mctp's
+        global_reject on that run's dataset and seed, at one and two workers:
+        a simulated run and an analysis share one decision step."""
+        seed, runs, B, alpha = 2, 6, 100, 0.05
+        scenarios = [SimScenario(k=3, d=2, alternative="shift", delta=1.0),
+                     SimScenario(k=3, d=3, covariance=3)]
+        expected = []
+        for si, sc in enumerate(scenarios):
+            H = build_family(sc.contrast_family, sc.k, sc.d)
+            hits = [0] * len(bootstrap.KINDS)
+            for ri in range(runs):
+                ds = gen_dataset(sc, substream(derive_seed(seed, si, ri, 0), 0))
+                for col, kind in enumerate(bootstrap.KINDS):
+                    cfg = BootstrapConfig(kind, B, derive_seed(seed, si, ri, 1 + col))
+                    hits[col] += run_mctp(ds, H, cfg, alpha).global_reject
+            expected += zip(bootstrap.KINDS, hits)
+        assert any(0 < h < runs for _, h in expected[:2])  # the shift discriminates
+        for workers in (1, 2):
+            results = run_study(scenarios, runs=runs, B=B, alpha=alpha, seed=seed,
+                                workers=workers)
+            got = [(r.method, round(r.rate * runs / 100)) for r in results]
+            assert got == expected, workers
 
     @pytest.mark.parametrize("cpus, runs, procs", [
         (8, 2, 2),  # one scenario of two runs: two tasks
