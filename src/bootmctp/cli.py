@@ -99,8 +99,8 @@ def _build_parser() -> _Parser:
                     help="family name or custom:<csv path>")
     pc.add_argument("--k", type=int, required=True, help="number of groups")
     pc.add_argument("--d", type=int, required=True, help="number of outcomes")
-    pc.add_argument("--groups", help="comma-separated group names")
-    pc.add_argument("--outcomes", help="comma-separated outcome names")
+    pc.add_argument("--groups", help="comma-separated group names (families only)")
+    pc.add_argument("--outcomes", help="comma-separated outcome names (families only)")
     pc.set_defaults(command=_cmd_contrasts)
     return parser
 
@@ -242,6 +242,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_contrasts(args) -> int:
+    for flag in ("groups", "outcomes"):
+        if args.contrast.startswith("custom:") and getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag} does not apply to a custom: contrast file, "
+                              "which names its own rows")
     contrasts = _resolve_contrast(
         args.contrast, args.k, args.d,
         _split_names(args.groups or ""),

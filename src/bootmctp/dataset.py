@@ -40,11 +40,13 @@ def _sequence(value, what: str, error: type[Exception], of: str, entry=None) -> 
 
 
 def _names(value, what: str, error: type[Exception], count=None, prefix="") -> tuple[str, ...]:
-    """`value` as distinct str, `count` of them if given; none given are `prefix`1, 2, ..."""
+    """`value` as distinct non-blank str, `count` if given; none given are `prefix`1, 2, ..."""
     names = _sequence(value, what, error, "str", lambda name: isinstance(name, str))
     names = names or tuple(f"{prefix}{j + 1}" for j in range(count or 0))
     if count is not None and len(names) != count:
         raise error(f"expected {count} {what}, got {len(names)}")
+    if not all(map(str.strip, names)):
+        raise error(f"{what} must not be blank, got {names!r}")
     if len(set(names)) != len(names):
         raise error(f"{what} must be distinct, got {names!r}")
     return names
@@ -326,10 +328,7 @@ def validate(ds: Dataset) -> ValidationReport:
 
 
 def _group_indicators(ds: Dataset) -> np.ndarray:
-    M = np.zeros((ds.n, ds.k))
-    for i, sl in enumerate(group_slices(ds.n_i)):
-        M[sl, i] = 1.0
-    return M
+    return np.repeat(np.eye(ds.k), ds.n_i, axis=0)
 
 
 def group_slices(n_i) -> list[slice]:

@@ -12,8 +12,8 @@ Gamma, the quantiles and the p-values take a :class:`BootstrapDraws` and
 read the one ranking of the draws that it makes on construction.  Gamma
 comes from each replicate's tail counts, B minus its left ranks; the
 quantile at grid index g is row B-1-g of the sorted |A_star|; a p-value is
-B minus the ``searchsorted`` position of |A_n(h_s)|, over B.  The counts
-are exact integers.
+the count of |A_star| at or above |A_n(h_s)| in its column, over B.  The
+counts are exact integers.
 
 :func:`run_mctp` and each simulated run in ``simgen`` share one core:
 :func:`_fit` (fit, sandwich studentizer, observed statistics) and
@@ -99,12 +99,9 @@ def adjust_level(draws: BootstrapDraws, alpha: float) -> float:
 
 def local_p_values(draws: BootstrapDraws, A_n: np.ndarray) -> np.ndarray:
     """Share of replicates with |bootstrap statistic| >= |observed statistic|:
-    ``searchsorted`` in each column of the :class:`BootstrapDraws`' ``sorted_abs``."""
-    S, B = draws.sorted_abs, draws.B
+    a count per column of the :class:`BootstrapDraws`' ``sorted_abs``, over B."""
     absA_n = np.abs(np.asarray(A_n, dtype=float))
-    below = [np.searchsorted(S[:, s], absA_n[s], side="left")
-             for s in range(S.shape[1])]
-    return (B - np.array(below)) / B
+    return np.count_nonzero(draws.sorted_abs >= absA_n, axis=0) / draws.B
 
 
 def contrast_quantiles(draws: BootstrapDraws, gamma: float) -> np.ndarray:
@@ -251,21 +248,10 @@ def _decide(ds: Dataset, contrasts: ContrastMatrix, cfg: BootstrapConfig,
             "statistic above every bootstrap value is rejected"
         )
 
-    outcomes = tuple(
-        ContrastOutcome(
-            label=contrasts.labels[s],
-            estimate=float(est[s]),
-            statistic=float(A_n[s]),
-            quantile=float(q[s]),
-            p_value=float(p[s]),
-            ci_lower=float(ci[s, 0]),
-            ci_upper=float(ci[s, 1]),
-            reject=bool(reject[s]),
-        )
-        for s in range(contrasts.r)
-    )
+    # One ContrastOutcome per row: its fields in order, as Python floats and bools.
     return MctpResult(
-        contrasts=outcomes,
+        contrasts=tuple(map(ContrastOutcome, contrasts.labels, *(
+            c.tolist() for c in (est, A_n, q, p, ci[:, 0], ci[:, 1], reject)))),
         gamma=gamma,
         global_p=float(p.min()),
         global_reject=bool(reject.any()),

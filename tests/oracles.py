@@ -24,8 +24,8 @@ References and the package functions they check:
 - ``centred_statistics``: the same A_n in float64 from within-group centred
   covariates and a plain-Python inverse of their c x c scatter, the fit
   that does not cancel when a covariate sits far from zero;
-- ``exact_replicate``: one row of ``bootstrap.run_bootstrap``, drawn from
-  the documented replicate stream and refit as ``exact_statistics`` fits.
+- ``exact_replicates``: rows of ``bootstrap.run_bootstrap``, drawn from the
+  documented replicate stream and refit as ``exact_statistics`` fits.
 """
 
 from __future__ import annotations
@@ -313,11 +313,13 @@ def exact_statistics(ds, H) -> np.ndarray:
         return _exact_refit(_exact_design(ds), Y, ds.k, H)
 
 
-def exact_replicate(ds, H, kind, seed, b, attempt=0) -> np.ndarray:
-    """Row `b` of the bootstrap statistics, redraw `attempt`, in 40-digit decimal.
+def exact_replicates(ds, H, kind, seed, rows, attempt=0) -> np.ndarray:
+    """Rows `rows` of the bootstrap statistics, redraw `attempt`, in 40-digit
+    decimal: a len(rows) x r matrix.
 
-    The response comes from the documented stream of replicate (b, attempt),
-    a fresh ``Philox(key=[seed mod 2**64, attempt << 32 | b])`` built here:
+    The response of row b comes from the documented stream of replicate (b,
+    attempt), a fresh ``Philox(key=[seed mod 2**64, attempt << 32 | b])``
+    built here:
 
     - wild: ``integers(0, 2, size=n)`` gives subject j the sign 2u_j - 1,
       which multiplies the exact residuals of the observed fit, scaled by
@@ -327,10 +329,9 @@ def exact_replicate(ds, H, kind, seed, b, attempt=0) -> np.ndarray:
       root is taken as float64 input, so this checks the refit and the
       studentizer, not the group covariances or their eigendecomposition.
 
-    The response is refit as :func:`exact_statistics` fits the data.
+    The response is refit as :func:`exact_statistics` fits the data.  The
+    design, the residuals and the roots are computed once for all rows.
     """
-    key = np.array([seed & ((1 << 64) - 1), attempt << 32 | b], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         design = _exact_design(ds)
@@ -338,9 +339,7 @@ def exact_replicate(ds, H, kind, seed, b, attempt=0) -> np.ndarray:
             X, XG, p, _ = design
             _, resid = _exact_ols(X, XG, [[Decimal(y) for y in row]
                                           for row in ds.Y.tolist()])
-            signs = rng.integers(0, 2, size=ds.n).tolist()
-            Y = [[(2 * u - 1) * e / (1 - pj).sqrt() for e in row]
-                 for u, pj, row in zip(signs, p, resid)]
+            scaled = [[e / (1 - pj).sqrt() for e in row] for pj, row in zip(p, resid)]
         else:
             from bootmctp.covariance import psd_sqrt, sandwich
             from bootmctp.design import build_design, fit_ols
@@ -348,9 +347,18 @@ def exact_replicate(ds, H, kind, seed, b, attempt=0) -> np.ndarray:
             dm = build_design(ds)
             roots = [[[Decimal(v) for v in row] for row in psd_sqrt(S).tolist()]
                      for S in sandwich(dm, fit_ols(dm, ds)).group_sigmas]
-            normals = rng.standard_normal((ds.n, ds.d)).tolist()
             group = [i for i, m in enumerate(ds.n_i) for _ in range(m)]
-            Y = [[sum(Decimal(u) * L[a][col] for a, u in enumerate(row))
-                  for col in range(ds.d)]
-                 for row, L in zip(normals, (roots[g] for g in group))]
-        return _exact_refit(design, Y, ds.k, H)
+        out = []
+        for b in rows:
+            key = np.array([seed & ((1 << 64) - 1), attempt << 32 | b], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            if kind == "wild":
+                signs = rng.integers(0, 2, size=ds.n).tolist()
+                Y = [[(2 * u - 1) * v for v in row] for u, row in zip(signs, scaled)]
+            else:
+                normals = rng.standard_normal((ds.n, ds.d)).tolist()
+                Y = [[sum(Decimal(u) * L[a][col] for a, u in enumerate(row))
+                      for col in range(ds.d)]
+                     for row, L in zip(normals, (roots[g] for g in group))]
+            out.append(_exact_refit(design, Y, ds.k, H))
+        return np.array(out)

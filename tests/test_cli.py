@@ -597,6 +597,26 @@ class TestContrastsCommand:
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"error: custom contrast file not found: {path}"]
 
+    def test_custom_file_blank_label_exits_2_with_one_line(self, capsys, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("label,c1,c2\n,1,-1\n")
+        code, out, err = run_cli(
+            capsys, ["contrasts", "--contrast", f"custom:{path}", "--k", "2", "--d", "1"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: labels must not be blank, got ('',)"]
+
+    @pytest.mark.parametrize("flag", ["--groups", "--outcomes"])
+    def test_names_with_a_custom_file_exit_1_before_it_is_read(self, capsys, tmp_path, flag):
+        """A custom file names its own rows, so the flag would be ignored; the file,
+        whose bad cell would exit 2, is not read."""
+        path = tmp_path / "c.csv"
+        path.write_text("label,c1,c2\nfirst,1,oops\n")
+        code, out, err = run_cli(capsys, ["contrasts", "--contrast", f"custom:{path}",
+                                          "--k", "2", "--d", "1", flag, "x,y"])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {flag} does not apply to a custom: contrast file, which names its own rows"]
+
     def test_invalid_family_k_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, ["contrasts", "--contrast", "two-sample", "--k", "3", "--d", "2"]

@@ -421,13 +421,48 @@ def contrast_file(tmp_path, text):
      "outcome names must be distinct, got ('y', 'y')"),
     (lambda tmp: from_csv(contrast_file(tmp, "label,c1,c2\nx,1,-1\n\n x ,-1,1\n"), 2, 1),
      ContrastError, "labels must be distinct, got ('x', 'x')"),
-    (lambda tmp: from_csv(contrast_file(tmp, "Label,c1,c2\n,1,-1\n ,-1,1\n"), 2, 1),
-     ContrastError, "labels must be distinct, got ('', '')"),
 ], ids=["Dataset-groups", "Dataset-outcome_names", "Dataset-covariate_names",
         "blocks-groups", "schema-covariates", "labels", "build_family-groups",
-        "build_family-outcomes", "from_csv-labels", "from_csv-blank-labels"])
+        "build_family-outcomes", "from_csv-labels"])
 def test_repeated_names_refused(tmp_path, build, error, message):
     """A name ties a group, an outcome or a contrast to its result rows, so each is distinct."""
+    with pytest.raises(error) as info:
+        build(tmp_path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda tmp: Dataset(groups=("a", " "), **FOUR_ROWS), DataError,
+     "groups must not be blank, got ('a', ' ')"),
+    (lambda tmp: Dataset(groups=("a", "b"), outcome_names=("y", ""), **FOUR_ROWS), DataError,
+     "outcome_names must not be blank, got ('y', '')"),
+    (lambda tmp: Dataset(groups=("a", "b"), covariate_names=["\t"], **FOUR_ROWS), DataError,
+     "covariate_names must not be blank, got ('\\t',)"),
+    (lambda tmp: Dataset.from_group_blocks(["", "b"], [np.ones((2, 1))] * 2), DataError,
+     "groups must not be blank, got ('', 'b')"),
+    (lambda tmp: CsvSchema(group="g", outcomes=["", "y"]), DataError,
+     "schema outcomes must not be blank, got ('', 'y')"),
+    (lambda tmp: CsvSchema(group="g", outcomes=["y"], covariates=[" "]), DataError,
+     "schema covariates must not be blank, got (' ',)"),
+    (lambda tmp: CsvSchema(group="", outcomes=["y"]), DataError,
+     "schema columns must not be blank, got ('', 'y')"),
+    (lambda tmp: ContrastMatrix([[1, -1]], [" "]), ContrastError,
+     "labels must not be blank, got (' ',)"),
+    (lambda tmp: build_family("dunnett", 3, 1, group_names=("a", "", "c")), ContrastError,
+     "group names must not be blank, got ('a', '', 'c')"),
+    (lambda tmp: build_family("tukey", 2, 2, outcome_names=["y", " "]), ContrastError,
+     "outcome names must not be blank, got ('y', ' ')"),
+    (lambda tmp: from_csv(contrast_file(tmp, "label,c1,c2\n,1,-1\n"), 2, 1),
+     ContrastError, "labels must not be blank, got ('',)"),
+    (lambda tmp: from_csv(contrast_file(tmp, "Label,c1,c2\n,1,-1\n ,-1,1\n"), 2, 1),
+     ContrastError, "labels must not be blank, got ('', '')"),
+], ids=["Dataset-groups", "Dataset-outcome_names", "Dataset-covariate_names",
+        "blocks-groups", "schema-outcomes", "schema-covariates", "schema-group", "labels",
+        "build_family-groups", "build_family-outcomes", "from_csv-blank-label",
+        "from_csv-blank-labels"])
+def test_blank_names_refused(tmp_path, build, error, message):
+    """A blank name leaves its result rows unnamed, so it is refused where it enters;
+    two blank names are blank before they are repeated."""
     with pytest.raises(error) as info:
         build(tmp_path)
     assert str(info.value) == message

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -372,6 +373,26 @@ class TestRunMctp:
         for o in res1.contrasts:
             excludes = o.ci_lower > 0 or o.ci_upper < 0
             assert excludes == o.reject
+
+    @pytest.mark.parametrize("kind", ["wild", "parametric"])
+    def test_each_outcome_holds_its_own_python_values(self, kind):
+        """Each field of each ContrastOutcome is a Python value of its declared type,
+        never a numpy scalar (json refuses a numpy bool), and it is its own column's."""
+        ds = random_dataset(22, k=3, d=2, c=1, n_i=(9, 10, 11), mu=[[0, 0], [0, 0], [1.5, 0]])
+        cm = build_family("tukey", 3, 2)
+        res = run_mctp(ds, cm, BootstrapConfig(kind, 200, 7), 0.05, keep_draws=True)
+        _, fit, _, A_n = _fit(ds, cm)
+        q = contrast_quantiles(res.draws, res.gamma)
+        p = scan_p_values(res.draws.A_star, A_n)
+        for s, o in enumerate(res.contrasts):
+            assert [type(getattr(o, f.name)).__name__ for f in fields(o)] == [
+                f.type for f in fields(o)]
+            assert (o.label, o.estimate, o.statistic, o.quantile, o.p_value) == (
+                cm.labels[s], (cm.H @ fit.mu_vec)[s], A_n[s], q[s], p[s])
+            assert o.ci_lower < o.estimate < o.ci_upper
+            assert o.reject == (abs(o.statistic) > o.quantile)
+        assert any(o.reject for o in res.contrasts) and not all(o.reject for o in res.contrasts)
+        assert json.loads(res.to_json())["contrasts"] == [asdict(o) for o in res.contrasts]
 
     def test_quantiles_are_read_once(self, monkeypatch):
         """The intervals take the quantiles that decide, not a second reading."""
